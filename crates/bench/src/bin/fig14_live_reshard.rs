@@ -263,7 +263,9 @@ fn main() {
                 println!(
                     "[fig14-live] reshard generation {}: {OLD_S} -> {NEW_S} subORAMs, \
                      {} objects moved, {} sealed batches per node per direction",
-                    r.generation, r.objects_moved, r.batches_per_node
+                    r.generation,
+                    r.objects_moved,
+                    snoopy_net::reshard::migration_batches(manifest.num_objects)
                 );
                 report = Some(r);
             }

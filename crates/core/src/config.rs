@@ -83,14 +83,6 @@ impl SnoopyConfig {
         self
     }
 
-    /// Enables external (sealed, integrity-checked) partition storage.
-    /// Compatibility shim over [`SnoopyConfig::storage`]; `false` resets to
-    /// in-enclave memory.
-    pub fn external_storage(mut self, on: bool) -> SnoopyConfig {
-        self.storage = if on { StorageKind::External } else { StorageKind::Memory };
-        self
-    }
-
     /// Selects the partition storage tier.
     pub fn storage(mut self, kind: StorageKind) -> SnoopyConfig {
         self.storage = kind;
@@ -145,7 +137,10 @@ mod tests {
 
     #[test]
     fn builder_chains() {
-        let c = SnoopyConfig::with_machines(3, 5).value_len(32).lambda(80).external_storage(true);
+        let c = SnoopyConfig::with_machines(3, 5)
+            .value_len(32)
+            .lambda(80)
+            .storage(StorageKind::External);
         assert_eq!(c.num_load_balancers, 3);
         assert_eq!(c.num_suborams, 5);
         assert_eq!(c.value_len, 32);
@@ -158,7 +153,7 @@ mod tests {
     fn storage_builder_selects_tier() {
         let c = SnoopyConfig::default().storage(StorageKind::Disk);
         assert_eq!(c.storage, StorageKind::Disk);
-        assert_eq!(c.external_storage(false).storage, StorageKind::Memory);
+        assert_eq!(c.storage(StorageKind::Memory).storage, StorageKind::Memory);
     }
 
     #[test]

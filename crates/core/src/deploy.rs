@@ -34,11 +34,14 @@ use std::time::{Duration, Instant};
 
 use crate::config::SnoopyConfig;
 use crate::link::Link;
+use crate::reshard::{
+    drive_reshard, FleetShape, ReshardCmd, ReshardFleet, ReshardOptions, ReshardStatus, RpcFailure,
+    SubReshardCmd, SubReshardReply, SubStaging,
+};
 use crate::transport::{
-    run_load_balancer_with_reshard, run_suboram_with_admin, ClientReply, EpochFaultPolicy,
-    FaultAction, FaultInjector, LbEvent, LbTransport, NoFaults, RecvOutcome, ReshardCmd,
-    ReshardControl, ReshardPhase, ReshardPlan, ReshardStatus, SubEvent, SubOramNode, SubReshardCmd,
-    SubReshardReply, SubTransport, Unavailable,
+    run_load_balancer, run_suboram, ClientReply, EpochFaultPolicy, FaultAction, FaultInjector,
+    LbEvent, LbTransport, NoFaults, RecvOutcome, ReshardControl, SubEvent, SubOramNode,
+    SubTransport, Unavailable,
 };
 
 /// Messages into a load-balancer thread (its single mailbox).
@@ -74,7 +77,7 @@ enum SubMsg {
     /// never leave the process; the TCP plane seals them.
     Reshard {
         cmd: SubReshardCmd,
-        reply: Sender<SubReshardReply>,
+        reply: Sender<Result<SubReshardReply, String>>,
     },
     Shutdown,
 }
@@ -296,6 +299,8 @@ pub struct InProcessCluster {
     /// The deployment-wide partition key, kept so the reshard driver can
     /// re-partition exported objects at a new subORAM count.
     shared_key: Key256,
+    /// Objects the cluster stores (a reshard's export union must match).
+    num_objects: u64,
     /// SubORAMs currently holding data (≤ the provisioned fleet size).
     active_suborams: usize,
     /// Layout generation (0 until a reshard ever commits).
@@ -335,6 +340,7 @@ impl InProcessCluster {
         let active_s = config.initial_active();
         let mut prg = Prg::from_seed(seed);
         let shared_key = Key256::random(&mut prg);
+        let num_objects = objects.len() as u64;
         let mut parts = partition_objects(objects, &shared_key, active_s);
         parts.resize_with(s, Vec::new);
 
@@ -392,88 +398,17 @@ impl InProcessCluster {
                     value_len,
                     injector,
                 };
-                // Reshard staging state: a partition built for the next
-                // generation, held beside the live one until the driver's
-                // verdict. Staged under a generation-derived key so sealed
-                // storage never reuses a nonce stream across generations.
-                let mut staged: Option<(u64, usize, snoopy_suboram::SubOram)> = None;
+                // Staged partitions are built in process and never persisted.
+                let staging = SubStaging::new(key, move |_, objects, key| {
+                    Ok(snoopy_store::build_suboram(storage, objects, value_len, key, lambda))
+                });
                 // Commit dirty storage generations each epoch; a failed
                 // commit poisons the subORAM, which already surfaces on the
                 // wire as per-epoch refusals (channel clusters make no
                 // durability promise beyond that).
-                run_suboram_with_admin(
-                    &mut transport,
-                    &mut node,
-                    |node, epoch| {
-                        let _ = node.oram_mut().commit_storage(epoch);
-                    },
-                    |node, cmd| match cmd {
-                        SubReshardCmd::Status => SubReshardReply::Status(ReshardStatus {
-                            generation: node.generation(),
-                            active_s: node.active_s(),
-                            phase: if staged.is_some() {
-                                ReshardPhase::Armed
-                            } else {
-                                ReshardPhase::Idle
-                            },
-                        }),
-                        SubReshardCmd::Export => {
-                            let mut objs = Vec::new();
-                            match node.oram().stream_objects(&mut |o| objs.push(o.clone())) {
-                                Ok(()) => SubReshardReply::Objects(objs),
-                                Err(e) => SubReshardReply::Failed(e.to_string()),
-                            }
-                        }
-                        SubReshardCmd::Install { generation, new_s, objects } => {
-                            let stage_key =
-                                key.derive(b"reshard-stage").derive(&generation.to_le_bytes());
-                            let oram = snoopy_store::build_suboram(
-                                storage, objects, value_len, stage_key, lambda,
-                            );
-                            staged = Some((generation, new_s, oram));
-                            SubReshardReply::Status(ReshardStatus {
-                                generation: node.generation(),
-                                active_s: node.active_s(),
-                                phase: ReshardPhase::Armed,
-                            })
-                        }
-                        SubReshardCmd::Commit { generation } => match staged.take() {
-                            Some((g, new_s, oram)) if g == generation => {
-                                // The commit point: the staged partition
-                                // becomes live; the old one is dropped (the
-                                // channel plane makes no durability promise,
-                                // so there is no checkpoint to rewrite).
-                                let _old = node.swap_oram(oram);
-                                node.set_layout(g, new_s);
-                                SubReshardReply::Status(ReshardStatus {
-                                    generation: g,
-                                    active_s: new_s,
-                                    phase: ReshardPhase::Idle,
-                                })
-                            }
-                            other => {
-                                staged = other;
-                                SubReshardReply::Failed(format!(
-                                    "no staged partition for generation {generation}"
-                                ))
-                            }
-                        },
-                        SubReshardCmd::Abort { generation } => {
-                            if staged.as_ref().is_some_and(|(g, ..)| *g == generation) {
-                                staged = None;
-                            }
-                            SubReshardReply::Status(ReshardStatus {
-                                generation: node.generation(),
-                                active_s: node.active_s(),
-                                phase: if staged.is_some() {
-                                    ReshardPhase::Armed
-                                } else {
-                                    ReshardPhase::Idle
-                                },
-                            })
-                        }
-                    },
-                );
+                run_suboram(&mut transport, &mut node, staging, |node, epoch| {
+                    let _ = node.oram_mut().commit_storage(epoch);
+                });
             }));
         }
 
@@ -488,8 +423,6 @@ impl InProcessCluster {
             let policy = policy.clone();
             let injector = injector.clone();
             threads.push(std::thread::spawn(move || {
-                let balancer = LoadBalancer::new(&shared_key, active_s, value_len, lambda)
-                    .with_threads(lb_threads);
                 let mut transport = ChannelLbTransport {
                     rx,
                     sub_txs,
@@ -501,21 +434,15 @@ impl InProcessCluster {
                 };
                 // Balancers are stateless (§4.3): a reshard commit rebuilds
                 // the routing table from the same shared key at the new S.
-                let rebuild_key = shared_key.clone();
                 let control = ReshardControl {
-                    rebuild: Box::new(move |new_s| {
-                        LoadBalancer::new(&rebuild_key, new_s, value_len, lambda)
+                    rebuild: Box::new(move |s| {
+                        LoadBalancer::new(&shared_key, s, value_len, lambda)
                             .with_threads(lb_threads)
                     }),
                     initial_generation: 0,
+                    initial_active: active_s,
                 };
-                run_load_balancer_with_reshard(
-                    &mut transport,
-                    balancer,
-                    active_s,
-                    policy,
-                    Some(control),
-                );
+                run_load_balancer(&mut transport, policy, control);
             }));
         }
 
@@ -528,6 +455,7 @@ impl InProcessCluster {
             epoch: 0,
             value_len: config.value_len,
             shared_key,
+            num_objects,
             active_suborams: active_s,
             generation: 0,
         }
@@ -564,134 +492,16 @@ impl InProcessCluster {
     }
 
     /// Reshards the fleet to `new_s` active subORAMs at the next epoch
-    /// boundary — the channel-plane reference implementation of the elastic
-    /// reshard protocol (the TCP plane's driver in `snoopy-net` follows the
-    /// same phases):
-    ///
-    /// 1. **Plan**: every balancer arms `Reshard { new_s, generation }` and
-    ///    pauses at its next owned tick, buffering clients.
-    /// 2. **Migrate**: once all balancers are paused (no batches in flight
-    ///    anywhere), every subORAM exports its partition, the driver
-    ///    re-partitions the union with the shared keyed hash at `new_s`, and
-    ///    each subORAM stages its new partition beside the live one.
-    /// 3. **Commit**: subORAMs swap staged → live, then balancers flip their
-    ///    routing tables and release the held tick, so buffered requests
-    ///    execute entirely at the new layout.
-    ///
-    /// Any failure before the first subORAM commit aborts everywhere: staged
-    /// state is dropped, balancers resume the old layout, and the buffered
-    /// epoch executes as if the reshard were never attempted — acknowledged
-    /// writes are never lost either way.
+    /// boundary, running [`drive_reshard`] over this cluster's mailboxes.
+    /// Buffered requests commit in exactly one of the two layouts, and any
+    /// failure before the first subORAM commit aborts back to the old one.
     pub fn reshard(&mut self, new_s: usize) -> Result<(), String> {
-        let fleet = self.sub_senders.len();
-        if new_s == 0 || new_s > fleet {
-            return Err(format!("new_s {new_s} outside provisioned fleet 1..={fleet}"));
-        }
-        let timeout = Duration::from_secs(30);
-        let generation = self.generation + 1;
-        // Phase 1: arm every balancer. Boundary 0 = the next owned tick.
-        let plan =
-            ReshardPlan { generation, new_s, boundary_epoch: 0, ttl: Duration::from_secs(30) };
-        for (i, tx) in self.lb_senders.iter().enumerate() {
-            let st = lb_rpc(tx, ReshardCmd::Plan(plan.clone()), timeout)?;
-            if st.phase != ReshardPhase::Armed {
-                self.abort_all(generation);
-                return Err(format!("balancer {i} refused the plan: {st:?}"));
-            }
-        }
-        // Drive the boundary tick ourselves unless a ticker already does.
-        if self.ticker.is_none() {
-            self.tick();
-        }
-        // Wait until every balancer reports Paused: after that, no batches
-        // are in flight anywhere (ticks resolve synchronously), so the
-        // subORAM partitions are quiescent.
-        let deadline = Instant::now() + timeout;
-        for (i, tx) in self.lb_senders.iter().enumerate() {
-            loop {
-                let st = match lb_rpc(tx, ReshardCmd::Status, timeout) {
-                    Ok(st) => st,
-                    Err(e) => {
-                        self.abort_all(generation);
-                        return Err(format!("balancer {i} unreachable at the boundary: {e}"));
-                    }
-                };
-                if st.phase == ReshardPhase::Paused {
-                    break;
-                }
-                if Instant::now() > deadline {
-                    self.abort_all(generation);
-                    return Err(format!("balancer {i} never paused: {st:?}"));
-                }
-                std::thread::sleep(Duration::from_millis(1));
-            }
-        }
-        // Phase 2: export every partition and re-partition at new_s.
-        let mut union: Vec<StoredObject> = Vec::new();
-        for (i, tx) in self.sub_senders.iter().enumerate() {
-            match sub_rpc(tx, SubReshardCmd::Export, timeout) {
-                Ok(SubReshardReply::Objects(objs)) => union.extend(objs),
-                other => {
-                    self.abort_all(generation);
-                    return Err(format!("subORAM {i} export failed: {}", describe(other)));
-                }
-            }
-        }
-        let mut parts = partition_objects(union, &self.shared_key, new_s);
-        parts.resize_with(fleet, Vec::new);
-        for (i, (tx, part)) in self.sub_senders.iter().zip(parts).enumerate() {
-            let cmd = SubReshardCmd::Install { generation, new_s, objects: part };
-            match sub_rpc(tx, cmd, timeout) {
-                Ok(SubReshardReply::Status(st)) if st.phase == ReshardPhase::Armed => {}
-                other => {
-                    self.abort_all(generation);
-                    return Err(format!("subORAM {i} install failed: {}", describe(other)));
-                }
-            }
-        }
-        // Phase 3: commit subORAMs first (they hold the data), then flip
-        // the balancers. A failure after the first subORAM commit cannot be
-        // rolled back here — forward recovery is re-running the driver —
-        // so refuse to proceed only before that point.
-        for (i, tx) in self.sub_senders.iter().enumerate() {
-            match sub_rpc(tx, SubReshardCmd::Commit { generation }, timeout) {
-                Ok(SubReshardReply::Status(st)) if st.generation == generation => {}
-                other => {
-                    if i == 0 {
-                        // Nothing committed yet: clean abort.
-                        self.abort_all(generation);
-                        return Err(format!("subORAM {i} commit refused: {}", describe(other)));
-                    }
-                    return Err(format!(
-                        "subORAM {i} commit refused after {i} commits — re-run reshard({new_s}) \
-                         to roll forward: {}",
-                        describe(other)
-                    ));
-                }
-            }
-        }
-        for (i, tx) in self.lb_senders.iter().enumerate() {
-            let st = lb_rpc(tx, ReshardCmd::Commit { generation }, timeout)?;
-            if st.generation != generation {
-                return Err(format!("balancer {i} missed the flip: {st:?}"));
-            }
-        }
-        self.active_suborams = new_s;
-        self.generation = generation;
+        let opts = ReshardOptions::default();
+        let mut fleet = ChannelFleet { timeout: opts.rpc_timeout, ticked: false, cluster: self };
+        let report = drive_reshard(&mut fleet, new_s, opts)?;
+        self.active_suborams = report.new_s;
+        self.generation = report.generation;
         Ok(())
-    }
-
-    /// Best-effort abort fan-out: drop staged subORAM state and release any
-    /// paused balancer back to the old layout. Errors are ignored — abort
-    /// must make progress even with half the cluster gone.
-    fn abort_all(&self, generation: u64) {
-        let timeout = Duration::from_secs(5);
-        for tx in &self.sub_senders {
-            let _ = sub_rpc(tx, SubReshardCmd::Abort { generation }, timeout);
-        }
-        for tx in &self.lb_senders {
-            let _ = lb_rpc(tx, ReshardCmd::Abort { generation }, timeout);
-        }
     }
 
     /// Manually closes the current epoch: all balancers batch what they
@@ -760,37 +570,58 @@ impl Drop for InProcessCluster {
     }
 }
 
-/// One blocking reshard RPC to a balancer thread.
-fn lb_rpc(tx: &Sender<LbMsg>, cmd: ReshardCmd, timeout: Duration) -> Result<ReshardStatus, String> {
-    let (rtx, rrx) = channel();
-    tx.send(LbMsg::Reshard { cmd, reply: rtx }).map_err(|_| "balancer gone".to_string())?;
-    rrx.recv_timeout(timeout).map_err(|e| format!("balancer reshard rpc: {e}"))
-}
-
-/// One blocking reshard RPC to a subORAM thread.
-fn sub_rpc(
-    tx: &Sender<SubMsg>,
-    cmd: SubReshardCmd,
+/// The channel plane's [`ReshardFleet`]: each reshard RPC is a mailbox
+/// message carrying a reply channel.
+struct ChannelFleet<'a> {
+    cluster: &'a mut InProcessCluster,
     timeout: Duration,
-) -> Result<SubReshardReply, String> {
-    let (rtx, rrx) = channel();
-    tx.send(SubMsg::Reshard { cmd, reply: rtx }).map_err(|_| "subORAM gone".to_string())?;
-    rrx.recv_timeout(timeout).map_err(|e| format!("subORAM reshard rpc: {e}"))
+    /// Whether this run already closed the boundary epoch itself.
+    ticked: bool,
 }
 
-/// Renders an unexpected subORAM RPC outcome for error messages.
-fn describe(outcome: Result<SubReshardReply, String>) -> String {
-    match outcome {
-        Ok(SubReshardReply::Status(st)) => format!("unexpected status {st:?}"),
-        Ok(SubReshardReply::Objects(objs)) => format!("unexpected {}-object reply", objs.len()),
-        Ok(SubReshardReply::Failed(msg)) => msg,
-        Err(e) => e,
+impl ReshardFleet for ChannelFleet<'_> {
+    fn shape(&self) -> FleetShape {
+        FleetShape {
+            balancers: self.cluster.lb_senders.len(),
+            suborams: self.cluster.sub_senders.len(),
+            num_objects: self.cluster.num_objects,
+            partition_key: self.cluster.shared_key.clone(),
+        }
+    }
+
+    fn lb(&mut self, i: usize, cmd: ReshardCmd) -> Result<ReshardStatus, RpcFailure> {
+        let (tx, rx) = channel();
+        let gone = |_| RpcFailure::Indeterminate(format!("balancer {i} gone"));
+        self.cluster.lb_senders[i].send(LbMsg::Reshard { cmd, reply: tx }).map_err(gone)?;
+        rx.recv_timeout(self.timeout).map_err(|e| RpcFailure::Indeterminate(e.to_string()))
+    }
+
+    fn sub(&mut self, i: usize, cmd: SubReshardCmd) -> Result<SubReshardReply, RpcFailure> {
+        let (tx, rx) = channel();
+        let gone = |_| RpcFailure::Indeterminate(format!("subORAM {i} gone"));
+        self.cluster.sub_senders[i].send(SubMsg::Reshard { cmd, reply: tx }).map_err(gone)?;
+        match rx.recv_timeout(self.timeout) {
+            Ok(reply) => reply.map_err(RpcFailure::Refused),
+            Err(e) => Err(RpcFailure::Indeterminate(e.to_string())),
+        }
+    }
+
+    fn await_boundary(&mut self) {
+        // Close the boundary epoch once, unless a ticker already does; the
+        // balancers then pause as soon as they process it.
+        if self.cluster.ticker.is_none() && !self.ticked {
+            self.cluster.tick();
+            self.ticked = true;
+        } else {
+            std::thread::sleep(Duration::from_millis(1));
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reshard::ReshardPhase;
 
     const VLEN: usize = 32;
 
@@ -933,6 +764,29 @@ mod tests {
         assert!(cluster.reshard(0).is_err());
         assert!(cluster.reshard(5).is_err());
         assert_eq!(cluster.active_suborams(), 1);
+        cluster.shutdown();
+    }
+
+    #[test]
+    fn stale_install_generation_is_refused() {
+        let cfg = SnoopyConfig::with_machines(1, 2).value_len(VLEN);
+        let mut cluster = InProcessCluster::start(cfg, objects(20), 7);
+        cluster.reshard(1).expect("shrink 2->1");
+        let mut fleet =
+            ChannelFleet { timeout: Duration::from_secs(30), ticked: false, cluster: &mut cluster };
+        // Generation 1 is live, so staging generation 1 (or 0) is stale.
+        for generation in [0, 1] {
+            let stale = SubReshardCmd::Install { generation, new_s: 2, objects: Vec::new() };
+            let reply = fleet.sub(0, stale);
+            assert!(
+                matches!(&reply, Err(RpcFailure::Refused(r)) if r.contains("stale")),
+                "{reply:?}"
+            );
+        }
+        // Nothing was staged: the node still serves generation 1, idle.
+        let idle = ReshardStatus { generation: 1, active_s: 1, phase: ReshardPhase::Idle };
+        let reply = fleet.sub(0, SubReshardCmd::Status);
+        assert!(matches!(reply, Ok(SubReshardReply::Status(st)) if st == idle), "{reply:?}");
         cluster.shutdown();
     }
 

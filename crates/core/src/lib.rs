@@ -16,6 +16,9 @@
 //!   [`transport::SubTransport`] pair, with deadline-driven epoch recovery
 //!   ([`transport::EpochFaultPolicy`]) and fault-injection hooks
 //!   ([`transport::FaultInjector`]) for the chaos harness;
+//! * [`reshard`] — elastic resharding written once for every plane: the
+//!   subORAM staging machine ([`reshard::SubStaging`]) and the cluster driver
+//!   ([`reshard::drive_reshard`]) over a per-plane [`reshard::ReshardFleet`];
 //! * [`retry`] — deadlines, bounded attempts, and capped exponential backoff
 //!   with deterministic seeded jitter ([`retry::RetryPolicy`]), shared by the
 //!   TCP client, the balancer→subORAM dialer, and the admin RPCs;
@@ -37,6 +40,7 @@ pub mod deploy;
 pub mod history;
 pub mod link;
 pub mod planned;
+pub mod reshard;
 pub mod retry;
 pub mod stats;
 pub mod system;

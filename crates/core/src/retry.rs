@@ -38,7 +38,7 @@ pub struct RetryPolicy {
 }
 
 impl RetryPolicy {
-    /// Defaults for a `NetClient`: 10 s per attempt, 4 tries, backoff
+    /// Defaults for a `SnoopyClient`: 10 s per attempt, 4 tries, backoff
     /// 50 ms → 1 s.
     pub fn client_default() -> RetryPolicy {
         RetryPolicy {

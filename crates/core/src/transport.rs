@@ -43,7 +43,11 @@
 //! "epoch e failed after subORAM k missed its deadline" is wire-observable
 //! to the adversary already.
 
-use snoopy_enclave::wire::{Request, Response, StoredObject};
+use crate::reshard::{
+    record_abort, record_flip, ReshardCmd, ReshardPhase, ReshardPlan, ReshardStatus, SubReshardCmd,
+    SubReshardReply, SubStaging,
+};
+use snoopy_enclave::wire::{Request, Response};
 use snoopy_lb::LoadBalancer;
 use snoopy_suboram::SubOram;
 use snoopy_telemetry::events::{self, Event, EventKind};
@@ -214,13 +218,13 @@ pub enum SubEvent {
         batch: Vec<Request>,
     },
     /// A reshard control command from the admin plane, answered on `reply`
-    /// (see [`SubReshardCmd`]; the staging state machine lives in the
-    /// daemon's handler, not in the epoch loop).
+    /// by the node's [`SubStaging`] machine (a reply, or the reason it
+    /// refused).
     Reshard {
         /// The command.
         cmd: SubReshardCmd,
-        /// Where to send the handler's reply.
-        reply: std::sync::mpsc::Sender<SubReshardReply>,
+        /// Where to send the staging machine's answer.
+        reply: std::sync::mpsc::Sender<Result<SubReshardReply, String>>,
     },
     /// Terminate gracefully.
     Shutdown,
@@ -311,84 +315,12 @@ impl EpochFaultPolicy {
     }
 }
 
-/// A reshard plan as one balancer sees it: at its first owned tick with
-/// id `>= boundary_epoch`, pause — defer the tick, keep buffering clients —
-/// until the reshard driver commits (flip to `new_s` subORAMs) or aborts
-/// (resume at the old layout). Every field is public configuration: the
-/// reconfiguration event itself is wire-observable by design, and the Cloak
-/// argument for the migration (see `snoopy-net`'s reshard module) only needs
-/// the *transfer shape* to be data-independent, not the event hidden.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ReshardPlan {
-    /// Generation the cluster moves to if the plan commits. Must exceed the
-    /// balancer's current generation (stale duplicates are refused).
-    pub generation: u64,
-    /// The subORAM count after the flip.
-    pub new_s: usize,
-    /// First composite epoch id (this balancer's residue class) at which the
-    /// balancer pauses. The driver translates a wall epoch to each
-    /// balancer's class, so all balancers pause at the same wall boundary.
-    pub boundary_epoch: u64,
-    /// How long to stay paused with no commit/abort before self-aborting
-    /// back to the old layout (the driver died mid-migration).
-    pub ttl: Duration,
-}
-
-/// Where a balancer is in the reshard protocol.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ReshardPhase {
-    /// No plan armed; serving at the current layout.
-    Idle,
-    /// A plan is armed; the balancer pauses at its boundary tick.
-    Armed,
-    /// Paused at the boundary, awaiting commit or abort.
-    Paused,
-}
-
-/// A node's answer to any reshard control command: its current generation,
-/// the subORAM count it routes to (balancers) or serves within (subORAMs),
-/// and its protocol phase. All three are public configuration.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ReshardStatus {
-    /// Current layout generation (0 until a reshard ever committed).
-    pub generation: u64,
-    /// The active subORAM count under that generation.
-    pub active_s: usize,
-    /// Where the node is in the reshard protocol.
-    pub phase: ReshardPhase,
-}
-
-/// Control commands the reshard driver sends a *balancer* (via its admin
-/// connection, surfaced as [`LbEvent::Reshard`]).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum ReshardCmd {
-    /// Arm a plan. Replied with phase [`ReshardPhase::Armed`] on acceptance,
-    /// or the current status if refused (stale generation, resharding not
-    /// enabled, `new_s == 0`).
-    Plan(ReshardPlan),
-    /// Flip to the armed plan's layout. Only honored while paused at the
-    /// boundary with a matching generation.
-    Commit {
-        /// Generation of the plan being committed.
-        generation: u64,
-    },
-    /// Drop the armed plan (or end the pause) and resume the old layout.
-    Abort {
-        /// Generation of the plan being aborted.
-        generation: u64,
-    },
-    /// Report status without changing anything.
-    Status,
-}
-
-/// Hands a balancer loop the ability to rebuild its routing state at a new
-/// subORAM count when a reshard commits. Without it (the
-/// [`run_load_balancer_with_policy`] path) every [`ReshardCmd::Plan`] is
-/// refused and the loop behaves exactly as before.
+/// The balancer's layout and how to rebuild its routing state at a new
+/// subORAM count when a reshard commits.
 pub struct ReshardControl {
-    /// Builds a fresh [`LoadBalancer`] routing to `new_s` subORAMs. The
-    /// balancer is stateless (§4.3), so a rebuild is cheap: same shared key,
-    /// new partition count.
+    /// Builds a fresh [`LoadBalancer`] routing to `s` subORAMs: the boot
+    /// balancer, and every post-commit rebuild. The balancer is stateless
+    /// (§4.3), so a rebuild is cheap: same shared key, new partition count.
     pub rebuild: Box<dyn Fn(usize) -> LoadBalancer + Send>,
     /// Generation of the layout the balancer *boots* with. A balancer is
     /// stateless, so a restarted one learns the live layout from the durable
@@ -396,104 +328,49 @@ pub struct ReshardControl {
     /// otherwise a reshard driver would see generation 0 and misread a
     /// recovered cluster as never resharded.
     pub initial_generation: u64,
+    /// The subORAM count the balancer boots routing to.
+    pub initial_active: usize,
 }
 
-/// Control commands the reshard driver sends a *subORAM* (surfaced as
-/// [`SubEvent::Reshard`]). The staged state machine lives in the daemon's
-/// handler (see [`run_suboram_with_admin`]), not in the epoch loop: `Install`
-/// stages a new partition next to the live one, `Commit` swaps it in and
-/// re-checkpoints, `Abort` drops it. A crash between a subORAM's commit and
-/// the balancers' flip recovers by re-running the driver — the checkpoint's
-/// generation stamp says which side of the boundary the node is on.
-pub enum SubReshardCmd {
-    /// Report status without changing anything.
-    Status,
-    /// Export the node's full object set for re-partitioning.
-    Export,
-    /// Stage the node's partition under the next generation's layout.
-    Install {
-        /// Generation being staged.
-        generation: u64,
-        /// SubORAM count of the staged layout.
-        new_s: usize,
-        /// This node's objects under the staged layout.
-        objects: Vec<StoredObject>,
-    },
-    /// Swap the staged partition in and persist the new generation.
-    Commit {
-        /// Generation of the staged layout being committed.
-        generation: u64,
-    },
-    /// Drop the staged partition; the live layout stays authoritative.
-    Abort {
-        /// Generation of the staged layout being dropped.
-        generation: u64,
-    },
-}
-
-/// A subORAM's reply to a [`SubReshardCmd`].
-pub enum SubReshardReply {
-    /// Command applied (or `Status` asked): the node's current status.
-    Status(ReshardStatus),
-    /// The `Export`ed object set.
-    Objects(Vec<StoredObject>),
-    /// The command could not be applied; the live layout is untouched.
-    Failed(String),
-}
-
-/// Phase a balancer reports when it is not paused: armed if a plan is
-/// pending, idle otherwise.
-fn phase_of(plan: &Option<ReshardPlan>) -> ReshardPhase {
-    if plan.is_some() {
-        ReshardPhase::Armed
-    } else {
-        ReshardPhase::Idle
-    }
-}
-
-/// Handles a reshard command in any non-paused context: `Plan` arms (when a
-/// [`ReshardControl`] exists and the generation advances), `Abort` disarms,
-/// everything else — including a `Commit` outside the pause window, which
-/// the driver must treat as a failed flip — just reports status.
-fn arm_or_report(
+/// Applies one reshard command to a balancer's layout state and answers it
+/// with the resulting status. `Plan` arms when the generation advances (not
+/// while paused); `Abort` drops a matching plan; `Commit` flips to the armed
+/// plan's layout only while `paused` — outside the pause window it just
+/// reports, which the driver must treat as a failed flip. Returns whether
+/// the layout flipped.
+fn on_reshard(
     cmd: ReshardCmd,
     reply: &std::sync::mpsc::Sender<ReshardStatus>,
+    paused: bool,
     plan: &mut Option<ReshardPlan>,
-    generation: u64,
-    active_s: usize,
-    reshardable: bool,
-) {
+    generation: &mut u64,
+    active_s: &mut usize,
+) -> bool {
+    let armed = |g| plan.as_ref().is_some_and(|p| p.generation == g);
+    let mut flipped = false;
     match cmd {
-        ReshardCmd::Plan(p) if reshardable && p.generation > generation && p.new_s > 0 => {
+        ReshardCmd::Plan(p) if !paused && p.generation > *generation && p.new_s > 0 => {
             *plan = Some(p);
-            let _ = reply.send(ReshardStatus { generation, active_s, phase: ReshardPhase::Armed });
         }
-        ReshardCmd::Abort { generation: g } => {
-            if plan.as_ref().is_some_and(|p| p.generation == g) {
-                *plan = None;
-            }
-            let _ = reply.send(ReshardStatus { generation, active_s, phase: phase_of(plan) });
+        ReshardCmd::Commit { generation: g } if paused && armed(g) => {
+            let p = plan.take().expect("plan checked above");
+            (*generation, *active_s) = (p.generation, p.new_s);
+            record_flip(p.generation, p.new_s);
+            flipped = true;
         }
-        _ => {
-            let _ = reply.send(ReshardStatus { generation, active_s, phase: phase_of(plan) });
+        ReshardCmd::Abort { generation: g } if armed(g) => {
+            *plan = None;
+            record_abort(g);
         }
+        _ => {}
     }
-}
-
-/// Drives one load balancer until shutdown, waiting indefinitely for
-/// subORAM responses (the seed behavior — see
-/// [`run_load_balancer_with_policy`] for deadline-driven recovery).
-pub fn run_load_balancer<T: LbTransport>(
-    transport: &mut T,
-    balancer: LoadBalancer,
-    num_suborams: usize,
-) {
-    run_load_balancer_with_policy(
-        transport,
-        balancer,
-        num_suborams,
-        EpochFaultPolicy::wait_forever(),
-    )
+    let phase = match plan {
+        None => ReshardPhase::Idle,
+        Some(_) if paused => ReshardPhase::Paused,
+        Some(_) => ReshardPhase::Armed,
+    };
+    let _ = reply.send(ReshardStatus { generation: *generation, active_s: *active_s, phase });
+    flipped
 }
 
 /// Drives one load balancer until shutdown.
@@ -507,17 +384,6 @@ pub fn run_load_balancer<T: LbTransport>(
 /// after each deadline miss, and after `max_replays` misses completes the
 /// epoch in degraded mode: every request in it fails with [`Unavailable`]
 /// (see the module docs for why the failure is wholesale).
-pub fn run_load_balancer_with_policy<T: LbTransport>(
-    transport: &mut T,
-    balancer: LoadBalancer,
-    num_suborams: usize,
-    policy: EpochFaultPolicy,
-) {
-    run_load_balancer_with_reshard(transport, balancer, num_suborams, policy, None)
-}
-
-/// Drives one load balancer until shutdown, with epoch-boundary resharding
-/// enabled when `control` is `Some`.
 ///
 /// The reshard protocol, from this loop's side: a [`ReshardCmd::Plan`] arms
 /// a [`ReshardPlan`]; at the first owned tick with id `>= boundary_epoch`
@@ -531,21 +397,19 @@ pub fn run_load_balancer_with_policy<T: LbTransport>(
 /// died mid-migration — resumes the old layout. Either way the held tick
 /// then executes, so buffered clients commit in exactly one of the two
 /// layouts and an acknowledged write is never lost to the flip.
-pub fn run_load_balancer_with_reshard<T: LbTransport>(
+pub fn run_load_balancer<T: LbTransport>(
     transport: &mut T,
-    balancer: LoadBalancer,
-    num_suborams: usize,
     policy: EpochFaultPolicy,
-    control: Option<ReshardControl>,
+    control: ReshardControl,
 ) {
-    let mut balancer = balancer;
-    let mut num_suborams = num_suborams;
+    let mut num_suborams = control.initial_active;
+    let mut balancer = (control.rebuild)(num_suborams);
     let mut pending: Vec<(Request, Box<dyn ReplySink>)> = Vec::new();
     let mut deferred_ticks: VecDeque<u64> = VecDeque::new();
     // Reshard protocol state: the armed plan (if any) and the generation of
-    // the layout currently being served (0 until a reshard ever commits).
+    // the layout currently being served.
     let mut plan: Option<ReshardPlan> = None;
-    let mut generation: u64 = control.as_ref().map_or(0, |c| c.initial_generation);
+    let mut generation = control.initial_generation;
     'outer: loop {
         let ev = match deferred_ticks.pop_front() {
             Some(epoch) => LbEvent::Tick(epoch),
@@ -568,15 +432,15 @@ pub fn run_load_balancer_with_reshard<T: LbTransport>(
             | LbEvent::SubLinkRestored { .. }
             | LbEvent::SubFailed { .. } => {}
             LbEvent::Reshard { cmd, reply } => {
-                arm_or_report(cmd, &reply, &mut plan, generation, num_suborams, control.is_some());
+                on_reshard(cmd, &reply, false, &mut plan, &mut generation, &mut num_suborams);
             }
             LbEvent::Tick(epoch) => {
                 let mut epoch = epoch;
-                let at_boundary = plan.as_ref().is_some_and(|p| epoch >= p.boundary_epoch);
-                if let Some(ctl) = control.as_ref().filter(|_| at_boundary) {
+                if let Some(ttl) =
+                    plan.as_ref().filter(|p| epoch >= p.boundary_epoch).map(|p| p.ttl)
+                {
                     // Paused at the reshard boundary: hold the tick, keep
                     // buffering clients, and wait for the driver's verdict.
-                    let ttl = plan.as_ref().map(|p| p.ttl).expect("plan checked above");
                     let deadline = Instant::now() + ttl;
                     let mut resolved = false;
                     while !resolved {
@@ -586,7 +450,9 @@ pub fn run_load_balancer_with_reshard<T: LbTransport>(
                                 // The driver died mid-migration: self-abort
                                 // back to the old layout rather than holding
                                 // buffered clients hostage forever.
-                                plan = None;
+                                if let Some(p) = plan.take() {
+                                    record_abort(p.generation);
+                                }
                                 resolved = true;
                             }
                             RecvOutcome::Event(LbEvent::Shutdown) => break 'outer,
@@ -601,40 +467,14 @@ pub fn run_load_balancer_with_reshard<T: LbTransport>(
                             RecvOutcome::Event(LbEvent::SubResponse { .. })
                             | RecvOutcome::Event(LbEvent::SubLinkRestored { .. })
                             | RecvOutcome::Event(LbEvent::SubFailed { .. }) => {}
-                            RecvOutcome::Event(LbEvent::Reshard { cmd, reply }) => match cmd {
-                                ReshardCmd::Commit { generation: g }
-                                    if plan.as_ref().is_some_and(|p| p.generation == g) =>
-                                {
-                                    let p = plan.take().expect("plan checked above");
-                                    balancer = (ctl.rebuild)(p.new_s);
-                                    num_suborams = p.new_s;
-                                    generation = p.generation;
-                                    let _ = reply.send(ReshardStatus {
-                                        generation,
-                                        active_s: num_suborams,
-                                        phase: ReshardPhase::Idle,
-                                    });
-                                    resolved = true;
+                            RecvOutcome::Event(LbEvent::Reshard { cmd, reply }) => {
+                                let (g, s) = (&mut generation, &mut num_suborams);
+                                if on_reshard(cmd, &reply, true, &mut plan, g, s) {
+                                    balancer = (control.rebuild)(num_suborams);
                                 }
-                                ReshardCmd::Abort { generation: g }
-                                    if plan.as_ref().is_some_and(|p| p.generation == g) =>
-                                {
-                                    plan = None;
-                                    let _ = reply.send(ReshardStatus {
-                                        generation,
-                                        active_s: num_suborams,
-                                        phase: ReshardPhase::Idle,
-                                    });
-                                    resolved = true;
-                                }
-                                _ => {
-                                    let _ = reply.send(ReshardStatus {
-                                        generation,
-                                        active_s: num_suborams,
-                                        phase: ReshardPhase::Paused,
-                                    });
-                                }
-                            },
+                                // A verdict (commit or abort) ends the pause.
+                                resolved = plan.is_none();
+                            }
                         }
                     }
                     // Fall through: the held tick executes at whichever
@@ -688,14 +528,8 @@ pub fn run_load_balancer_with_reshard<T: LbTransport>(
                         RecvOutcome::Event(LbEvent::Reshard { cmd, reply }) => {
                             // Mid-epoch commands can only arm or report: the
                             // boundary check happens at the next tick.
-                            arm_or_report(
-                                cmd,
-                                &reply,
-                                &mut plan,
-                                generation,
-                                num_suborams,
-                                control.is_some(),
-                            );
+                            let (g, s) = (&mut generation, &mut num_suborams);
+                            on_reshard(cmd, &reply, false, &mut plan, g, s);
                         }
                         RecvOutcome::Event(LbEvent::SubResponse { suboram, epoch: e, batch })
                             if e == epoch =>
@@ -1229,109 +1063,88 @@ impl SubOramNode {
 /// epoch (no responses escaped) or replays cached responses (state already
 /// persisted). The hook gets mutable access so it can drive
 /// [`SubOram::commit_storage`].
+///
+/// Reshard control commands go to `staging`, the node's staging state
+/// machine; between two commands the node is always fully in one layout.
 pub fn run_suboram<T: SubTransport>(
     transport: &mut T,
     node: &mut SubOramNode,
-    after_epoch: impl FnMut(&mut SubOramNode, u64),
-) {
-    // Without a reshard handler, `Status` still answers truthfully (it is
-    // read-only) and every state-changing command is refused — a plane that
-    // never staged anything must never commit anything.
-    run_suboram_with_admin(transport, node, after_epoch, |node, cmd| match cmd {
-        SubReshardCmd::Status => SubReshardReply::Status(ReshardStatus {
-            generation: node.generation(),
-            active_s: node.active_s(),
-            phase: ReshardPhase::Idle,
-        }),
-        _ => SubReshardReply::Failed("resharding not enabled on this node".into()),
-    })
-}
-
-/// Drives one subORAM until shutdown, routing reshard control commands to
-/// `on_reshard` — the daemon-supplied staging state machine (stage a
-/// partition on `Install`, swap + re-checkpoint on `Commit`, drop staged
-/// state on `Abort`). Keeping that machine *outside* the epoch loop means
-/// the loop itself never holds half-migrated state: between two calls the
-/// node is always fully in one layout.
-pub fn run_suboram_with_admin<T: SubTransport>(
-    transport: &mut T,
-    node: &mut SubOramNode,
+    mut staging: SubStaging,
     mut after_epoch: impl FnMut(&mut SubOramNode, u64),
-    mut on_reshard: impl FnMut(&mut SubOramNode, SubReshardCmd) -> SubReshardReply,
 ) {
     while let Some(ev) = transport.recv() {
         match ev {
             SubEvent::Shutdown => break,
             SubEvent::Reshard { cmd, reply } => {
-                let _ = reply.send(on_reshard(node, cmd));
+                let _ = reply.send(staging.handle(node, cmd));
             }
-            SubEvent::Batch { lb, epoch, generation, batch } => match node
-                .handle_stamped_batch(lb, epoch, generation, batch)
-            {
-                BatchOutcome::Replayed { lb, batch } => match batch {
-                    Some(batch) => transport.send_response(lb, epoch, &batch),
-                    None => transport.send_error(lb, epoch),
-                },
-                BatchOutcome::Evicted { lb, epoch } => {
-                    // Refused: the epoch executed long ago and its cached
-                    // responses are gone. Answering nothing lets the
-                    // balancer's deadline degrade the epoch; re-executing
-                    // would silently corrupt write semantics.
-                    metrics::global()
+            SubEvent::Batch { lb, epoch, generation, batch } => {
+                match node.handle_stamped_batch(lb, epoch, generation, batch) {
+                    BatchOutcome::Replayed { lb, batch } => match batch {
+                        Some(batch) => transport.send_response(lb, epoch, &batch),
+                        None => transport.send_error(lb, epoch),
+                    },
+                    BatchOutcome::Evicted { lb, epoch } => {
+                        // Refused: the epoch executed long ago and its cached
+                        // responses are gone. Answering nothing lets the
+                        // balancer's deadline degrade the epoch; re-executing
+                        // would silently corrupt write semantics.
+                        metrics::global()
                         .counter(
                             metrics::names::EVICTED_REPLAYS_TOTAL,
                             "replayed batches refused because the epoch was evicted from the reply cache",
                         )
                         .inc(Public::wire_observable(()));
-                    events::record(
-                        Event::new(EventKind::ReplayEvicted)
-                            .with("epoch", Public::wire_observable(epoch))
-                            .with("lb", Public::wire_observable(lb as u64)),
-                    );
-                }
-                BatchOutcome::Rejected { lb, epoch } => {
-                    // The epoch id names another balancer as owner: a typed
-                    // NACK so the sender's epoch degrades immediately. Both
-                    // fields are wire-observable (they arrived plaintext in
-                    // the batch trace context).
-                    metrics::global()
-                        .counter(
-                            metrics::names::SUB_BATCH_FAILURES_TOTAL,
-                            "subORAM batches refused with a typed error",
-                        )
-                        .inc(Public::wire_observable(()));
-                    transport.send_error(lb, epoch);
-                }
-                BatchOutcome::StaleLayout { lb, epoch, batch_generation } => {
-                    // The balancer routed this batch under a layout other
-                    // than the one this node serves (a mixed-layout window
-                    // around a crashed reshard). Executing it would return
-                    // silently wrong answers; a typed NACK degrades the
-                    // balancer's epoch visibly instead, and the operator
-                    // repairs by re-running the reshard driver.
-                    metrics::global()
-                        .counter(
-                            metrics::names::STALE_LAYOUT_BATCHES_TOTAL,
-                            "batches refused because their layout generation stamp mismatched",
-                        )
-                        .inc(Public::wire_observable(()));
-                    events::record(
-                        Event::new(EventKind::StaleLayoutBatch)
-                            .with("epoch", Public::wire_observable(epoch))
-                            .with("lb", Public::wire_observable(lb as u64))
-                            .with("generation", Public::config(batch_generation)),
-                    );
-                    transport.send_error(lb, epoch);
-                }
-                BatchOutcome::Completed(resp) => {
-                    after_epoch(node, epoch);
-                    let owner = (epoch % node.num_lbs() as u64) as usize;
-                    match resp {
-                        Some(resp) => transport.send_response(owner, epoch, &resp),
-                        None => transport.send_error(owner, epoch),
+                        events::record(
+                            Event::new(EventKind::ReplayEvicted)
+                                .with("epoch", Public::wire_observable(epoch))
+                                .with("lb", Public::wire_observable(lb as u64)),
+                        );
+                    }
+                    BatchOutcome::Rejected { lb, epoch } => {
+                        // The epoch id names another balancer as owner: a typed
+                        // NACK so the sender's epoch degrades immediately. Both
+                        // fields are wire-observable (they arrived plaintext in
+                        // the batch trace context).
+                        metrics::global()
+                            .counter(
+                                metrics::names::SUB_BATCH_FAILURES_TOTAL,
+                                "subORAM batches refused with a typed error",
+                            )
+                            .inc(Public::wire_observable(()));
+                        transport.send_error(lb, epoch);
+                    }
+                    BatchOutcome::StaleLayout { lb, epoch, batch_generation } => {
+                        // The balancer routed this batch under a layout other
+                        // than the one this node serves (a mixed-layout window
+                        // around a crashed reshard). Executing it would return
+                        // silently wrong answers; a typed NACK degrades the
+                        // balancer's epoch visibly instead, and the operator
+                        // repairs by re-running the reshard driver.
+                        metrics::global()
+                            .counter(
+                                metrics::names::STALE_LAYOUT_BATCHES_TOTAL,
+                                "batches refused because their layout generation stamp mismatched",
+                            )
+                            .inc(Public::wire_observable(()));
+                        events::record(
+                            Event::new(EventKind::StaleLayoutBatch)
+                                .with("epoch", Public::wire_observable(epoch))
+                                .with("lb", Public::wire_observable(lb as u64))
+                                .with("generation", Public::config(batch_generation)),
+                        );
+                        transport.send_error(lb, epoch);
+                    }
+                    BatchOutcome::Completed(resp) => {
+                        after_epoch(node, epoch);
+                        let owner = (epoch % node.num_lbs() as u64) as usize;
+                        match resp {
+                            Some(resp) => transport.send_response(owner, epoch, &resp),
+                            None => transport.send_error(owner, epoch),
+                        }
                     }
                 }
-            },
+            }
         }
     }
 }
@@ -1501,14 +1314,29 @@ mod tests {
             }
         }
 
-        fn send_batch(&mut self, _suboram: usize, _epoch: u64, _generation: u64, _batch: &[Request]) {
+        fn send_batch(
+            &mut self,
+            _suboram: usize,
+            _epoch: u64,
+            _generation: u64,
+            _batch: &[Request],
+        ) {
             self.batches_sent += 1;
+        }
+    }
+
+    /// A balancer booting at generation 0 over `s` subORAMs.
+    fn control(s: usize) -> ReshardControl {
+        let key = snoopy_crypto::Key256([1u8; 32]);
+        ReshardControl {
+            rebuild: Box::new(move |s| LoadBalancer::new(&key, s, 8, 128)),
+            initial_generation: 0,
+            initial_active: s,
         }
     }
 
     #[test]
     fn deadline_degrades_instead_of_hanging_on_silent_transport() {
-        use snoopy_crypto::Key256;
         let (tx, rx) = std::sync::mpsc::channel();
         let mut transport = NeverDelivering {
             queue: VecDeque::from([
@@ -1517,12 +1345,10 @@ mod tests {
             ]),
             batches_sent: 0,
         };
-        let balancer = LoadBalancer::new(&Key256([1u8; 32]), 1, 8, 128);
-        run_load_balancer_with_policy(
+        run_load_balancer(
             &mut transport,
-            balancer,
-            1,
             EpochFaultPolicy::with_deadline(Duration::from_millis(5), 1),
+            control(1),
         );
         let reply = rx.try_recv().expect("the epoch must resolve, not hang");
         assert_eq!(reply, Err(Unavailable { epoch: 7, failed_suborams: vec![0] }));
@@ -1532,7 +1358,6 @@ mod tests {
 
     #[test]
     fn sub_failed_notice_degrades_epoch_immediately() {
-        use snoopy_crypto::Key256;
         let (tx, rx) = std::sync::mpsc::channel();
         let mut transport = NeverDelivering {
             queue: VecDeque::from([
@@ -1542,13 +1367,7 @@ mod tests {
             ]),
             batches_sent: 0,
         };
-        let balancer = LoadBalancer::new(&Key256([1u8; 32]), 2, 8, 128);
-        run_load_balancer_with_policy(
-            &mut transport,
-            balancer,
-            2,
-            EpochFaultPolicy::wait_forever(),
-        );
+        run_load_balancer(&mut transport, EpochFaultPolicy::wait_forever(), control(2));
         let reply = rx.try_recv().expect("the epoch must resolve");
         // The refusing subORAM is named precisely — not every sub still owed.
         assert_eq!(reply, Err(Unavailable { epoch: 3, failed_suborams: vec![1] }));
@@ -1600,8 +1419,6 @@ mod tests {
 
     #[test]
     fn reshard_commit_at_boundary_flips_routing_to_new_s() {
-        use snoopy_crypto::Key256;
-        let key = Key256([1u8; 32]);
         let (tx, rx) = std::sync::mpsc::channel();
         let (plan_tx, plan_rx) = std::sync::mpsc::channel();
         let (commit_tx, commit_rx) = std::sync::mpsc::channel();
@@ -1622,16 +1439,10 @@ mod tests {
             ]),
             batches_sent: 0,
         };
-        let balancer = LoadBalancer::new(&key, 1, 8, 128);
-        run_load_balancer_with_reshard(
+        run_load_balancer(
             &mut transport,
-            balancer,
-            1,
             EpochFaultPolicy::with_deadline(Duration::from_millis(5), 0),
-            Some(ReshardControl {
-                rebuild: Box::new(move |s| LoadBalancer::new(&key, s, 8, 128)),
-                initial_generation: 0,
-            }),
+            control(1),
         );
         assert_eq!(
             plan_rx.try_recv().expect("plan must be acknowledged"),
@@ -1651,8 +1462,6 @@ mod tests {
 
     #[test]
     fn reshard_pause_self_aborts_when_driver_dies() {
-        use snoopy_crypto::Key256;
-        let key = Key256([1u8; 32]);
         let (tx, rx) = std::sync::mpsc::channel();
         let (plan_tx, _plan_rx) = std::sync::mpsc::channel();
         let mut transport = NeverDelivering {
@@ -1672,16 +1481,10 @@ mod tests {
             ]),
             batches_sent: 0,
         };
-        let balancer = LoadBalancer::new(&key, 1, 8, 128);
-        run_load_balancer_with_reshard(
+        run_load_balancer(
             &mut transport,
-            balancer,
-            1,
             EpochFaultPolicy::with_deadline(Duration::from_millis(5), 0),
-            Some(ReshardControl {
-                rebuild: Box::new(move |s| LoadBalancer::new(&key, s, 8, 128)),
-                initial_generation: 0,
-            }),
+            control(1),
         );
         // The TTL expired, the plan self-aborted, and the held tick executed
         // at the OLD layout (one subORAM): buffered clients resolve rather

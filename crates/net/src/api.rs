@@ -10,10 +10,6 @@
 //! [`ClientHandle`]. Both expose the same reads/writes, fail with the same
 //! typed [`NetError`], and share the facade-level retry loop (classified by
 //! [`NetError::class`]; only TCP transports can actually reconnect).
-//!
-//! The legacy [`crate::client::NetClient`] survives as a thin forwarding
-//! shim over this facade and maps [`NetError`] back onto its historical
-//! `io::Error` surface.
 
 use crate::error::{ErrorClass, NetError};
 use crate::frame::{read_frame, write_frame};
@@ -82,7 +78,7 @@ pub trait SessionTransport: Send {
     }
 }
 
-/// Builder for a [`SnoopyClient`]; absorbs the old `ConnectConfig` knobs.
+/// Builder for a [`SnoopyClient`].
 #[derive(Clone, Debug)]
 pub struct SnoopyClientBuilder {
     value_len: usize,

@@ -138,7 +138,7 @@ fn run_reshard(args: &[String]) {
                 report.objects_moved,
                 report.old_s,
                 report.new_s,
-                report.batches_per_node
+                snoopy_net::reshard::migration_batches(manifest.num_objects)
             );
         }
         Err(e) => {

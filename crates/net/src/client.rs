@@ -1,126 +1,20 @@
-//! The legacy blocking client surface, plus the admin RPCs.
-//!
-//! [`NetClient`] predates the unified [`crate::api::SnoopyClient`] facade
-//! and survives as a thin forwarding shim: every constructor builds a
-//! facade client over the TCP transport, and every operation maps the typed
-//! [`NetError`](crate::error::NetError) back onto the historical
-//! `io::Error` surface (timeout kinds preserved, degraded epochs still
-//! downcastable via [`unavailable_info`]). New code should use
-//! [`SnoopyClient`] directly; this module is kept so existing deployments
-//! compile unchanged.
-//!
-//! The admin helpers ([`fetch_stats`], [`fetch_metrics`], [`fetch_health`],
-//! [`shutdown_daemon`]) speak the plaintext control frames; each has a
-//! `_with` variant taking an explicit [`RetryPolicy`].
+//! The admin RPCs: [`fetch_stats`], [`fetch_metrics`], [`fetch_health`],
+//! [`fetch_trace`], [`fetch_events`] and [`shutdown_daemon`] speak the
+//! plaintext control frames; each fetch has a `_with` variant taking an
+//! explicit [`RetryPolicy`]. Client operations go through
+//! [`crate::api::SnoopyClient`].
 
-use crate::api::SnoopyClient;
 use crate::frame::{read_frame, write_frame};
 use crate::proto::{tag, Hello, Role};
 use snoopy_core::RetryPolicy;
-use snoopy_crypto::Key256;
 use std::io;
 use std::net::TcpStream;
 use std::time::Duration;
 
-pub use crate::error::{classify_io_error, unavailable_info, ErrorClass};
+pub use crate::error::{classify_io_error, ErrorClass};
 
 fn bad(msg: &str) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.to_string())
-}
-
-/// Connection parameters for a [`NetClient`].
-///
-/// Superseded by [`crate::api::SnoopyClientBuilder`], which absorbs these
-/// knobs; kept so existing call sites compile unchanged.
-#[derive(Clone, Debug)]
-pub struct ConnectConfig {
-    /// Which load balancer (manifest index) the session keys bind to.
-    pub lb_index: usize,
-    /// Public object size.
-    pub value_len: usize,
-    /// Per-attempt socket read deadline (formerly a hardcoded 60 s).
-    pub read_timeout: Duration,
-    /// Retry schedule for dials and request roundtrips.
-    pub retry: RetryPolicy,
-}
-
-impl ConnectConfig {
-    /// Defaults: 10 s read timeout, [`RetryPolicy::client_default`].
-    pub fn new(lb_index: usize, value_len: usize) -> ConnectConfig {
-        ConnectConfig {
-            lb_index,
-            value_len,
-            read_timeout: Duration::from_secs(10),
-            retry: RetryPolicy::client_default(),
-        }
-    }
-
-    /// Replaces the per-attempt read deadline.
-    pub fn read_timeout(mut self, timeout: Duration) -> ConnectConfig {
-        self.read_timeout = timeout;
-        self
-    }
-
-    /// Replaces the retry policy.
-    pub fn retry(mut self, retry: RetryPolicy) -> ConnectConfig {
-        self.retry = retry;
-        self
-    }
-}
-
-/// A blocking client session with one load balancer.
-///
-/// Superseded by [`SnoopyClient`] (transport-agnostic, typed errors); this
-/// shim forwards to it and converts errors back to `io::Error`.
-pub struct NetClient {
-    inner: SnoopyClient,
-}
-
-impl NetClient {
-    /// Dials the balancer at `addr` (index `lb_index` in the manifest) with
-    /// default connection parameters. `deploy` is the deployment key
-    /// ([`crate::proto::deployment_key`] of the manifest seed).
-    pub fn connect(
-        addr: &str,
-        lb_index: usize,
-        deploy: &Key256,
-        value_len: usize,
-    ) -> io::Result<NetClient> {
-        NetClient::connect_with(addr, deploy, ConnectConfig::new(lb_index, value_len))
-    }
-
-    /// Dials with explicit [`ConnectConfig`] (read timeout + retry policy).
-    /// The dial itself runs under the config's retry schedule.
-    pub fn connect_with(
-        addr: &str,
-        deploy: &Key256,
-        config: ConnectConfig,
-    ) -> io::Result<NetClient> {
-        let inner = SnoopyClient::builder(config.value_len)
-            .read_timeout(config.read_timeout)
-            .retry(config.retry)
-            .connect_tcp(addr, config.lb_index, deploy)
-            .map_err(io::Error::from)?;
-        Ok(NetClient { inner })
-    }
-
-    /// Reads object `id`, blocking until the epoch containing the request
-    /// commits. Transparently retries (reconnecting as needed) under the
-    /// connect config's [`RetryPolicy`]; a degraded epoch surfaces as an
-    /// error carrying [`snoopy_core::Unavailable`] (see
-    /// [`unavailable_info`]).
-    pub fn read(&mut self, id: u64) -> io::Result<Vec<u8>> {
-        self.inner.read(id).map_err(io::Error::from)
-    }
-
-    /// Writes object `id`; returns the pre-write value (Snoopy's write
-    /// semantics). Retried writes are at-least-once: if the first attempt's
-    /// epoch committed but the response was lost, the retry re-executes the
-    /// write in a later epoch and the returned pre-write value reflects the
-    /// first write.
-    pub fn write(&mut self, id: u64, payload: &[u8]) -> io::Result<Vec<u8>> {
-        self.inner.write(id, payload).map_err(io::Error::from)
-    }
 }
 
 fn admin_dial(addr: &str, policy: &RetryPolicy) -> io::Result<TcpStream> {
@@ -251,8 +145,8 @@ pub fn shutdown_daemon(addr: &str) -> io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::api::SnoopyClient;
     use crate::proto;
-    use snoopy_core::Unavailable;
 
     #[test]
     fn error_classification_maps_kinds() {
@@ -271,15 +165,6 @@ mod tests {
         // Protocol-level corruption must not be retried.
         let corrupt = io::Error::new(io::ErrorKind::InvalidData, "bad frame length");
         assert_eq!(classify_io_error(&corrupt), ErrorClass::Fatal);
-    }
-
-    #[test]
-    fn unavailable_roundtrips_through_io_error() {
-        let u = Unavailable { epoch: 4, failed_suborams: vec![2] };
-        let e = io::Error::other(u.clone());
-        assert_eq!(unavailable_info(&e), Some(&u));
-        let plain = io::Error::new(io::ErrorKind::TimedOut, "nope");
-        assert_eq!(unavailable_info(&plain), None);
     }
 
     /// A stub listener that accepts one connection, reads the hello, then
@@ -305,19 +190,20 @@ mod tests {
         (addr, handle)
     }
 
-    fn test_config() -> ConnectConfig {
-        ConnectConfig::new(0, 16).read_timeout(Duration::from_millis(50)).retry(RetryPolicy::once())
+    fn connect(addr: std::net::SocketAddr) -> SnoopyClient {
+        SnoopyClient::builder(16)
+            .read_timeout(Duration::from_millis(50))
+            .retry(RetryPolicy::once())
+            .connect_tcp(&addr.to_string(), 0, &proto::deployment_key(1))
+            .unwrap()
     }
 
     #[test]
     fn peer_eof_maps_to_disconnected_not_timeout() {
         let (addr, handle) = stub_listener("eof");
-        let deploy = proto::deployment_key(1);
-        let mut client =
-            NetClient::connect_with(&addr.to_string(), &deploy, test_config()).unwrap();
-        let err = client.read(0).unwrap_err();
+        let err = connect(addr).read(0).unwrap_err();
         assert_eq!(
-            classify_io_error(&err),
+            err.class(),
             ErrorClass::Disconnected,
             "peer close must classify as disconnect, got {err:?}"
         );
@@ -327,12 +213,9 @@ mod tests {
     #[test]
     fn silent_peer_maps_to_timeout_not_eof() {
         let (addr, handle) = stub_listener("stall");
-        let deploy = proto::deployment_key(1);
-        let mut client =
-            NetClient::connect_with(&addr.to_string(), &deploy, test_config()).unwrap();
-        let err = client.read(0).unwrap_err();
+        let err = connect(addr).read(0).unwrap_err();
         assert_eq!(
-            classify_io_error(&err),
+            err.class(),
             ErrorClass::Timeout,
             "a stalled peer must classify as timeout, got {err:?}"
         );

@@ -1,12 +1,6 @@
 //! The typed client-side error surface, and the single place where wire
-//! frames and `io::Error`s map into it.
-//!
-//! Historically every failure a client could see was an `io::Error`, with a
-//! degraded epoch smuggled through `io::Error::other(Unavailable)` and
-//! recovered by a downcast ([`unavailable_info`]). [`NetError`] names each
-//! failure class instead; the [`ErrorClass`] projection drives retry
-//! decisions, and the `io::Error` conversions keep the legacy
-//! [`crate::client::NetClient`] surface working unchanged.
+//! frames and `io::Error`s map into it. [`NetError`] names each failure
+//! class; the [`ErrorClass`] projection drives retry decisions.
 
 use crate::proto;
 use snoopy_core::Unavailable;
@@ -75,21 +69,13 @@ impl NetError {
     }
 
     /// Classifies a raw transport error into the matching variant —
-    /// timeouts and refusals get their own arms, a smuggled
-    /// [`Unavailable`] is unwrapped, everything else stays [`NetError::Io`].
+    /// timeouts and refusals get their own arms, everything else stays
+    /// [`NetError::Io`].
     pub fn from_io(e: io::Error) -> NetError {
         match e.kind() {
             io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut => NetError::Timeout(e),
             io::ErrorKind::ConnectionRefused => NetError::Refused(e),
-            _ => {
-                if e.get_ref().is_some_and(|inner| inner.is::<Unavailable>()) {
-                    let inner = e.into_inner().expect("checked above");
-                    let unavailable = inner.downcast::<Unavailable>().expect("checked above");
-                    NetError::Unavailable(*unavailable)
-                } else {
-                    NetError::Io(e)
-                }
-            }
+            _ => NetError::Io(e),
         }
     }
 
@@ -110,22 +96,6 @@ impl NetError {
         match <[u8; 8]>::try_from(body) {
             Ok(bytes) => Ok(NetError::Evicted { epoch: u64::from_le_bytes(bytes) }),
             Err(_) => Err(NetError::protocol("bad refusal frame")),
-        }
-    }
-
-    /// Converts back to the legacy `io::Error` surface, preserving every
-    /// invariant the old API promised: timeouts keep their kind (so
-    /// [`classify_io_error`] still sees them), and a degraded epoch keeps
-    /// its downcastable [`Unavailable`] (so [`unavailable_info`] still
-    /// works).
-    pub fn into_io(self) -> io::Error {
-        match self {
-            NetError::Unavailable(u) => io::Error::other(u),
-            NetError::Refused(e) | NetError::Timeout(e) | NetError::Io(e) => e,
-            NetError::Evicted { epoch } => {
-                io::Error::new(io::ErrorKind::InvalidData, format!("epoch {epoch} evicted"))
-            }
-            NetError::Protocol(msg) => io::Error::new(io::ErrorKind::InvalidData, msg),
         }
     }
 }
@@ -153,12 +123,6 @@ impl From<io::Error> for NetError {
     }
 }
 
-impl From<NetError> for io::Error {
-    fn from(e: NetError) -> io::Error {
-        e.into_io()
-    }
-}
-
 /// Classifies an I/O error for retry purposes. Timeouts (`WouldBlock` is
 /// what a socket read deadline surfaces as on Unix, `TimedOut` on other
 /// platforms) are distinct from a peer that hung up (`UnexpectedEof` — a
@@ -174,12 +138,6 @@ pub fn classify_io_error(e: &io::Error) -> ErrorClass {
         | io::ErrorKind::NotConnected => ErrorClass::Disconnected,
         _ => ErrorClass::Fatal,
     }
-}
-
-/// Extracts the typed [`Unavailable`] from a legacy-surface `io::Error`, if
-/// the failure was a degraded epoch rather than a transport problem.
-pub fn unavailable_info(e: &io::Error) -> Option<&Unavailable> {
-    e.get_ref().and_then(|inner| inner.downcast_ref::<Unavailable>())
 }
 
 #[cfg(test)]
@@ -217,22 +175,11 @@ mod tests {
     }
 
     #[test]
-    fn io_roundtrip_preserves_the_legacy_invariants() {
-        // Timeout keeps its kind through the legacy surface.
-        let e = NetError::Timeout(io::ErrorKind::WouldBlock.into()).into_io();
-        assert_eq!(classify_io_error(&e), ErrorClass::Timeout);
-        assert!(matches!(NetError::from_io(e), NetError::Timeout(_)));
-
-        // Unavailable survives as a downcastable payload both ways.
-        let u = Unavailable { epoch: 4, failed_suborams: vec![2] };
-        let e = NetError::Unavailable(u.clone()).into_io();
-        assert_eq!(unavailable_info(&e), Some(&u));
-        match NetError::from_io(e) {
-            NetError::Unavailable(back) => assert_eq!(back, u),
-            other => panic!("expected Unavailable, got {other:?}"),
-        }
-
-        // Refused is recognized from the raw kind.
+    fn io_errors_map_by_kind() {
+        // Timeouts and refusals are recognized from the raw kind.
+        let e = NetError::from_io(io::ErrorKind::WouldBlock.into());
+        assert!(matches!(e, NetError::Timeout(_)));
+        assert_eq!(e.class(), ErrorClass::Timeout);
         assert!(matches!(
             NetError::from_io(io::ErrorKind::ConnectionRefused.into()),
             NetError::Refused(_)

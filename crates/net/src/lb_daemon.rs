@@ -35,8 +35,7 @@ use crate::stats::{DaemonInfo, LinkStats, StatsRegistry};
 use crate::suboram_daemon::{net_workers, record_peer_clock_offset, AdminHandler};
 use snoopy_core::link::Link;
 use snoopy_core::transport::{
-    run_load_balancer_with_reshard, LbEvent, LbTransport, RecvOutcome, ReplySink, ReshardControl,
-    Unavailable,
+    run_load_balancer, LbEvent, LbTransport, RecvOutcome, ReplySink, ReshardControl, Unavailable,
 };
 use snoopy_core::RetryPolicy;
 use snoopy_crypto::{Key256, Prg};
@@ -195,7 +194,7 @@ pub fn run(manifest: &Manifest, index: usize, registry: &StatsRegistry) -> io::R
     // refusals rather than wrong reads.
     let probe_budget = Instant::now() + Duration::from_secs(60);
     let mut probe_pause = Duration::from_millis(250);
-    let (initial_generation, num_suborams) = loop {
+    let (initial_generation, initial_active) = loop {
         let (answered, best) = reshard::probe_layout_once(manifest, Duration::from_secs(2));
         match best {
             Some((generation, active_s)) => break (generation, active_s),
@@ -214,9 +213,6 @@ pub fn run(manifest: &Manifest, index: usize, registry: &StatsRegistry) -> io::R
         std::thread::sleep(probe_pause);
         probe_pause = (probe_pause * 2).min(Duration::from_secs(5));
     };
-    let balancer =
-        LoadBalancer::new(&shared_key, num_suborams, manifest.value_len, manifest.lambda)
-            .with_threads(manifest.lb_threads as usize);
 
     events::recorder().set_identity("loadbalancer", index as u64);
     let listener = TcpListener::bind(&manifest.load_balancers[index])?;
@@ -313,19 +309,14 @@ pub fn run(manifest: &Manifest, index: usize, registry: &StatsRegistry) -> io::R
             let value_len = manifest.value_len;
             let lambda = manifest.lambda;
             let lb_threads = manifest.lb_threads as usize;
-            Box::new(move |new_s| {
-                LoadBalancer::new(&shared_key, new_s, value_len, lambda).with_threads(lb_threads)
+            Box::new(move |s| {
+                LoadBalancer::new(&shared_key, s, value_len, lambda).with_threads(lb_threads)
             })
         },
         initial_generation,
+        initial_active,
     };
-    run_load_balancer_with_reshard(
-        &mut transport,
-        balancer,
-        num_suborams,
-        manifest.fault_policy(),
-        Some(control),
-    );
+    run_load_balancer(&mut transport, manifest.fault_policy(), control);
     events::record(Event::new(EventKind::Shutdown));
     events::recorder().dump("shutdown");
     Ok(())

@@ -18,14 +18,14 @@
 //! * [`checkpoint`] — sealed subORAM state for kill/restart survival;
 //! * [`session`] / [`reactor`] — the nonblocking session state machine and
 //!   the readiness reactor both daemons run their connections on;
-//! * [`reshard`] — elastic fleet reconfiguration: the reshard wire
-//!   protocol, the public migration schedule, and the cluster driver;
+//! * [`reshard`] — elastic fleet reconfiguration over TCP: the reshard wire
+//!   protocol, the public migration schedule, and the TCP fleet the shared
+//!   driver ([`snoopy_core::reshard::drive_reshard`]) runs against;
 //! * [`api`] — the unified [`api::SnoopyClient`] facade (TCP and
 //!   channel-cluster transports behind one API);
 //! * [`error`] — the typed [`error::NetError`] surface and its wire/`io`
 //!   mappings;
-//! * [`client`] — the legacy blocking [`client::NetClient`] shim plus the
-//!   admin RPCs.
+//! * [`client`] — the admin RPCs.
 //!
 //! Daemons record spans (`dial`, `rpc`, `checkpoint_seal`, and the epoch
 //! stages from `snoopy_core`) and metrics into the process-wide
@@ -59,9 +59,10 @@ pub use api::{Op, SessionTransport, SnoopyClient, SnoopyClientBuilder};
 pub use client::{
     fetch_events, fetch_events_with, fetch_health, fetch_health_with, fetch_metrics,
     fetch_metrics_with, fetch_stats, fetch_stats_with, fetch_trace, fetch_trace_with,
-    shutdown_daemon, ConnectConfig, NetClient,
+    shutdown_daemon,
 };
-pub use error::{classify_io_error, unavailable_info, ErrorClass, NetError};
+pub use error::{classify_io_error, ErrorClass, NetError};
 pub use manifest::Manifest;
-pub use reshard::{probe_layout, reshard_cluster, ReshardOptions, ReshardReport};
+pub use reshard::{probe_layout, reshard_cluster};
+pub use snoopy_core::reshard::{ReshardOptions, ReshardReport};
 pub use stats::{parse_stats, parse_stats_header, StatsRegistry};

@@ -412,7 +412,12 @@ suboram = 127.0.0.1:7101\n";
              loadbalancer = 127.0.0.1:7000\n",
         );
         for i in 0..n {
-            text.push_str(&format!("suboram = 10.{}.{}.{}:7100\n", i >> 16, (i >> 8) & 0xFF, i & 0xFF));
+            text.push_str(&format!(
+                "suboram = 10.{}.{}.{}:7100\n",
+                i >> 16,
+                (i >> 8) & 0xFF,
+                i & 0xFF
+            ));
         }
         let e = Manifest::parse(&text).unwrap_err();
         assert!(e.message.contains("migration nonce"), "{e}");

@@ -1,29 +1,13 @@
-//! Elastic resharding over TCP: grow or shrink the subORAM fleet at an
-//! epoch boundary, live.
+//! Elastic resharding over TCP: the reshard wire protocol and the TCP
+//! [`ReshardFleet`] the shared driver runs against.
 //!
-//! The driver ([`reshard_cluster`], surfaced as `snoopyd reshard`) runs the
-//! protocol the in-process plane pioneered (`snoopy_core::deploy`), against
-//! real daemons over the admin RPC plane:
-//!
-//! 1. **Plan** — every balancer arms a [`ReshardPlan`]
-//!    (generation, new fleet size, pause TTL) and pauses at its next owned
-//!    epoch tick. Paused means: the tick is held, clients keep buffering
-//!    into the next epoch, and nothing is in flight to any subORAM.
-//! 2. **Export** — each active subORAM ships its full partition back as
-//!    sealed migration batches on the *public schedule* (below).
-//! 3. **Install** — the driver re-partitions the union with the deployment's
-//!    keyed hash at the new fleet size and ships each new partition out,
-//!    again on the public schedule. SubORAMs stage the new partition beside
-//!    the live one (the disk tier under a generation-named directory with a
-//!    generation-derived key).
-//! 4. **Commit** — subORAMs first: each swaps the staged partition in,
-//!    commits storage, and re-checkpoints under the new generation *before*
-//!    acknowledging — crash/replay recovers into exactly one of {old, new}.
-//!    Then every balancer flips its routing table and executes the held
-//!    tick at the new layout. Any failure before the first subORAM commit
-//!    aborts everywhere and the old layout resumes (the pause TTL guarantees
-//!    this even if the driver itself dies); a failure after it is repaired
-//!    by re-running the driver (roll forward).
+//! The protocol itself — plan, pause, export, install, commit subORAMs
+//! first, flip balancers — is written once in [`snoopy_core::reshard`].
+//! This module carries it between processes: [`reshard_cluster`] (surfaced
+//! as `snoopyd reshard`) runs [`drive_reshard`] over admin-plane
+//! `RESHARD_REQ`/`RESHARD_RESP` frames, and the daemons' admin sessions
+//! round-trip each frame through their epoch loop. Migration payloads cross
+//! the wire sealed, on the public schedule below.
 //!
 //! **Leakage.** The reconfiguration event is public by design — fleet sizes
 //! are wire-observable configuration. What must *not* leak is anything about
@@ -37,26 +21,24 @@
 use crate::frame::{read_frame, write_frame};
 use crate::manifest::Manifest;
 use crate::proto::{self, tag, Hello, Role};
-use snoopy_core::transport::{
-    LbEvent, ReshardCmd, ReshardPhase, ReshardPlan, ReshardStatus, SubEvent, SubReshardCmd,
-    SubReshardReply,
+use snoopy_core::reshard::{
+    drive_reshard, FleetShape, ReshardCmd, ReshardFleet, ReshardOptions, ReshardPhase, ReshardPlan,
+    ReshardReport, ReshardStatus, RpcFailure, SubReshardCmd, SubReshardReply,
 };
+use snoopy_core::transport::{LbEvent, SubEvent};
 use snoopy_crypto::aead::{AeadKey, Nonce, SealedBox};
 use snoopy_crypto::rng::Rng;
 use snoopy_crypto::{Key256, Prg};
 use snoopy_enclave::wire::{StoredObject, REAL_ID_LIMIT};
-use snoopy_lb::partition_objects;
-use snoopy_telemetry::events::{self, Event, EventKind};
-use snoopy_telemetry::{metrics, Public};
-use std::collections::HashMap;
 use std::io;
 use std::net::TcpStream;
 use std::sync::mpsc::Sender;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Reshard command bytes (the `cmd` field of a [`ReshardReq`]).
 pub mod cmd {
-    /// Report status; changes nothing. Valid for both roles.
+    /// Report status; changes nothing. Valid for both roles. The default
+    /// [`super::ReshardReq`] is a status request.
     pub const STATUS: u8 = 0;
     /// Balancer: arm a plan (generation, new_s, boundary, TTL).
     pub const PLAN: u8 = 1;
@@ -72,7 +54,7 @@ pub mod cmd {
 
 /// Reshard reply kinds (the `kind` field of a [`ReshardResp`]).
 pub mod resp {
-    /// A [`snoopy_core::transport::ReshardStatus`] snapshot.
+    /// A [`snoopy_core::reshard::ReshardStatus`] snapshot.
     pub const STATUS: u8 = 0;
     /// One sealed export batch (idx/count in `batch_idx`/`n_batches`).
     pub const EXPORT: u8 = 1;
@@ -235,7 +217,7 @@ pub fn open_migration(
 /// One reshard command frame (the body of a [`tag::RESHARD_REQ`]). The
 /// header is plaintext — every field is public protocol state — and the
 /// payload (install batches) is sealed under the migration key.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ReshardReq {
     /// A [`cmd`] byte.
     pub cmd: u8,
@@ -268,6 +250,19 @@ impl ReshardReq {
         out
     }
 
+    /// The migration stream this request addresses at subORAM `node`,
+    /// sealed under `key` (its [`migration_key`]).
+    fn migration<'k>(
+        &self,
+        key: &'k Key256,
+        dir: u8,
+        node: usize,
+        value_len: usize,
+    ) -> MigrationCtx<'k> {
+        let (generation, new_s) = (self.generation, self.new_s);
+        MigrationCtx { key, dir, node: node as u64, generation, new_s, value_len }
+    }
+
     /// Parses a request body.
     pub fn decode(body: &[u8]) -> Option<ReshardReq> {
         if body.len() < 41 {
@@ -286,7 +281,7 @@ impl ReshardReq {
 }
 
 /// One reshard reply frame (the body of a [`tag::RESHARD_RESP`]).
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ReshardResp {
     /// A [`resp`] kind byte.
     pub kind: u8,
@@ -376,9 +371,7 @@ pub(crate) fn status_resp(st: &ReshardStatus) -> ReshardResp {
         generation: st.generation,
         active_s: st.active_s as u64,
         phase: encode_phase(st.phase),
-        batch_idx: 0,
-        n_batches: 0,
-        payload: Vec::new(),
+        ..ReshardResp::default()
     }
 }
 
@@ -386,12 +379,8 @@ pub(crate) fn status_resp(st: &ReshardStatus) -> ReshardResp {
 pub(crate) fn failed_resp(reason: impl Into<String>) -> ReshardResp {
     ReshardResp {
         kind: resp::FAILED,
-        generation: 0,
-        active_s: 0,
-        phase: 0,
-        batch_idx: 0,
-        n_batches: 0,
         payload: reason.into().into_bytes(),
+        ..ReshardResp::default()
     }
 }
 
@@ -412,25 +401,21 @@ const LOOP_REPLY_TIMEOUT: Duration = Duration::from_secs(60);
 /// probe the node's status — never like a refusal that justifies aborting.
 pub(crate) const REASON_INDETERMINATE: &str = "indeterminate: ";
 
-/// Records a committed layout flip: both reshard gauges plus the flight-
-/// recorder event. Generation and fleet size are public configuration.
-fn record_flip(generation: u64, active_s: usize) {
-    let reg = metrics::global();
-    reg.gauge("snoopy_reshard_generation", "reshard generation of the layout currently served")
-        .set(Public::config(generation as f64));
-    reg.gauge("snoopy_active_suborams", "subORAM count of the layout currently served")
-        .set(Public::config(active_s as f64));
-    events::record(
-        Event::new(EventKind::ReshardCommit)
-            .with("generation", Public::config(generation))
-            .with("suborams", Public::config(active_s as u64)),
-    );
+/// Reads a STATUS-or-FAILED reply the way the driver needs it: a FAILED
+/// reply is a refusal unless it is marked [`REASON_INDETERMINATE`], and a
+/// transport error is indeterminate (the command may still have applied).
+fn status_reply(r: io::Result<ReshardResp>) -> Result<ReshardStatus, RpcFailure> {
+    let r = r.map_err(|e| RpcFailure::Indeterminate(e.to_string()))?;
+    r.status().ok_or_else(|| failure(&r))
 }
 
-fn record_abort(generation: u64) {
-    events::record(
-        Event::new(EventKind::ReshardAbort).with("generation", Public::config(generation)),
-    );
+fn failure(r: &ReshardResp) -> RpcFailure {
+    let reason = r.reason();
+    if reason.starts_with(REASON_INDETERMINATE) {
+        RpcFailure::Indeterminate(reason)
+    } else {
+        RpcFailure::Refused(reason)
+    }
 }
 
 /// Builds the reshard frame handler for a *balancer* daemon: each command
@@ -455,15 +440,10 @@ pub(crate) fn lb_rpc_handler(events_tx: Sender<LbEvent>) -> RpcHandler {
             return vec![failed_resp("balancer loop is gone")];
         }
         match rx.recv_timeout(LOOP_REPLY_TIMEOUT) {
-            Ok(st) => {
-                if req.cmd == cmd::COMMIT && st.generation == req.generation {
-                    record_flip(st.generation, st.active_s);
-                } else if req.cmd == cmd::ABORT {
-                    record_abort(req.generation);
-                }
-                vec![status_resp(&st)]
+            Ok(st) => vec![status_resp(&st)],
+            Err(_) => {
+                vec![failed_resp(format!("{REASON_INDETERMINATE}balancer loop did not answer"))]
             }
-            Err(_) => vec![failed_resp(format!("{REASON_INDETERMINATE}balancer loop did not answer"))],
         }
     })
 }
@@ -504,35 +484,32 @@ pub(crate) fn sub_rpc_handler(ctx: SubReshardCtx) -> RpcHandler {
             if ctx.events_tx.send(SubEvent::Reshard { cmd, reply: tx }).is_err() {
                 return Err(failed_resp("suboram loop is gone"));
             }
-            rx.recv_timeout(LOOP_REPLY_TIMEOUT)
-                .map_err(|_| failed_resp(format!("{REASON_INDETERMINATE}suboram loop did not answer")))
+            match rx.recv_timeout(LOOP_REPLY_TIMEOUT) {
+                Ok(reply) => reply.map_err(failed_resp),
+                Err(_) => {
+                    Err(failed_resp(format!("{REASON_INDETERMINATE}suboram loop did not answer")))
+                }
+            }
         };
         let reply_of = |r: Result<SubReshardReply, ReshardResp>| match r {
             Ok(SubReshardReply::Status(st)) => status_resp(&st),
-            Ok(SubReshardReply::Failed(reason)) => failed_resp(reason),
             Ok(SubReshardReply::Objects(_)) => failed_resp("unexpected object reply"),
             Err(resp) => resp,
         };
         match req.cmd {
             cmd::STATUS => vec![reply_of(round_trip(SubReshardCmd::Status))],
             cmd::EXPORT => {
-                let objects = match round_trip(SubReshardCmd::Export) {
+                let export =
+                    SubReshardCmd::Export { generation: req.generation, new_s: req.new_s as usize };
+                let objects = match round_trip(export) {
                     Ok(SubReshardReply::Objects(objects)) => objects,
-                    Ok(SubReshardReply::Failed(reason)) => return vec![failed_resp(reason)],
                     Ok(SubReshardReply::Status(_)) => {
                         return vec![failed_resp("export did not return objects")]
                     }
                     Err(resp) => return vec![resp],
                 };
                 let mig = migration_key(&ctx.deploy, req.generation, req.run);
-                let mctx = MigrationCtx {
-                    key: &mig,
-                    dir: DIR_EXPORT,
-                    node: ctx.index as u64,
-                    generation: req.generation,
-                    new_s: req.new_s,
-                    value_len: ctx.value_len,
-                };
+                let mctx = req.migration(&mig, DIR_EXPORT, ctx.index, ctx.value_len);
                 match seal_migration(&mctx, &objects, ctx.num_objects) {
                     Ok(sealed) => {
                         let n = sealed.len() as u64;
@@ -578,14 +555,7 @@ pub(crate) fn sub_rpc_handler(ctx: SubReshardCtx) -> RpcHandler {
                     return vec![failed_resp("install batch out of sequence")];
                 }
                 let mig = migration_key(&ctx.deploy, req.generation, req.run);
-                let mctx = MigrationCtx {
-                    key: &mig,
-                    dir: DIR_INSTALL,
-                    node: ctx.index as u64,
-                    generation: req.generation,
-                    new_s: req.new_s,
-                    value_len: ctx.value_len,
-                };
+                let mctx = req.migration(&mig, DIR_INSTALL, ctx.index, ctx.value_len);
                 let opened =
                     open_migration(&mctx, req.arg1, &SealedBox { bytes: req.payload.clone() });
                 let p = pending.as_mut().expect("checked above");
@@ -612,21 +582,11 @@ pub(crate) fn sub_rpc_handler(ctx: SubReshardCtx) -> RpcHandler {
                 }))]
             }
             cmd::COMMIT => {
-                let r = round_trip(SubReshardCmd::Commit { generation: req.generation });
-                if let Ok(SubReshardReply::Status(st)) = &r {
-                    if st.generation == req.generation {
-                        record_flip(st.generation, st.active_s);
-                    }
-                }
-                vec![reply_of(r)]
+                vec![reply_of(round_trip(SubReshardCmd::Commit { generation: req.generation }))]
             }
             cmd::ABORT => {
                 pending = None;
-                let r = round_trip(SubReshardCmd::Abort { generation: req.generation });
-                if r.is_ok() {
-                    record_abort(req.generation);
-                }
-                vec![reply_of(r)]
+                vec![reply_of(round_trip(SubReshardCmd::Abort { generation: req.generation }))]
             }
             _ => vec![failed_resp("unknown reshard command")],
         }
@@ -668,23 +628,6 @@ fn single_rpc(addr: &str, req: ReshardReq, timeout: Duration) -> io::Result<Resh
     resps.pop().ok_or_else(|| bad("empty reply"))
 }
 
-fn status_req() -> ReshardReq {
-    ReshardReq {
-        cmd: cmd::STATUS,
-        generation: 0,
-        new_s: 0,
-        arg1: 0,
-        arg2: 0,
-        run: 0,
-        payload: Vec::new(),
-    }
-}
-
-fn status_of(addr: &str, timeout: Duration) -> io::Result<ReshardStatus> {
-    let r = single_rpc(addr, status_req(), timeout)?;
-    r.status().ok_or_else(|| bad(format!("status refused: {}", r.reason())))
-}
-
 /// Probes every subORAM for its committed layout and returns the one of the
 /// highest generation, or `None` if no node has ever resharded (or none
 /// answered). Balancers call this at boot: they are stateless, so after a
@@ -704,7 +647,7 @@ pub fn probe_layout_once(m: &Manifest, timeout: Duration) -> (usize, Option<(u64
     let mut answered = 0usize;
     let mut best: Option<(u64, usize)> = None;
     for addr in &m.suborams {
-        if let Ok(st) = status_of(addr, timeout) {
+        if let Ok(st) = status_reply(single_rpc(addr, ReshardReq::default(), timeout)) {
             answered += 1;
             if st.generation > 0 && st.active_s > 0 && best.is_none_or(|(g, _)| st.generation > g) {
                 best = Some((st.generation, st.active_s));
@@ -714,428 +657,125 @@ pub fn probe_layout_once(m: &Manifest, timeout: Duration) -> (usize, Option<(u64
     (answered, best)
 }
 
-/// A [`ReshardOptions::phase_hook`] callback.
-pub type PhaseHook = Box<dyn FnMut(&str) + Send>;
-
-/// Tuning for one [`reshard_cluster`] run.
-pub struct ReshardOptions {
-    /// How long balancers stay paused with no verdict before self-aborting
-    /// back to the old layout (the driver died mid-migration).
-    pub ttl: Duration,
-    /// Per-RPC read timeout (export/install of a large store can be slow).
-    pub rpc_timeout: Duration,
-    /// How long to wait for every balancer to reach its boundary tick.
-    pub pause_deadline: Duration,
-    /// Test hook: called with a phase name (`"paused"`, `"exported"`,
-    /// `"installed"`, `"committed-suborams"`, `"committed"`) as the run
-    /// crosses it — chaos tests kill daemons from here.
-    pub phase_hook: Option<PhaseHook>,
+/// The TCP plane's [`ReshardFleet`]: one admin connection per RPC, migration
+/// payloads sealed on the public schedule under a per-run key.
+struct TcpFleet<'a> {
+    m: &'a Manifest,
+    deploy: Key256,
+    /// Random per-run id: keys the migration seal so a retried run never
+    /// reuses a nonce sequence.
+    run: u64,
+    timeout: Duration,
 }
 
-impl Default for ReshardOptions {
-    fn default() -> ReshardOptions {
-        ReshardOptions {
-            ttl: Duration::from_secs(30),
-            rpc_timeout: Duration::from_secs(30),
-            pause_deadline: Duration::from_secs(30),
-            phase_hook: None,
+impl TcpFleet<'_> {
+    fn req(&self, cmd: u8, generation: u64, new_s: usize) -> ReshardReq {
+        ReshardReq { cmd, generation, new_s: new_s as u64, run: self.run, ..ReshardReq::default() }
+    }
+}
+
+fn indeterminate(e: io::Error) -> RpcFailure {
+    RpcFailure::Indeterminate(e.to_string())
+}
+
+impl ReshardFleet for TcpFleet<'_> {
+    fn shape(&self) -> FleetShape {
+        FleetShape {
+            balancers: self.m.load_balancers.len(),
+            suborams: self.m.suborams.len(),
+            num_objects: self.m.num_objects,
+            partition_key: Key256::random(&mut Prg::from_seed(self.m.seed)),
         }
     }
-}
 
-/// What a committed reshard did.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ReshardReport {
-    /// The generation the cluster now serves.
-    pub generation: u64,
-    /// Fleet size before.
-    pub old_s: usize,
-    /// Fleet size after.
-    pub new_s: usize,
-    /// Real objects migrated (= the deployment's object count).
-    pub objects_moved: usize,
-    /// Sealed batches shipped in each direction per node — the public
-    /// schedule length.
-    pub batches_per_node: u64,
-}
+    fn lb(&mut self, i: usize, cmd: ReshardCmd) -> Result<ReshardStatus, RpcFailure> {
+        let req = match cmd {
+            ReshardCmd::Status => self.req(cmd::STATUS, 0, 0),
+            ReshardCmd::Plan(p) => ReshardReq {
+                arg1: p.boundary_epoch,
+                arg2: p.ttl.as_millis() as u64,
+                ..self.req(cmd::PLAN, p.generation, p.new_s)
+            },
+            ReshardCmd::Commit { generation } => self.req(cmd::COMMIT, generation, 0),
+            ReshardCmd::Abort { generation } => self.req(cmd::ABORT, generation, 0),
+        };
+        status_reply(single_rpc(&self.m.load_balancers[i], req, self.timeout))
+    }
 
-fn fire(opts: &mut ReshardOptions, phase: &str) {
-    if let Some(h) = opts.phase_hook.as_mut() {
-        h(phase);
+    fn sub(&mut self, i: usize, cmd: SubReshardCmd) -> Result<SubReshardReply, RpcFailure> {
+        let addr = &self.m.suborams[i];
+        let n_batches = migration_batches(self.m.num_objects);
+        let req = match cmd {
+            SubReshardCmd::Status => self.req(cmd::STATUS, 0, 0),
+            SubReshardCmd::Commit { generation } => self.req(cmd::COMMIT, generation, 0),
+            SubReshardCmd::Abort { generation } => self.req(cmd::ABORT, generation, 0),
+            SubReshardCmd::Export { generation, new_s } => {
+                let req = self.req(cmd::EXPORT, generation, new_s);
+                let key = migration_key(&self.deploy, generation, self.run);
+                let ctx = req.migration(&key, DIR_EXPORT, i, self.m.value_len);
+                let resps = reshard_rpc(addr, &[req], self.timeout).map_err(indeterminate)?;
+                if let Some(r) = resps.iter().find(|r| r.kind != resp::EXPORT) {
+                    return Err(failure(r));
+                }
+                if resps.len() as u64 != n_batches {
+                    return Err(RpcFailure::Refused("export schedule incomplete".into()));
+                }
+                let mut objects = Vec::new();
+                for r in resps {
+                    let sealed = SealedBox { bytes: r.payload };
+                    let batch = open_migration(&ctx, r.batch_idx, &sealed)
+                        .map_err(|e| RpcFailure::Refused(e.to_string()))?;
+                    objects.extend(batch);
+                }
+                return Ok(SubReshardReply::Objects(objects));
+            }
+            SubReshardCmd::Install { generation, new_s, objects } => {
+                let req = self.req(cmd::INSTALL, generation, new_s);
+                let key = migration_key(&self.deploy, generation, self.run);
+                let ctx = req.migration(&key, DIR_INSTALL, i, self.m.value_len);
+                let sealed = seal_migration(&ctx, &objects, self.m.num_objects)
+                    .map_err(|e| RpcFailure::Refused(e.to_string()))?;
+                let reqs: Vec<ReshardReq> = sealed
+                    .into_iter()
+                    .enumerate()
+                    .map(|(idx, s)| ReshardReq {
+                        arg1: idx as u64,
+                        arg2: n_batches,
+                        payload: s.bytes,
+                        ..req.clone()
+                    })
+                    .collect();
+                let mut resps = reshard_rpc(addr, &reqs, self.timeout).map_err(indeterminate)?;
+                let last = resps.pop().ok_or_else(|| bad("no reply"));
+                return status_reply(last).map(SubReshardReply::Status);
+            }
+        };
+        status_reply(single_rpc(addr, req, self.timeout)).map(SubReshardReply::Status)
+    }
+
+    fn await_boundary(&mut self) {
+        // The balancers' wall-clock tickers close the boundary epoch.
+        std::thread::sleep(Duration::from_millis(self.m.epoch_ms.clamp(1, 50)));
     }
 }
 
-/// The driver's reading of one COMMIT RPC. Only [`CommitVerdict::Refused`]
-/// — an authoritative in-band answer from the node — may ever trigger an
-/// abort; a lost or indeterminate ack yields [`CommitVerdict::Unknown`],
-/// which rolls forward (see the commit loop in [`reshard_cluster`]).
-enum CommitVerdict {
-    /// The node reports the new generation: the flip is durable.
-    Flipped,
-    /// The node answered in-band that it did not commit.
-    Refused(String),
-    /// The ack was lost and a follow-up probe could not confirm the flip.
-    Unknown(String),
-}
-
-/// Classifies the in-band half of a COMMIT reply: `Some(verdict)` when the
-/// reply is authoritative, `None` when the ack is indeterminate (a
-/// [`REASON_INDETERMINATE`] FAILED) and the node must be probed instead.
-fn classify_commit_reply(
-    r: &ReshardResp,
-    generation: u64,
-    want_active: Option<usize>,
-) -> Option<CommitVerdict> {
-    if let Some(st) = r.status() {
-        if st.generation == generation && want_active.is_none_or(|s| st.active_s == s) {
-            return Some(CommitVerdict::Flipped);
-        }
-        // The node executed the command and answered with the old layout:
-        // an authoritative in-band refusal.
-        return Some(CommitVerdict::Refused(format!("still at generation {}", st.generation)));
-    }
-    let reason = r.reason();
-    if reason.starts_with(REASON_INDETERMINATE) {
-        // The command is still queued on the node and may yet apply.
-        return None;
-    }
-    Some(CommitVerdict::Refused(reason))
-}
-
-/// Reshards a live cluster to `new_s` subORAMs. See the module docs for the
-/// protocol; on any failure before the first subORAM commit the driver
-/// aborts everywhere and the old layout resumes. A failure after it returns
-/// an error telling the operator to re-run (roll forward): the union export
-/// re-collects every object regardless of which layout's bin it sits in, so
-/// a repair run converges.
+/// Reshards a live cluster to `new_s` subORAMs by running
+/// [`drive_reshard`] over the manifest's daemons.
 pub fn reshard_cluster(
     m: &Manifest,
     new_s: usize,
-    mut opts: ReshardOptions,
+    opts: ReshardOptions,
 ) -> io::Result<ReshardReport> {
-    let s_total = m.suborams.len();
-    if new_s == 0 || new_s > s_total {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidInput,
-            format!("new_s = {new_s} out of range (1..={s_total} provisioned subORAMs)"),
-        ));
-    }
     // Manifest validation enforces this already; re-check here so a
     // hand-built manifest can never alias migration nonces across nodes.
-    check_mig_node(s_total.saturating_sub(1) as u64)?;
-    let deploy = proto::deployment_key(m.seed);
-    let mut prg = Prg::from_seed(m.seed);
-    let shared_key = Key256::random(&mut prg);
-    let run: u64 = Prg::from_entropy().gen();
-    let t = opts.rpc_timeout;
-
-    // Discover: every provisioned node must answer, and the next generation
-    // must exceed anything any node has ever committed or armed.
-    let mut max_gen = 0u64;
-    let mut sub_status = Vec::with_capacity(s_total);
-    for (i, addr) in m.suborams.iter().enumerate() {
-        let st = status_of(addr, t)
-            .map_err(|e| bad(format!("suboram {i} ({addr}) not answering: {e}")))?;
-        max_gen = max_gen.max(st.generation);
-        sub_status.push(st);
-    }
-    for (i, addr) in m.load_balancers.iter().enumerate() {
-        let st = status_of(addr, t)
-            .map_err(|e| bad(format!("balancer {i} ({addr}) not answering: {e}")))?;
-        max_gen = max_gen.max(st.generation);
-    }
-    let generation = max_gen + 1;
-    let old_s = sub_status
-        .iter()
-        .max_by_key(|s| s.generation)
-        .filter(|s| s.active_s > 0)
-        .map(|s| s.active_s)
-        .unwrap_or_else(|| m.initial_active());
-    // A clean cluster has every active node on the same generation. Mixed
-    // generations mean a previous run died between subORAM commits (or
-    // between subORAMs and balancers): roll forward by exporting from the
-    // *whole* provisioned fleet and deduplicating — an object written in
-    // either layout's bin is found wherever it landed.
-    let roll_forward =
-        sub_status[..old_s.min(s_total)].iter().any(|s| s.generation != sub_status[0].generation);
-    let export_hi = if roll_forward { s_total } else { old_s };
-    let install_hi = if roll_forward { s_total } else { new_s.max(old_s) };
-    let n_batches = migration_batches(m.num_objects);
-    let mig_key = migration_key(&deploy, generation, run);
-
-    let abort_all = |opts_t: Duration| {
-        let abort = |addr: &str| {
-            let _ = single_rpc(
-                addr,
-                ReshardReq {
-                    cmd: cmd::ABORT,
-                    generation,
-                    new_s: 0,
-                    arg1: 0,
-                    arg2: 0,
-                    run,
-                    payload: Vec::new(),
-                },
-                opts_t,
-            );
-        };
-        for addr in &m.load_balancers {
-            abort(addr);
-        }
-        for addr in &m.suborams {
-            abort(addr);
-        }
+    check_mig_node(m.suborams.len().saturating_sub(1) as u64)?;
+    let mut fleet = TcpFleet {
+        m,
+        deploy: proto::deployment_key(m.seed),
+        run: Prg::from_entropy().gen(),
+        timeout: opts.rpc_timeout,
     };
-    macro_rules! abort_on {
-        ($e:expr) => {
-            match $e {
-                Ok(v) => v,
-                Err(e) => {
-                    abort_all(t);
-                    return Err(e);
-                }
-            }
-        };
-    }
-
-    // Plan: arm every balancer.
-    for (i, addr) in m.load_balancers.iter().enumerate() {
-        let r = abort_on!(single_rpc(
-            addr,
-            ReshardReq {
-                cmd: cmd::PLAN,
-                generation,
-                new_s: new_s as u64,
-                arg1: 0,
-                arg2: opts.ttl.as_millis() as u64,
-                run,
-                payload: Vec::new(),
-            },
-            t,
-        ));
-        match r.status() {
-            Some(st) if st.phase == ReshardPhase::Armed => {}
-            _ => {
-                abort_all(t);
-                return Err(bad(format!("balancer {i} refused the plan: {}", r.reason())));
-            }
-        }
-    }
-
-    // Wait for every balancer to pause at its boundary tick.
-    let deadline = Instant::now() + opts.pause_deadline;
-    for (i, addr) in m.load_balancers.iter().enumerate() {
-        loop {
-            let st = abort_on!(status_of(addr, t));
-            if st.phase == ReshardPhase::Paused {
-                break;
-            }
-            if Instant::now() > deadline {
-                abort_all(t);
-                return Err(bad(format!("balancer {i} never paused at the boundary")));
-            }
-            std::thread::sleep(Duration::from_millis(m.epoch_ms.clamp(1, 50)));
-        }
-    }
-    fire(&mut opts, "paused");
-
-    // Export: the full public schedule from every node that may hold data.
-    // Dedup prefers the copy from the higher-generation node (only relevant
-    // in a roll-forward, where layouts are mixed).
-    let mut by_id: HashMap<u64, (u64, StoredObject)> = HashMap::new();
-    for (sub, addr) in m.suborams.iter().enumerate().take(export_hi) {
-        let src_gen = sub_status[sub].generation;
-        let resps = abort_on!(reshard_rpc(
-            addr,
-            &[ReshardReq {
-                cmd: cmd::EXPORT,
-                generation,
-                new_s: new_s as u64,
-                arg1: 0,
-                arg2: 0,
-                run,
-                payload: Vec::new(),
-            }],
-            t,
-        ));
-        if resps.len() as u64 != n_batches || resps.iter().any(|r| r.kind != resp::EXPORT) {
-            let reason = resps.iter().find(|r| r.kind == resp::FAILED).map(|r| r.reason());
-            abort_all(t);
-            return Err(bad(format!(
-                "suboram {sub} export failed: {}",
-                reason.unwrap_or_else(|| "schedule incomplete".into())
-            )));
-        }
-        let mctx = MigrationCtx {
-            key: &mig_key,
-            dir: DIR_EXPORT,
-            node: sub as u64,
-            generation,
-            new_s: new_s as u64,
-            value_len: m.value_len,
-        };
-        for r in &resps {
-            let objects = abort_on!(open_migration(
-                &mctx,
-                r.batch_idx,
-                &SealedBox { bytes: r.payload.clone() },
-            ));
-            for o in objects {
-                match by_id.get(&o.id) {
-                    Some((g, _)) if *g >= src_gen => {}
-                    _ => {
-                        by_id.insert(o.id, (src_gen, o));
-                    }
-                }
-            }
-        }
-    }
-    let mut union: Vec<StoredObject> = by_id.into_values().map(|(_, o)| o).collect();
-    union.sort_by_key(|o| o.id);
-    if union.len() as u64 != m.num_objects {
-        abort_all(t);
-        return Err(bad(format!(
-            "export union holds {} objects, deployment stores {} — refusing to migrate",
-            union.len(),
-            m.num_objects
-        )));
-    }
-    fire(&mut opts, "exported");
-
-    // Re-partition at the new fleet size and install. Nodes past `new_s`
-    // get an (equally padded) empty partition: a shrink retires them onto
-    // the new generation instead of leaving stale state behind.
-    let objects_moved = union.len();
-    let mut parts = partition_objects(union, &shared_key, new_s);
-    parts.resize_with(install_hi, Vec::new);
-    for (sub, addr) in m.suborams.iter().enumerate().take(install_hi) {
-        let mctx = MigrationCtx {
-            key: &mig_key,
-            dir: DIR_INSTALL,
-            node: sub as u64,
-            generation,
-            new_s: new_s as u64,
-            value_len: m.value_len,
-        };
-        let sealed = abort_on!(seal_migration(&mctx, &parts[sub], m.num_objects));
-        let reqs: Vec<ReshardReq> = sealed
-            .into_iter()
-            .enumerate()
-            .map(|(idx, s)| ReshardReq {
-                cmd: cmd::INSTALL,
-                generation,
-                new_s: new_s as u64,
-                arg1: idx as u64,
-                arg2: n_batches,
-                run,
-                payload: s.bytes,
-            })
-            .collect();
-        let resps = abort_on!(reshard_rpc(addr, &reqs, t));
-        match resps.last().and_then(|r| r.status()) {
-            Some(_) => {}
-            None => {
-                let reason = resps.last().map(|r| r.reason()).unwrap_or_else(|| "no reply".into());
-                abort_all(t);
-                return Err(bad(format!("suboram {sub} refused the staged partition: {reason}")));
-            }
-        }
-    }
-    fire(&mut opts, "installed");
-
-    // Commit subORAMs first — each persists the new generation before
-    // acknowledging. The first ack is the point of no return: after it the
-    // driver never aborts, only rolls forward.
-    let commit = |gen: u64| ReshardReq {
-        cmd: cmd::COMMIT,
-        generation: gen,
-        new_s: 0,
-        arg1: 0,
-        arg2: 0,
-        run,
-        payload: Vec::new(),
-    };
-    // Distinguishing a refusal from a lost ack is what keeps the abort path
-    // safe: a node can durably commit generation G and then lose the reply
-    // (its persist outlasting the RPC read timeout), and aborting on that
-    // would scrub a node already serving G while every peer drops its
-    // staged partition — objects remapped off the node would exist nowhere.
-    let commit_verdict = |addr: &str, want_active: Option<usize>| -> CommitVerdict {
-        if let Ok(r) = single_rpc(addr, commit(generation), t) {
-            if let Some(verdict) = classify_commit_reply(&r, generation, want_active) {
-                return verdict;
-            }
-            // Indeterminate FAILED: the commit is still queued on the node
-            // and may yet apply — fall through to the probe.
-        }
-        // (A transport error also lands here: the ack may be lost.)
-        // The status RPC round-trips through the same epoch loop as the
-        // commit, so it answers only after any still-queued commit was
-        // processed. A probe showing the old generation after a *lost ack*
-        // is still not proof of refusal (the daemon may have restarted
-        // mid-persist), so it can never justify an abort — only Flipped or
-        // Unknown come out of this path.
-        match status_of(addr, t) {
-            Ok(st)
-                if st.generation == generation
-                    && want_active.is_none_or(|s| st.active_s == s) =>
-            {
-                CommitVerdict::Flipped
-            }
-            Ok(st) => CommitVerdict::Unknown(format!(
-                "ack lost; probe reports generation {}",
-                st.generation
-            )),
-            Err(e) => CommitVerdict::Unknown(format!("ack lost; probe failed: {e}")),
-        }
-    };
-
-    let mut committed = 0usize;
-    for (sub, addr) in m.suborams.iter().enumerate().take(install_hi) {
-        match commit_verdict(addr, None) {
-            CommitVerdict::Flipped => committed += 1,
-            CommitVerdict::Refused(reason) if committed == 0 => {
-                abort_all(t);
-                return Err(bad(format!(
-                    "suboram {sub} refused to commit ({reason}); aborted cleanly"
-                )));
-            }
-            CommitVerdict::Refused(reason) => {
-                return Err(bad(format!(
-                    "suboram {sub} refused to commit ({reason}) after {committed} nodes flipped; \
-                     re-run `snoopyd reshard --new-s {new_s}` to roll the cluster forward"
-                )));
-            }
-            CommitVerdict::Unknown(reason) => {
-                // The commit may have durably applied with its ack lost:
-                // never abort — roll forward instead (the repair run's
-                // union export converges from any mixed state).
-                return Err(bad(format!(
-                    "suboram {sub} commit outcome unknown ({reason}); not aborting — \
-                     re-run `snoopyd reshard --new-s {new_s}` to roll the cluster forward"
-                )));
-            }
-        }
-    }
-    fire(&mut opts, "committed-suborams");
-
-    // Flip every balancer's routing table; the held ticks then execute at
-    // the new layout. Same verdict discipline: a lost ack is re-probed
-    // before the run is declared incomplete.
-    for (i, addr) in m.load_balancers.iter().enumerate() {
-        match commit_verdict(addr, Some(new_s)) {
-            CommitVerdict::Flipped => {}
-            CommitVerdict::Refused(reason) | CommitVerdict::Unknown(reason) => {
-                return Err(bad(format!(
-                    "balancer {i} did not flip ({reason}; its pause TTL restores the old \
-                     routing table, but the subORAMs already committed generation {generation}); \
-                     re-run `snoopyd reshard --new-s {new_s}` to roll the cluster forward"
-                )));
-            }
-        }
-    }
-    fire(&mut opts, "committed");
-    Ok(ReshardReport { generation, old_s, new_s, objects_moved, batches_per_node: n_batches })
+    drive_reshard(&mut fleet, new_s, opts).map_err(bad)
 }
 
 #[cfg(test)]
@@ -1166,49 +806,19 @@ mod tests {
         };
         assert_eq!(ReshardResp::decode(&r.encode()), Some(r));
         assert_eq!(ReshardResp::decode(&[0; 33]), None);
+        // A STATUS reply reads back as the status; a plain FAILED is an
+        // in-band refusal, but an indeterminate FAILED (the admin handler
+        // gave up waiting on the epoch loop; the command may still apply) and
+        // a transport error are not — the driver probes instead of aborting.
         let st = ReshardStatus { generation: 3, active_s: 4, phase: ReshardPhase::Paused };
-        assert_eq!(status_resp(&st).status(), Some(st));
+        assert_eq!(status_reply(Ok(status_resp(&st))), Ok(st));
         assert_eq!(failed_resp("nope").reason(), "nope");
         assert_eq!(failed_resp("nope").status(), None);
-    }
-
-    #[test]
-    fn commit_reply_classification_separates_refusals_from_lost_acks() {
-        let st = |generation, active_s| ReshardStatus {
-            generation,
-            active_s,
-            phase: ReshardPhase::Idle,
-        };
-        // The node reports the new generation: flipped (with and without an
-        // active_s requirement).
-        assert!(matches!(
-            classify_commit_reply(&status_resp(&st(3, 8)), 3, None),
-            Some(CommitVerdict::Flipped)
-        ));
-        assert!(matches!(
-            classify_commit_reply(&status_resp(&st(3, 8)), 3, Some(8)),
-            Some(CommitVerdict::Flipped)
-        ));
-        // Old generation, or the right generation at the wrong fleet size:
-        // the node executed the command and refused — authoritative.
-        assert!(matches!(
-            classify_commit_reply(&status_resp(&st(2, 4)), 3, None),
-            Some(CommitVerdict::Refused(_))
-        ));
-        assert!(matches!(
-            classify_commit_reply(&status_resp(&st(3, 4)), 3, Some(8)),
-            Some(CommitVerdict::Refused(_))
-        ));
-        // A plain FAILED is an in-band refusal...
-        assert!(matches!(
-            classify_commit_reply(&failed_resp("no staged partition"), 3, None),
-            Some(CommitVerdict::Refused(_))
-        ));
-        // ...but an indeterminate FAILED (admin handler gave up waiting on
-        // the epoch loop; the commit may still apply) must NOT be read as a
-        // refusal — the driver probes instead of aborting.
-        let indeterminate = failed_resp(format!("{REASON_INDETERMINATE}suboram loop did not answer"));
-        assert!(classify_commit_reply(&indeterminate, 3, None).is_none());
+        assert!(matches!(status_reply(Ok(failed_resp("nope"))), Err(RpcFailure::Refused(_))));
+        let late = failed_resp(format!("{REASON_INDETERMINATE}suboram loop did not answer"));
+        assert!(matches!(status_reply(Ok(late)), Err(RpcFailure::Indeterminate(_))));
+        let lost = io::Error::new(io::ErrorKind::WouldBlock, "read timed out");
+        assert!(matches!(status_reply(Err(lost)), Err(RpcFailure::Indeterminate(_))));
     }
 
     #[test]

@@ -24,11 +24,10 @@ use crate::reactor::{self, Control, ReactorConfig, SessionHandle, SessionHandler
 use crate::reshard::{self, SubReshardCtx};
 use crate::stats::{DaemonInfo, LinkStats, StatsRegistry};
 use snoopy_core::link::Link;
-use snoopy_core::transport::{
-    run_suboram_with_admin, ReshardPhase, ReshardStatus, SubEvent, SubOramNode, SubReshardCmd,
-    SubReshardReply, SubTransport,
-};
+use snoopy_core::reshard::{StagingBackend, SubStaging};
+use snoopy_core::transport::{run_suboram, SubEvent, SubOramNode, SubTransport};
 use snoopy_crypto::{Key256, Prg};
+use snoopy_enclave::wire::StoredObject;
 use snoopy_lb::partition_objects;
 use snoopy_suboram::SubOram;
 use snoopy_telemetry::events::{self, Event, EventKind};
@@ -194,9 +193,15 @@ pub fn run(
     }
 
     let mut transport = TcpSubTransport { events: events_rx, conns };
-    // The staged partition of an in-flight reshard, if any: built beside the
-    // live one and swapped in only on commit (see `on_reshard` below).
-    let mut staged: Option<(u64, usize, SubOram)> = None;
+    let staging = SubStaging::new(
+        oram_key,
+        DaemonStaging {
+            spec,
+            value_len: manifest.value_len,
+            lambda: manifest.lambda,
+            checkpoint: checkpoint_path.clone().map(|path| (path, ckpt_key.clone())),
+        },
+    );
     let after_epoch = |node: &mut SubOramNode, epoch: u64| {
         // Durability point: the storage generation and the checkpoint must
         // both land before any response for this epoch escapes.
@@ -229,140 +234,59 @@ pub fn run(
             );
         }
     };
-    let on_reshard = |node: &mut SubOramNode, cmd: SubReshardCmd| -> SubReshardReply {
-        let status_of = |node: &SubOramNode| {
-            SubReshardReply::Status(ReshardStatus {
-                generation: node.generation(),
-                active_s: node.active_s(),
-                phase: ReshardPhase::Idle,
-            })
-        };
-        // Best-effort removal of a generation's disk segments (no-op for the
-        // in-memory tiers, and for generation 0: the boot directory may be
-        // the operator's to keep).
-        let scrub = |generation: u64| {
-            if generation == 0 {
-                return;
-            }
-            if let StorageSpec::Disk { dir, .. } = &spec {
-                let _ = std::fs::remove_dir_all(snoopy_store::generation_dir(dir, generation));
-            }
-        };
-        match cmd {
-            SubReshardCmd::Status => status_of(node),
-            SubReshardCmd::Export => {
-                let mut objects = Vec::new();
-                match node.oram().stream_objects(&mut |o| objects.push(o.clone())) {
-                    Ok(()) => SubReshardReply::Objects(objects),
-                    Err(e) => SubReshardReply::Failed(format!("export failed: {e}")),
-                }
-            }
-            SubReshardCmd::Install { generation, new_s, objects } => {
-                if generation <= node.generation() {
-                    return SubReshardReply::Failed(format!(
-                        "stale install generation {generation} (serving {})",
-                        node.generation()
-                    ));
-                }
-                if let Some((g, _, _)) = staged.take() {
-                    // A newer schedule replaces whatever was staged.
-                    scrub(g);
-                }
-                // Each generation gets its own derived key (and, on the disk
-                // tier, its own segment directory): a fresh store restarts
-                // its commit counter, so reusing the live key would repeat
-                // (key, nonce) pairs.
-                let key = snoopy_store::generation_key(&oram_key, generation);
-                let built = match &spec {
-                    StorageSpec::Disk { dir, cfg } => {
-                        let gdir = snoopy_store::generation_dir(dir, generation);
-                        let _ = std::fs::remove_dir_all(&gdir);
-                        snoopy_store::build_suboram_disk(
-                            &gdir,
-                            objects,
-                            manifest.value_len,
-                            *cfg,
-                            key,
-                            manifest.lambda,
-                        )
-                    }
-                    _ => spec.fresh_suboram(objects, manifest.value_len, key, manifest.lambda),
-                };
-                match built {
-                    Ok(oram) => {
-                        staged = Some((generation, new_s, oram));
-                        status_of(node)
-                    }
-                    Err(e) => SubReshardReply::Failed(format!("staging failed: {e}")),
-                }
-            }
-            SubReshardCmd::Commit { generation } => {
-                match staged.take() {
-                    Some((g, new_s, oram)) if g == generation => {
-                        let (old_gen, old_active) = (node.generation(), node.active_s());
-                        let old = node.swap_oram(oram);
-                        node.set_layout(generation, new_s);
-                        // The new generation must be durable *before* the ack
-                        // escapes: commit its storage, then re-checkpoint.
-                        // Either failing rolls the swap back — the driver
-                        // sees Failed and aborts, and the live layout (plus
-                        // its still-valid checkpoint) is untouched.
-                        let persist = node
-                            .oram_mut()
-                            .commit_storage(0)
-                            .map_err(|e| format!("storage commit failed: {e}"))
-                            .and_then(|_| match &checkpoint_path {
-                                Some(path) => checkpoint::save(node, &ckpt_key, path)
-                                    .map_err(|e| format!("checkpoint failed: {e}")),
-                                None => Ok(()),
-                            });
-                        match persist {
-                            Ok(()) => {
-                                drop(old);
-                                scrub(old_gen);
-                                events::record(
-                                    Event::new(EventKind::ReshardCommit)
-                                        .with("generation", Public::config(generation))
-                                        .with("suborams", Public::config(new_s as u64)),
-                                );
-                                status_of(node)
-                            }
-                            Err(e) => {
-                                let failed = node.swap_oram(old);
-                                node.set_layout(old_gen, old_active);
-                                drop(failed);
-                                scrub(generation);
-                                SubReshardReply::Failed(e)
-                            }
-                        }
-                    }
-                    Some(other) => {
-                        staged = Some(other);
-                        SubReshardReply::Failed(format!("no staged generation {generation}"))
-                    }
-                    None => SubReshardReply::Failed("nothing staged".into()),
-                }
-            }
-            SubReshardCmd::Abort { generation } => {
-                match staged.take() {
-                    Some((g, _, oram)) if g == generation => {
-                        drop(oram);
-                        scrub(g);
-                        events::record(
-                            Event::new(EventKind::ReshardAbort)
-                                .with("generation", Public::config(generation)),
-                        );
-                    }
-                    other => staged = other,
-                }
-                status_of(node)
-            }
-        }
-    };
-    run_suboram_with_admin(&mut transport, &mut node, after_epoch, on_reshard);
+    run_suboram(&mut transport, &mut node, staging, after_epoch);
     events::record(Event::new(EventKind::Shutdown));
     events::recorder().dump("shutdown");
     Ok(())
+}
+
+/// The TCP plane's half of the reshard staging machine: each generation
+/// stages in its own segment directory on the disk tier, a commit is
+/// re-checkpointed before it is acknowledged, and a superseded generation's
+/// segments are scrubbed.
+struct DaemonStaging {
+    spec: StorageSpec,
+    value_len: usize,
+    lambda: u32,
+    checkpoint: Option<(PathBuf, Key256)>,
+}
+
+impl StagingBackend for DaemonStaging {
+    fn build(
+        &mut self,
+        generation: u64,
+        objects: Vec<StoredObject>,
+        key: Key256,
+    ) -> Result<SubOram, String> {
+        let spec = match &self.spec {
+            StorageSpec::Disk { dir, cfg } => {
+                let dir = snoopy_store::generation_dir(dir, generation);
+                let _ = std::fs::remove_dir_all(&dir);
+                StorageSpec::Disk { dir, cfg: *cfg }
+            }
+            other => other.clone(),
+        };
+        spec.fresh_suboram(objects, self.value_len, key, self.lambda).map_err(|e| e.to_string())
+    }
+
+    fn persist(&mut self, node: &SubOramNode) -> Result<(), String> {
+        match &self.checkpoint {
+            Some((path, key)) => {
+                checkpoint::save(node, key, path).map_err(|e| format!("checkpoint failed: {e}"))
+            }
+            None => Ok(()),
+        }
+    }
+
+    fn scrub(&mut self, generation: u64) {
+        // Generation 0's boot directory may be the operator's to keep.
+        if generation == 0 {
+            return;
+        }
+        if let StorageSpec::Disk { dir, .. } = &self.spec {
+            let _ = std::fs::remove_dir_all(snoopy_store::generation_dir(dir, generation));
+        }
+    }
 }
 
 /// Publishes the session-handshake clock-offset estimate for a peer: the

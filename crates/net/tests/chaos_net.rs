@@ -16,7 +16,7 @@ use snoopy_chaos::{chaos_seed, DirectionFaults, FaultPlan, FaultPlanConfig, Faul
 use snoopy_core::{RetryPolicy, Snoopy, SnoopyConfig};
 use snoopy_enclave::wire::Request;
 use snoopy_net::manifest::Manifest;
-use snoopy_net::{fetch_health, fetch_stats, proto, shutdown_daemon, ConnectConfig, NetClient};
+use snoopy_net::{fetch_health, fetch_stats, proto, shutdown_daemon, SnoopyClient};
 use std::net::TcpListener;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
@@ -189,14 +189,11 @@ fn proxied_cluster_survives_faults_and_double_kill() {
     wait_for_health(&addrs[1], "suboram");
     let deploy = proto::deployment_key(SEED);
     let connect = || {
-        NetClient::connect_with(
-            &addrs[0],
-            &deploy,
-            ConnectConfig::new(0, VLEN)
-                .read_timeout(Duration::from_secs(30))
-                .retry(patient_client()),
-        )
-        .expect("client connect")
+        SnoopyClient::builder(VLEN)
+            .read_timeout(Duration::from_secs(30))
+            .retry(patient_client())
+            .connect_tcp(&addrs[0], 0, &deploy)
+            .expect("client connect")
     };
     let mut client = connect();
 

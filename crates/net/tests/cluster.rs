@@ -13,7 +13,8 @@ use snoopy_core::{Snoopy, SnoopyConfig};
 use snoopy_enclave::wire::Request;
 use snoopy_net::manifest::Manifest;
 use snoopy_net::{
-    fetch_metrics, fetch_stats, parse_stats, parse_stats_header, proto, shutdown_daemon, NetClient,
+    fetch_metrics, fetch_stats, parse_stats, parse_stats_header, proto, shutdown_daemon,
+    SnoopyClient,
 };
 use std::net::TcpListener;
 use std::path::{Path, PathBuf};
@@ -193,7 +194,7 @@ fn multi_process_cluster_matches_reference_and_survives_kill() {
     wait_for_stats(&addrs[0]);
     let deploy = proto::deployment_key(SEED);
     let mut client = loop {
-        match NetClient::connect(&addrs[0], 0, &deploy, VLEN) {
+        match SnoopyClient::builder(VLEN).connect_tcp(&addrs[0], 0, &deploy) {
             Ok(c) => break c,
             Err(_) => std::thread::sleep(Duration::from_millis(50)),
         }

@@ -9,7 +9,7 @@
 use snoopy_core::{Snoopy, SnoopyConfig, StorageKind};
 use snoopy_enclave::wire::Request;
 use snoopy_net::manifest::Manifest;
-use snoopy_net::{fetch_metrics, fetch_stats, proto, shutdown_daemon, NetClient};
+use snoopy_net::{fetch_metrics, fetch_stats, proto, shutdown_daemon, SnoopyClient};
 use std::net::TcpListener;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
@@ -138,7 +138,7 @@ fn disk_cluster_matches_memory_reference_and_recovers_from_kill9() {
     wait_for_stats(&addrs[0]);
     let deploy = proto::deployment_key(SEED);
     let mut client = loop {
-        match NetClient::connect(&addrs[0], 0, &deploy, VLEN) {
+        match SnoopyClient::builder(VLEN).connect_tcp(&addrs[0], 0, &deploy) {
             Ok(c) => break c,
             Err(_) => std::thread::sleep(Duration::from_millis(50)),
         }

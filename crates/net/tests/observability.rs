@@ -182,7 +182,7 @@ fn cluster_observability_plane_end_to_end() {
     wait_for_stats(&addrs[0]);
     let deploy = snoopy_net::proto::deployment_key(SEED);
     let mut client = loop {
-        match snoopy_net::NetClient::connect(&addrs[0], 0, &deploy, VLEN) {
+        match snoopy_net::SnoopyClient::builder(VLEN).connect_tcp(&addrs[0], 0, &deploy) {
             Ok(c) => break c,
             Err(_) => std::thread::sleep(Duration::from_millis(50)),
         }

@@ -100,4 +100,11 @@ echo "== observability (merged trace, snoopy-mon SLO gate, flight recorder) =="
 cargo test --offline -p snoopy-net --test observability -- --nocapture
 cargo test --offline -p snoopy-chaos --test flight_recorder -- --nocapture
 
+# Benchmark suite: the standalone benchmark package builds against the
+# workspace's public APIs, so an API change that breaks it fails here. Its
+# unit tests run, then a smoke run boots a real cluster per workload.
+echo "== benchmark (package tests + smoke run) =="
+cargo test --offline --manifest-path benchmark/Cargo.toml
+bash benchmark/run.sh --smoke
+
 echo "verify: OK"

@@ -78,7 +78,9 @@ fn multi_balancer_multi_suboram() {
 
 #[test]
 fn external_sealed_storage() {
-    drive(SnoopyConfig::with_machines(2, 3).value_len(VLEN).external_storage(true), 150, 4, 3);
+    use snoopy_repro::core::StorageKind;
+    let config = SnoopyConfig::with_machines(2, 3).value_len(VLEN).storage(StorageKind::External);
+    drive(config, 150, 4, 3);
 }
 
 #[test]
