@@ -3,7 +3,6 @@
 //! cost at its configured batch size.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use snoopy_hierarchical::{Op as SOp, SqrtOram};
 use snoopy_obladi::{ObladiProxy, ProxyRequest};
 use snoopy_pathoram::{Op as POp, PathOram, RecursivePathOram};
 use snoopy_ringoram::{Op as ROp, RingOram};
@@ -66,20 +65,5 @@ fn bench_obladi(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_sqrtoram(c: &mut Criterion) {
-    let mut g = c.benchmark_group("sqrtoram_access");
-    g.sample_size(10);
-    // Amortized: includes periodic oblivious reshuffles.
-    let mut oram = SqrtOram::new(1 << 10, 160, 5);
-    let mut addr = 0u64;
-    g.bench_function("2^10_amortized", |b| {
-        b.iter(|| {
-            addr = (addr + 101) % (1 << 10);
-            oram.access(SOp::Read, addr, None)
-        })
-    });
-    g.finish();
-}
-
-criterion_group!(benches, bench_pathoram, bench_ringoram, bench_obladi, bench_sqrtoram);
+criterion_group!(benches, bench_pathoram, bench_ringoram, bench_obladi);
 criterion_main!(benches);

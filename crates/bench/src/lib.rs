@@ -1,9 +1,10 @@
-//! Shared harness utilities for the figure/table binaries.
+//! Shared harness utilities for the experiment binaries.
 //!
-//! Every experiment binary (`cargo run -p snoopy-bench --release --bin
-//! fig…`) prints an aligned table to stdout and writes
-//! `results/<experiment>.csv`; `EXPERIMENTS.md` records paper-vs-measured for
-//! each. Binaries accept `--quick` to shrink the slowest sweeps.
+//! Every binary (`cargo run -p snoopy-bench --release --bin <name>`) prints
+//! an aligned table to stdout and writes `results/<name>.csv`;
+//! `EXPERIMENTS.md` labels what each one's numbers are worth. Binaries accept
+//! `--quick` to shrink the slowest sweeps. End-to-end and per-layer
+//! measurements of the real system come from `benchmark/`, not from here.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

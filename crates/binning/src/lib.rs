@@ -23,7 +23,6 @@
 #![warn(missing_docs)]
 
 pub mod lambert;
-pub mod sweep;
 
 pub use lambert::lambert_w0;
 
@@ -358,6 +357,30 @@ mod tests {
         // Allow generous slack: the Chernoff bound is loose but must not be
         // violated by an order of magnitude.
         assert!(rate <= (bound * 20.0).max(0.01), "empirical {rate} vs bound {bound}");
+    }
+
+    #[test]
+    fn figure3_shape() {
+        // The Figure 3 points EXPERIMENTS.md quotes (λ=128), pinned exactly:
+        // (S, R) → (f(R,S), overhead % to one decimal). The curve's direction
+        // in R and in S is `overhead_decreases_with_r` / `_increases_with_s`.
+        for (s, r, b, pct) in [
+            (2u64, 10_000u64, 5_975u64, "19.5"),
+            (20, 10_000, 833, "66.6"),
+            (20, 500, 120, "380.0"),
+        ] {
+            assert_eq!(batch_size(r, s, 128), b, "S={s} R={r}");
+            assert_eq!(format!("{:.1}", dummy_overhead(r, s, 128) * 100.0), pct, "S={s} R={r}");
+        }
+    }
+
+    #[test]
+    fn figure4_shape() {
+        // The S=20 points EXPERIMENTS.md quotes: λ=0 is exactly the plaintext
+        // line S·1000, λ=128 falls to 12.6K. The ordering between the lines
+        // for every S is `capacity_grows_sublinearly_with_s`.
+        assert_eq!(epoch_capacity(20, 0, 1000), 20_000);
+        assert_eq!(epoch_capacity(20, 128, 1000), 12_610);
     }
 
     proptest! {

@@ -52,11 +52,6 @@ impl EpochStats {
             self.dummy_entries as f64 / real as f64
         }
     }
-
-    /// Total epoch processing time.
-    pub fn total_time(&self) -> Duration {
-        self.lb_make_time + self.suboram_time + self.lb_match_time
-    }
 }
 
 /// Rolling aggregate over many epochs.
@@ -183,17 +178,6 @@ mod tests {
         let mut s = SystemStats::default();
         s.absorb(&e);
         assert_eq!(s.dummy_overhead(), 0.0);
-    }
-
-    #[test]
-    fn total_time_sums() {
-        let e = EpochStats {
-            lb_make_time: Duration::from_millis(2),
-            suboram_time: Duration::from_millis(5),
-            lb_match_time: Duration::from_millis(3),
-            ..Default::default()
-        };
-        assert_eq!(e.total_time(), Duration::from_millis(10));
     }
 
     #[test]

@@ -846,21 +846,8 @@ impl SubOramNode {
     }
 
     /// Rebuilds a node from checkpointed state: the recovered ORAM, the
-    /// reply cache of already-executed epochs, and a single eviction
-    /// watermark broadcast to every residue class (the pre-v6 checkpoint
-    /// format stored only the global minimum; see
-    /// [`SubOramNode::restore_with_watermarks`] for the exact form).
-    pub fn restore(
-        oram: SubOram,
-        num_lbs: usize,
-        completed: BTreeMap<u64, Option<Vec<Request>>>,
-        evicted_below: u64,
-    ) -> SubOramNode {
-        Self::restore_with_watermarks(oram, num_lbs, completed, vec![evicted_below; num_lbs.max(1)])
-    }
-
-    /// Rebuilds a node from checkpointed state with the full per-residue
-    /// eviction watermark vector (one entry per balancer).
+    /// reply cache of already-executed epochs, and the per-residue eviction
+    /// watermark vector (one entry per balancer).
     pub fn restore_with_watermarks(
         oram: SubOram,
         num_lbs: usize,
@@ -924,14 +911,6 @@ impl SubOramNode {
     /// batches that were refused with a typed error.
     pub fn completed(&self) -> &BTreeMap<u64, Option<Vec<Request>>> {
         &self.completed
-    }
-
-    /// The lowest eviction watermark across residue classes — the largest
-    /// bound below which *every* epoch is guaranteed refused. With one
-    /// balancer this is the exact watermark; kept for pre-v6 checkpoint
-    /// compatibility (see [`SubOramNode::watermarks`] for the full vector).
-    pub fn evicted_below(&self) -> u64 {
-        self.watermarks.iter().copied().min().unwrap_or(0)
     }
 
     /// Per-residue-class eviction watermarks: epochs `e` with
@@ -1405,9 +1384,6 @@ mod tests {
             BatchOutcome::Replayed { lb: 0, .. }
         ));
         assert_eq!(node.watermarks(), &[3, 0]);
-        // evicted_below() stays the conservative global minimum (the pre-v6
-        // checkpoint field): nothing below it is replayable in any class.
-        assert_eq!(node.evicted_below(), 0);
         // Restoring with the full vector preserves the per-class bounds.
         let completed = node.completed().clone();
         let marks = node.watermarks().to_vec();
@@ -1510,7 +1486,7 @@ mod tests {
             );
         }
         // retain = 2 kept epochs {2, 3}; 0 and 1 were evicted.
-        assert_eq!(node.evicted_below(), 2);
+        assert_eq!(node.watermarks(), &[2]);
         // A retained epoch replays from cache.
         assert!(matches!(node.handle_batch(0, 3, Vec::new()), BatchOutcome::Replayed { .. }));
         // An evicted epoch is refused with the typed outcome — not re-executed.
@@ -1520,9 +1496,9 @@ mod tests {
         ));
         // The watermark survives a checkpoint-style restore.
         let completed = node.completed().clone();
-        let evicted = node.evicted_below();
+        let marks = node.watermarks().to_vec();
         let SubOramNode { oram, .. } = node;
-        let restored = SubOramNode::restore(oram, 1, completed, evicted);
-        assert_eq!(restored.evicted_below(), 2);
+        let restored = SubOramNode::restore_with_watermarks(oram, 1, completed, marks);
+        assert_eq!(restored.watermarks(), &[2]);
     }
 }

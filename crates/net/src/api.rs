@@ -132,22 +132,7 @@ impl SnoopyClientBuilder {
         addrs: &[String],
         deploy: &Key256,
     ) -> Result<SnoopyClient, NetError> {
-        self.connect_tcp_multi_preferring(addrs, 0, deploy)
-    }
-
-    /// [`Self::connect_tcp_multi`] with a preferred starting balancer: the
-    /// health probe begins at index `preferred` (wrapping through the rest),
-    /// so a fleet of clients can spread sticky sessions across the balancer
-    /// set (`client_id % k`) while keeping failover to every other entry.
-    /// `addrs` must still be the full manifest-ordered list — positions key
-    /// the link derivation and epoch-id residue classes.
-    pub fn connect_tcp_multi_preferring(
-        self,
-        addrs: &[String],
-        preferred: usize,
-        deploy: &Key256,
-    ) -> Result<SnoopyClient, NetError> {
-        let transport = MultiTcpTransport::dial(addrs, preferred, deploy, &self)?;
+        let transport = MultiTcpTransport::dial(addrs, deploy, &self)?;
         Ok(self.assemble(Box::new(transport)))
     }
 
@@ -399,14 +384,12 @@ struct MultiTcpTransport {
 impl MultiTcpTransport {
     fn dial(
         addrs: &[String],
-        preferred: usize,
         deploy: &Key256,
         builder: &SnoopyClientBuilder,
     ) -> Result<MultiTcpTransport, NetError> {
         if addrs.is_empty() {
             return Err(NetError::protocol("empty balancer endpoint set"));
         }
-        let start = preferred % addrs.len();
         let (index, stream, req_link, resp_link) = builder
             .retry
             .run(|attempt| {
@@ -416,7 +399,7 @@ impl MultiTcpTransport {
                 probe_endpoints(
                     addrs,
                     &mut vec![None; addrs.len()],
-                    start,
+                    0,
                     deploy,
                     builder.read_timeout,
                 )

@@ -40,17 +40,19 @@ use std::path::{Path, PathBuf};
 // replaying a refused batch after a restart has to re-refuse, not re-execute
 // against mutated state.
 //
-// v6 changes over v5 (still readable — see `decode_state`):
-// * the single `evicted_below` watermark became one watermark **per
-//   balancer residue class**: balancer i's epoch ids stride by L, so a
-//   global watermark taken as the max across classes would wrongly evict a
-//   slow balancer's still-replayable epochs after a restart;
-// * a reshard `generation` and `active_s` stamp the fleet layout the
+// The header also carries:
+// * one eviction watermark **per balancer residue class**: balancer i's
+//   epoch ids stride by L, so a single global watermark taken as the max
+//   across classes would wrongly evict a slow balancer's still-replayable
+//   epochs after a restart;
+// * a reshard `generation` and `active_s` stamping the fleet layout the
 //   partition was written under, so a daemon killed mid-reshard recovers
 //   into exactly one of {old, new} layouts — on the disk tier the
 //   generation also names which segment directory holds the partition.
+//
+// Only this version is read. An older file fails `load` with an
+// "unsupported format version" error rather than being upgraded by guesswork.
 const MAGIC: &[u8; 8] = b"SNPCKPT6";
-const MAGIC_V5: &[u8; 8] = b"SNPCKPT5";
 
 /// Sentinel batch count marking a refused (None) cached reply.
 const REFUSED: u64 = u64::MAX;
@@ -253,28 +255,21 @@ struct CheckpointState {
 fn decode_state(plain: &[u8]) -> io::Result<CheckpointState> {
     let mut r = Reader(plain);
     let magic = r.bytes(8)?;
-    let v5 = magic == MAGIC_V5;
-    if !v5 && magic != MAGIC {
-        return Err(bad("bad magic"));
+    if magic != MAGIC {
+        let known_family = magic[..7] == MAGIC[..7];
+        return Err(bad(if known_family { "unsupported format version" } else { "bad magic" }));
     }
     let value_len = r.u64()? as usize;
     let num_lbs = r.u64()? as usize;
     if num_lbs == 0 || num_lbs > 4096 {
         return Err(bad("implausible balancer count"));
     }
-    let (watermarks, generation, active_s) = if v5 {
-        // v5 carried one global watermark; the conservative upgrade is to
-        // apply it to every residue class (it was computed as a max, so no
-        // class can have anything replayable below it). Pre-reshard files
-        // are by definition generation 0 at the boot layout.
-        (vec![r.u64()?; num_lbs], 0, 0)
-    } else {
-        let mut ws = Vec::with_capacity(num_lbs);
-        for _ in 0..num_lbs {
-            ws.push(r.u64()?);
-        }
-        (ws, r.u64()?, r.u64()? as usize)
-    };
+    let mut watermarks = Vec::with_capacity(num_lbs);
+    for _ in 0..num_lbs {
+        watermarks.push(r.u64()?);
+    }
+    let generation = r.u64()?;
+    let active_s = r.u64()? as usize;
     let partition = match r.bytes(1)?[0] {
         MODE_INLINE => {
             let num_objects = r.u64()? as usize;
@@ -328,10 +323,13 @@ fn decode_state(plain: &[u8]) -> io::Result<CheckpointState> {
 /// Seals the node's state and atomically replaces `path`. Refuses (typed)
 /// to checkpoint a poisoned subORAM — see [`SaveError::Integrity`].
 pub fn save(node: &SubOramNode, key: &Key256, path: &Path) -> Result<(), SaveError> {
-    let plain = encode_state(node)?;
+    Ok(write_sealed(&encode_state(node)?, key, path)?)
+}
+
+fn write_sealed(plain: &[u8], key: &Key256, path: &Path) -> io::Result<()> {
     let seq: u64 = Prg::from_entropy().gen();
     let sealed =
-        AeadKey::new(key.clone()).seal(Nonce::from_parts(0x7F00_0000, seq), b"ckpt", &plain);
+        AeadKey::new(key.clone()).seal(Nonce::from_parts(0x7F00_0000, seq), b"ckpt", plain);
     let mut file = Vec::with_capacity(8 + sealed.bytes.len());
     file.extend_from_slice(&seq.to_le_bytes());
     file.extend_from_slice(&sealed.bytes);
@@ -594,7 +592,7 @@ mod tests {
             let batch = vec![Request::read(e % 8, VLEN, 0, e)];
             assert!(matches!(n.handle_batch(0, e, batch), BatchOutcome::Completed(_)));
         }
-        assert_eq!(n.evicted_below(), 2);
+        assert_eq!(n.watermarks(), &[2]);
         save(&n, &key, &path).unwrap();
 
         // Simulate a crash that left a half-written temp file behind.
@@ -603,7 +601,7 @@ mod tests {
         let mut restored =
             load(&key, &path, Key256([9u8; 32]), 80, &StorageSpec::Memory).unwrap().unwrap();
         assert!(!path.with_extension("tmp").exists(), "stale tmp should be cleaned on load");
-        assert_eq!(restored.evicted_below(), 2);
+        assert_eq!(restored.watermarks(), &[2]);
         // A replayed-but-evicted epoch is refused after restart too.
         let replay = vec![Request::read(0, VLEN, 0, 0)];
         assert!(matches!(
@@ -615,7 +613,7 @@ mod tests {
 
     #[test]
     fn per_class_watermarks_survive_restart_independently_with_two_balancers() {
-        // Regression for the v5 global-watermark bug: with L=2 balancers,
+        // Regression for a global-watermark bug: with L=2 balancers,
         // balancer 0's epoch ids are even and balancer 1's odd. If balancer 0
         // runs far ahead (evicting its old epochs) while balancer 1 lags, a
         // single max-based watermark would wrongly evict balancer 1's
@@ -677,6 +675,24 @@ mod tests {
         file[mid] ^= 0x80;
         std::fs::write(&path, &file).unwrap();
         assert!(load(&key, &path, Key256([9u8; 32]), 80, &StorageSpec::Memory).is_err());
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn older_format_version_is_refused_not_upgraded() {
+        let dir = std::env::temp_dir().join(format!("snoopy-ckpt7-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("sub6.ckpt");
+        let key = checkpoint_key(&Key256([7u8; 32]), 6);
+        // A correctly sealed file whose payload carries the previous
+        // format's magic: authentic, but not a layout this build reads.
+        let mut plain = encode_state(&node()).unwrap();
+        plain[..8].copy_from_slice(b"SNPCKPT5");
+        write_sealed(&plain, &key, &path).unwrap();
+        let e =
+            load(&key, &path, Key256([9u8; 32]), 80, &StorageSpec::Memory).map(|_| ()).unwrap_err();
+        assert_eq!(e.kind(), io::ErrorKind::InvalidData);
+        assert!(e.to_string().contains("unsupported format version"), "{e}");
         std::fs::remove_file(&path).unwrap();
     }
 }

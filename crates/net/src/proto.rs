@@ -116,7 +116,7 @@ pub struct Hello {
     /// Fresh random session id; scopes this connection's link keys.
     pub session: u64,
     /// The dialer's wall clock at handshake time, nanoseconds since the
-    /// Unix epoch (0 = unknown, e.g. a pre-extension dialer). The acceptor
+    /// Unix epoch (0 = unknown). The acceptor
     /// subtracts its own clock to estimate the per-peer offset that aligns
     /// merged cluster traces. Leakage: the send time of the hello frame is
     /// observable on the wire already; stamping it inside the frame adds
@@ -147,21 +147,16 @@ impl Hello {
         out
     }
 
-    /// Parses a hello body. Accepts the 17-byte pre-clock-stamp form
-    /// (`wall_ns` reads as 0 = unknown) and the current 25-byte form.
+    /// Parses a 25-byte hello body.
     pub fn decode(body: &[u8]) -> Option<Hello> {
-        if body.len() != 17 && body.len() != 25 {
+        if body.len() != 25 {
             return None;
         }
         Some(Hello {
             role: Role::decode(body[0])?,
             index: u64::from_le_bytes(body[1..9].try_into().ok()?),
             session: u64::from_le_bytes(body[9..17].try_into().ok()?),
-            wall_ns: if body.len() == 25 {
-                u64::from_le_bytes(body[17..25].try_into().ok()?)
-            } else {
-                0
-            },
+            wall_ns: u64::from_le_bytes(body[17..25].try_into().ok()?),
         })
     }
 }
@@ -317,13 +312,10 @@ mod tests {
             Hello { role: Role::LoadBalancer, index: 3, session: 0xDEAD_BEEF, wall_ns: 123_456 };
         assert_eq!(Hello::decode(&h.encode()), Some(h));
         assert_eq!(Hello::decode(&[]), None);
-        assert_eq!(Hello::decode(&[9; 17]), None); // bad role
+        assert_eq!(Hello::decode(&[9; 25]), None); // bad role
         assert_eq!(Hello::decode(&[0; 20]), None); // bad length
-                                                   // The pre-clock-stamp 17-byte form still decodes (wall_ns = 0).
-        let legacy = Hello::decode(&h.encode()[..17]).unwrap();
-        assert_eq!(legacy.session, h.session);
-        assert_eq!(legacy.wall_ns, 0);
-        // Hello::new stamps a live wall clock.
+        assert_eq!(Hello::decode(&h.encode()[..17]), None); // truncated
+                                                            // Hello::new stamps a live wall clock.
         assert!(Hello::new(Role::Admin, 0).wall_ns > 0);
     }
 

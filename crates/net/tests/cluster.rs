@@ -8,15 +8,23 @@
 //! balancer's reconnect/backoff plus the subORAM's reply cache must heal the
 //! cluster with no lost or corrupted operation. Finally the `stats` RPC must
 //! account for the traffic and the reconnect.
+//!
+//! A second test holds hundreds of sealed client sessions open at once
+//! against a 2×2 cluster: every session must be served, and every session
+//! must be released by the balancers' reactors once the client hangs up.
 
+use snoopy_core::link::Link;
 use snoopy_core::{Snoopy, SnoopyConfig};
+use snoopy_crypto::Key256;
 use snoopy_enclave::wire::Request;
+use snoopy_net::frame::{read_frame, write_frame};
 use snoopy_net::manifest::Manifest;
+use snoopy_net::proto::{tag, Hello, Role};
 use snoopy_net::{
     fetch_metrics, fetch_stats, parse_stats, parse_stats_header, proto, shutdown_daemon,
     SnoopyClient,
 };
-use std::net::TcpListener;
+use std::net::{TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
@@ -311,5 +319,189 @@ fn multi_process_cluster_matches_reference_and_survives_kill() {
     lb.wait_graceful();
     sub0.wait_graceful();
     sub1.take().unwrap().wait_graceful();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A sealed client session driven by hand rather than through
+/// `SnoopyClient`, so one thread can hold hundreds open at once.
+struct RawSession {
+    stream: TcpStream,
+    req_link: Link,
+    resp_link: Link,
+}
+
+impl RawSession {
+    fn open(addr: &str, lb: usize, deploy: &Key256) -> RawSession {
+        let mut stream = loop {
+            match TcpStream::connect(addr) {
+                Ok(s) => break s,
+                // A connect storm can overflow the loopback accept backlog.
+                Err(_) => std::thread::sleep(Duration::from_millis(10)),
+            }
+        };
+        stream.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+        let hello = Hello::new(Role::Client, 0);
+        write_frame(&mut stream, tag::HELLO, &hello.encode()).expect("hello");
+        let (req_link, resp_link) = proto::client_session_links(deploy, lb, hello.session);
+        RawSession { stream, req_link, resp_link }
+    }
+
+    fn send(&mut self, req: Request) {
+        let sealed = self.req_link.seal(&[req]).unwrap();
+        write_frame(&mut self.stream, tag::CLIENT_REQ, &sealed.bytes).expect("request");
+    }
+
+    fn recv(&mut self) -> Vec<u8> {
+        let (t, body) = read_frame(&mut self.stream).expect("response");
+        assert_eq!(t, tag::CLIENT_RESP, "expected a response frame");
+        let (_, sealed) = proto::decode_epoch_sealed(&body).expect("epoch-sealed body");
+        let mut batch = self.resp_link.open_responses(&sealed, VLEN).expect("response link");
+        assert_eq!(batch.len(), 1, "one request in flight, one response");
+        batch.pop().unwrap().value
+    }
+}
+
+/// One long-lived admin session that reads a balancer's
+/// `snoopy_net_open_sessions` gauge. A fresh `fetch_metrics` connection per
+/// reading would count itself or not depending on a race with the reactor's
+/// sweep, and its predecessor until that is reaped; this session is always
+/// counted exactly once.
+struct SessionGauge {
+    stream: TcpStream,
+    addr: String,
+}
+
+impl SessionGauge {
+    fn open(addr: &str) -> SessionGauge {
+        let mut stream = TcpStream::connect(addr).expect("admin dial");
+        stream.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+        write_frame(&mut stream, tag::HELLO, &Hello::new(Role::Admin, 0).encode()).unwrap();
+        SessionGauge { stream, addr: addr.to_string() }
+    }
+
+    fn read(&mut self) -> f64 {
+        write_frame(&mut self.stream, tag::METRICS_REQ, b"").expect("metrics request");
+        let (t, body) = read_frame(&mut self.stream).expect("metrics response");
+        assert_eq!(t, tag::METRICS_RESP);
+        prom_value(&String::from_utf8(body).unwrap(), "snoopy_net_open_sessions")
+    }
+
+    /// Polls every 100 ms until `done` accepts the readings so far (newest
+    /// last); returns the newest.
+    fn poll(&mut self, what: &str, done: impl Fn(&[f64]) -> bool) -> f64 {
+        let deadline = Instant::now() + Duration::from_secs(20);
+        let mut seen = Vec::new();
+        loop {
+            seen.push(self.read());
+            if done(&seen) {
+                return *seen.last().unwrap();
+            }
+            assert!(Instant::now() < deadline, "{}: {what}; read {seen:?}", self.addr);
+            std::thread::sleep(Duration::from_millis(100));
+        }
+    }
+}
+
+#[test]
+fn hundreds_of_concurrent_sessions_are_served_and_released() {
+    const SESSIONS: usize = 512;
+    const OBJECTS: u64 = 1024;
+    let dir = std::env::temp_dir().join(format!("snoopy-sessions-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let addrs = free_addrs(4);
+    let manifest = Manifest {
+        value_len: VLEN,
+        lambda: 128,
+        seed: SEED,
+        num_objects: OBJECTS,
+        epoch_ms: 10,
+        sub_deadline_ms: 10_000,
+        max_replays: 3,
+        retain_epochs: 8,
+        active_suborams: 0,
+        lb_threads: env_threads(),
+        sub_threads: env_threads(),
+        storage: env_storage(),
+        store_dir: Some(dir.join("store").to_string_lossy().into_owned()),
+        block_bytes: 256,
+        buffer_blocks: 4,
+        load_balancers: addrs[..2].to_vec(),
+        suborams: addrs[2..].to_vec(),
+    };
+    let manifest_path = dir.join("cluster.manifest");
+    std::fs::write(&manifest_path, manifest.render()).unwrap();
+    let subs = [
+        Daemon::spawn("suboram", 0, &manifest_path, None, "suboram 0"),
+        Daemon::spawn("suboram", 1, &manifest_path, None, "suboram 1"),
+    ];
+    let lbs = [
+        Daemon::spawn("loadbalancer", 0, &manifest_path, None, "loadbalancer 0"),
+        Daemon::spawn("loadbalancer", 1, &manifest_path, None, "loadbalancer 1"),
+    ];
+    let lb_addrs = &manifest.load_balancers;
+    let deploy = proto::deployment_key(SEED);
+
+    // One served read per balancer proves its subORAM links are up, so the
+    // baseline below already counts them.
+    for (lb, addr) in lb_addrs.iter().enumerate() {
+        wait_for_stats(addr);
+        let mut client = loop {
+            match SnoopyClient::builder(VLEN).connect_tcp(addr, lb, &deploy) {
+                Ok(c) => break c,
+                Err(_) => std::thread::sleep(Duration::from_millis(50)),
+            }
+        };
+        client.read(0).expect("warm-up read");
+    }
+    // Sessions closed before this point (the warm-up clients, the stats
+    // probes) are reaped asynchronously: the baseline is the count once it
+    // has held still for five readings.
+    let mut gauges: Vec<SessionGauge> = lb_addrs.iter().map(|a| SessionGauge::open(a)).collect();
+    let baseline: Vec<f64> = gauges
+        .iter_mut()
+        .map(|g| {
+            g.poll("never settled", |seen| {
+                seen.len() >= 5 && seen.ends_with(&[seen[seen.len() - 1]; 5])
+            })
+        })
+        .collect();
+
+    // Session i lives on balancer i % 2 and owns object i: it writes, then
+    // reads back. Each phase puts every session's request in flight before
+    // collecting any response, so all of them share a handful of epochs.
+    let mut sessions: Vec<RawSession> =
+        (0..SESSIONS).map(|i| RawSession::open(&lb_addrs[i % 2], i % 2, &deploy)).collect();
+    let initial = manifest.initial_objects();
+    let value = |i: usize| {
+        let mut v = format!("session {i}").into_bytes();
+        v.resize(VLEN, 0);
+        v
+    };
+    for (i, s) in sessions.iter_mut().enumerate() {
+        s.send(Request::write(i as u64, &value(i), VLEN, 0, 1));
+    }
+    for (i, s) in sessions.iter_mut().enumerate() {
+        assert_eq!(s.recv(), initial[i].value, "session {i}: write returns the pre-write value");
+    }
+    for (i, s) in sessions.iter_mut().enumerate() {
+        s.send(Request::read(i as u64, VLEN, 0, 2));
+    }
+    for (i, s) in sessions.iter_mut().enumerate() {
+        assert_eq!(s.recv(), value(i), "session {i}: read returns its own write");
+    }
+    drop(sessions);
+
+    for (g, &before) in gauges.iter_mut().zip(&baseline) {
+        g.poll(&format!("sessions not released (baseline {before})"), |seen| {
+            seen.last() == Some(&before)
+        });
+    }
+    drop(gauges);
+    for addr in &addrs {
+        shutdown_daemon(addr).expect("shutdown");
+    }
+    for d in lbs.into_iter().chain(subs) {
+        d.wait_graceful();
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -67,15 +67,6 @@ cargo test --offline -p snoopy-net --test disk_store -- --nocapture
 echo "== multi-balancer cluster (balancer kill + cross-balancer linearizability) =="
 cargo test --offline -p snoopy-net --test multi_lb -- --nocapture
 
-# Stress suite: the open-loop load generator against a real snoopyd cluster
-# on the reactor net plane, at a CI-sized client count. The floors are
-# deliberately conservative (half the offered rate, a generous p99) so this
-# gates regressions — a wedged reactor, dropped frames, session leaks — not
-# machine speed. Full-scale runs (10k+ sessions): target/release/loadgen.
-echo "== stress (open-loop load generator, 1000 sessions, 2 balancers) =="
-./target/release/loadgen --clients 1000 --duration-secs 5 --rate 800 \
-  --balancers 2 --min-rps 400 --max-p99-ms 2000 --no-csv
-
 # Reshard suite: live elastic reconfiguration on real TCP clusters with the
 # disk tier under every partition. Grows 4→8 through the `snoopyd reshard`
 # CLI (post-reshard responses byte-compared against a fresh cluster built at

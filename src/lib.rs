@@ -12,7 +12,6 @@ pub use snoopy_crypto;
 pub use snoopy_crypto as crypto;
 pub use snoopy_enclave;
 pub use snoopy_enclave as enclave;
-pub use snoopy_hierarchical;
 pub use snoopy_lb;
 pub use snoopy_netsim;
 pub use snoopy_obladi;

@@ -5,7 +5,6 @@
 use snoopy_crypto::rng::Rng;
 use snoopy_repro::core::{Snoopy, SnoopyConfig};
 use snoopy_repro::enclave::wire::{Request, StoredObject};
-use snoopy_repro::snoopy_hierarchical::{Op as SOp, SqrtOram};
 use snoopy_repro::snoopy_obladi::{ObladiProxy, ProxyRequest};
 use snoopy_repro::snoopy_pathoram::{Op as POp, PathOram};
 use snoopy_repro::snoopy_plaintext::PlaintextStore;
@@ -59,20 +58,6 @@ fn run_ringoram(ops: &[WOp]) -> Vec<(u64, Vec<u8>)> {
             WOp::Read(id) => out.push((*id, oram.access(ROp::Read, *id, None))),
             WOp::Write(id, v) => {
                 oram.access(ROp::Write, *id, Some(v));
-            }
-        }
-    }
-    out
-}
-
-fn run_sqrtoram(ops: &[WOp]) -> Vec<(u64, Vec<u8>)> {
-    let mut oram = SqrtOram::new(N, VLEN, 3);
-    let mut out = Vec::new();
-    for op in ops {
-        match op {
-            WOp::Read(id) => out.push((*id, oram.access(SOp::Read, *id, None))),
-            WOp::Write(id, v) => {
-                oram.access(SOp::Write, *id, Some(v));
             }
         }
     }
@@ -149,7 +134,6 @@ fn all_six_systems_agree() {
     let ops = workload(42, 150);
     let expect = run_plaintext(&ops);
     assert_eq!(run_pathoram(&ops), expect, "Path ORAM diverges from plaintext");
-    assert_eq!(run_sqrtoram(&ops), expect, "sqrt ORAM diverges from plaintext");
     assert_eq!(run_ringoram(&ops), expect, "Ring ORAM diverges from plaintext");
     assert_eq!(run_obladi(&ops), expect, "Obladi diverges from plaintext");
     assert_eq!(run_snoopy(&ops), expect, "Snoopy diverges from plaintext");
