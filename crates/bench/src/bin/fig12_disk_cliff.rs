@@ -18,7 +18,7 @@ use snoopy_bench::{fmt, print_table, quick_mode, time_ms, write_csv};
 use snoopy_crypto::Key256;
 use snoopy_enclave::wire::{Request, StoredObject};
 use snoopy_store::{DiskBackend, DiskConfig};
-use snoopy_suboram::SubOram;
+use snoopy_suboram::{ObjectSlab, SubOram};
 
 const VLEN: usize = 64;
 const BATCH: u64 = 64;
@@ -59,8 +59,8 @@ fn main() {
     let mut cliff: Option<(f64, f64)> = None; // (last resident, first streaming)
     for &r in ratios {
         let n = ((buffer_objects as f64 * r) as u64).max(BATCH);
-        let backend =
-            DiskBackend::create_temp(&objects(n), VLEN, cfg, &Key256([42u8; 32])).expect("create");
+        let part = ObjectSlab::from_objects(&objects(n), VLEN);
+        let backend = DiskBackend::create_temp(part, cfg, &Key256([42u8; 32])).expect("create");
         let resident = backend.is_resident();
         let nblocks = backend.nblocks();
         let mut sub = SubOram::with_backend(Box::new(backend), VLEN, Key256([42u8; 32]), 128);

@@ -282,7 +282,9 @@ impl SubStaging {
             SubReshardCmd::Export { .. } => {
                 let mut objects = Vec::new();
                 node.oram()
-                    .stream_objects(&mut |o| objects.push(o.clone()))
+                    .stream_objects(&mut |id, value| {
+                        objects.push(StoredObject { id, value: value.to_vec() })
+                    })
                     .map_err(|e| format!("export failed: {e}"))?;
                 Ok(SubReshardReply::Objects(objects))
             }

@@ -371,6 +371,12 @@ impl LoadBalancer {
     }
 }
 
+/// The keyed hash behind [`partition_objects`]: object `id` of a layout
+/// over `s` subORAMs lives on subORAM `partition_hash(key).bin_u64(id, s)`.
+pub fn partition_hash(shared_key: &Key256) -> SipHash24 {
+    SipHash24::from_key256(&shared_key.derive(b"partition-hash"))
+}
+
 /// Partitions the initial object set across `s` subORAMs with the same keyed
 /// hash the load balancers use (Snoopy.Initialize, Fig. 23). Also validates
 /// that ids stay out of the reserved namespaces.
@@ -379,7 +385,7 @@ pub fn partition_objects(
     shared_key: &Key256,
     s: usize,
 ) -> Vec<Vec<StoredObject>> {
-    let hash = SipHash24::from_key256(&shared_key.derive(b"partition-hash"));
+    let hash = partition_hash(shared_key);
     let mut parts: Vec<Vec<StoredObject>> = (0..s).map(|_| Vec::new()).collect();
     for o in objects {
         assert!(o.id < REAL_ID_LIMIT, "object id {} in reserved namespace", o.id);

@@ -22,7 +22,7 @@ use snoopy_crypto::rng::Rng;
 use snoopy_crypto::{Key256, Prg};
 use snoopy_enclave::wire::{decode_request, encode_request, Request, StoredObject};
 use snoopy_store::{DiskConfig, StorageKind};
-use snoopy_suboram::{SnapshotError, StorageGeneration, SubOram, SubOramError};
+use snoopy_suboram::{ObjectSlab, SnapshotError, StorageGeneration, SubOram, SubOramError};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::io;
@@ -94,19 +94,22 @@ impl StorageSpec {
         }
     }
 
-    /// Builds a fresh (no checkpoint) subORAM over this tier.
+    /// Builds a fresh (no checkpoint) subORAM over this tier holding
+    /// `part`.
     pub fn fresh_suboram(
         &self,
-        objects: Vec<StoredObject>,
-        value_len: usize,
+        part: ObjectSlab,
         root_key: Key256,
         lambda: u32,
     ) -> io::Result<SubOram> {
+        let value_len = part.value_len();
         Ok(match self {
-            StorageSpec::Memory => SubOram::new_in_enclave(objects, value_len, root_key, lambda),
-            StorageSpec::External => SubOram::new_external(objects, value_len, root_key, lambda),
+            StorageSpec::Memory => SubOram::from_slab(part, root_key, lambda),
+            StorageSpec::External => {
+                SubOram::new_external(part.to_objects(), value_len, root_key, lambda)
+            }
             StorageSpec::Disk { dir, cfg } => {
-                snoopy_store::build_suboram_disk(dir, objects, value_len, *cfg, root_key, lambda)?
+                snoopy_store::build_suboram_disk_from_slab(dir, part, *cfg, root_key, lambda)?
             }
         })
     }
@@ -511,7 +514,8 @@ mod tests {
         let spec = StorageSpec::Disk { dir: store.clone(), cfg };
         let objects: Vec<StoredObject> =
             (0..64).map(|i| StoredObject::new(i, &i.to_le_bytes(), VLEN)).collect();
-        let oram = spec.fresh_suboram(objects, VLEN, Key256([9u8; 32]), 80).unwrap();
+        let part = ObjectSlab::from_objects(&objects, VLEN);
+        let oram = spec.fresh_suboram(part, Key256([9u8; 32]), 80).unwrap();
         let mut n = SubOramNode::new(oram, 1);
 
         let batch = vec![Request::write(7, &[0xAB; 4], VLEN, 0, 0)];

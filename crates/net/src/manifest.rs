@@ -26,7 +26,9 @@
 //! the build (the workspace compiles with zero network access), hence the
 //! by-hand parser.
 
+use snoopy_enclave::wire::StoredObject;
 use snoopy_store::StorageKind;
+use snoopy_suboram::ObjectSlab;
 use std::fmt;
 
 /// A parsed cluster manifest.
@@ -348,12 +350,32 @@ impl Manifest {
         }
     }
 
-    /// The deterministic initial object store every daemon regenerates:
-    /// object `i` holds `i`'s little-endian bytes, zero-padded.
-    pub fn initial_objects(&self) -> Vec<snoopy_enclave::wire::StoredObject> {
-        (0..self.num_objects)
-            .map(|i| snoopy_enclave::wire::StoredObject::new(i, &i.to_le_bytes(), self.value_len))
-            .collect()
+    /// The deterministic initial object store every daemon regenerates.
+    pub fn initial_objects(&self) -> Vec<StoredObject> {
+        (0..self.num_objects).map(|id| self.initial_object(id)).collect()
+    }
+
+    /// Initial object `id`: `id`'s little-endian bytes, zero-padded.
+    fn initial_object(&self, id: u64) -> StoredObject {
+        StoredObject::new(id, &id.to_le_bytes(), self.value_len)
+    }
+
+    /// Subset `index` of [`Manifest::initial_objects`] under a layout over
+    /// `active` subORAMs — what `partition_objects` assigns it — built
+    /// straight into a slab, so a booting daemon never holds the whole
+    /// store object by object.
+    pub fn initial_partition(
+        &self,
+        shared_key: &snoopy_crypto::Key256,
+        active: usize,
+        index: usize,
+    ) -> ObjectSlab {
+        let hash = snoopy_lb::partition_hash(shared_key);
+        let mut slab = ObjectSlab::with_capacity(0, self.value_len);
+        for id in (0..self.num_objects).filter(|&id| hash.bin_u64(id, active) == index) {
+            slab.push(id, &self.initial_object(id).value);
+        }
+        slab
     }
 }
 
@@ -380,6 +402,23 @@ epoch_ms = 5\n\
 loadbalancer = 127.0.0.1:7000\n\
 suboram = 127.0.0.1:7100\n\
 suboram = 127.0.0.1:7101\n";
+
+    #[test]
+    fn initial_partition_is_the_partitioned_initial_store() {
+        let key = snoopy_crypto::Key256([3u8; 32]);
+        for value_len in [4, 32] {
+            let mut m = Manifest::parse(GOOD).unwrap();
+            m.value_len = value_len;
+            for active in [1, 2, 3] {
+                let parts = snoopy_lb::partition_objects(m.initial_objects(), &key, active);
+                for (index, part) in parts.iter().enumerate() {
+                    let slab = m.initial_partition(&key, active, index);
+                    assert_eq!(slab, ObjectSlab::from_objects(part, value_len));
+                }
+                assert!(m.initial_partition(&key, active, active).is_empty());
+            }
+        }
+    }
 
     #[test]
     fn parses_a_full_manifest() {

@@ -28,8 +28,7 @@ use snoopy_core::reshard::{StagingBackend, SubStaging};
 use snoopy_core::transport::{run_suboram, SubEvent, SubOramNode, SubTransport};
 use snoopy_crypto::{Key256, Prg};
 use snoopy_enclave::wire::StoredObject;
-use snoopy_lb::partition_objects;
-use snoopy_suboram::SubOram;
+use snoopy_suboram::{ObjectSlab, SubOram};
 use snoopy_telemetry::events::{self, Event, EventKind};
 use snoopy_telemetry::{merge, metrics, trace, Public};
 use std::io;
@@ -156,11 +155,8 @@ pub fn run(
             // smaller than the provisioned address list (warm spares hold an
             // empty partition until a reshard grows into them).
             let active = manifest.initial_active();
-            let mut parts = partition_objects(manifest.initial_objects(), &shared_key, active);
-            parts.resize_with(manifest.suborams.len(), Vec::new);
-            let part = parts.into_iter().nth(index).unwrap();
-            let oram =
-                spec.fresh_suboram(part, manifest.value_len, oram_key.clone(), manifest.lambda)?;
+            let part = manifest.initial_partition(&shared_key, active, index);
+            let oram = spec.fresh_suboram(part, oram_key.clone(), manifest.lambda)?;
             let mut node = SubOramNode::new(oram, num_lbs);
             node.set_layout(0, active);
             node
@@ -266,7 +262,9 @@ impl StagingBackend for DaemonStaging {
             }
             other => other.clone(),
         };
-        spec.fresh_suboram(objects, self.value_len, key, self.lambda).map_err(|e| e.to_string())
+        let part = ObjectSlab::from_objects(&objects, self.value_len);
+        drop(objects);
+        spec.fresh_suboram(part, key, self.lambda).map_err(|e| e.to_string())
     }
 
     fn persist(&mut self, node: &SubOramNode) -> Result<(), String> {

@@ -220,21 +220,20 @@ impl<T: Cmov, const N: usize> Cmov for [T; N] {
     }
 }
 
-/// `Vec<u8>` payloads of *equal, public* length (object size is public in
+/// Byte strings of *equal, public* length (object size is public in
 /// Snoopy). Panics if the lengths differ, because differing lengths would
 /// themselves be a leak the caller must rule out.
 ///
 /// The masked move runs at word granularity — the scalar counterpart of the
-/// paper's AVX-512 masked moves (§7) — since this operation sits on the
-/// subORAM scan's innermost loop.
-impl Cmov for Vec<u8> {
+/// paper's AVX-512 masked moves (§7).
+impl Cmov for [u8] {
     fn cmov(&mut self, src: &Self, cond: Choice) {
-        assert_eq!(self.len(), src.len(), "Cmov on Vec<u8> requires equal (public) lengths");
+        assert_eq!(self.len(), src.len(), "Cmov on byte strings requires equal (public) lengths");
         let mask = cond.mask();
         let mut d_words = self.chunks_exact_mut(8);
         let mut s_words = src.chunks_exact(8);
         for (d, s) in (&mut d_words).zip(&mut s_words) {
-            let dw = u64::from_le_bytes(d.try_into().unwrap());
+            let dw = u64::from_le_bytes((&*d).try_into().unwrap());
             let sw = u64::from_le_bytes(s.try_into().unwrap());
             d.copy_from_slice(&(dw ^ (mask & (dw ^ sw))).to_le_bytes());
         }
@@ -245,13 +244,17 @@ impl Cmov for Vec<u8> {
     }
 
     fn cswap(&mut self, other: &mut Self, cond: Choice) {
-        assert_eq!(self.len(), other.len(), "cswap on Vec<u8> requires equal (public) lengths");
+        assert_eq!(
+            self.len(),
+            other.len(),
+            "cswap on byte strings requires equal (public) lengths"
+        );
         let mask = cond.mask();
         let mut a_words = self.chunks_exact_mut(8);
         let mut b_words = other.chunks_exact_mut(8);
         for (a, b) in (&mut a_words).zip(&mut b_words) {
-            let aw = u64::from_le_bytes(a.try_into().unwrap());
-            let bw = u64::from_le_bytes(b.try_into().unwrap());
+            let aw = u64::from_le_bytes((&*a).try_into().unwrap());
+            let bw = u64::from_le_bytes((&*b).try_into().unwrap());
             let diff = mask & (aw ^ bw);
             a.copy_from_slice(&(aw ^ diff).to_le_bytes());
             b.copy_from_slice(&(bw ^ diff).to_le_bytes());
@@ -262,6 +265,19 @@ impl Cmov for Vec<u8> {
             *a ^= diff;
             *b ^= diff;
         }
+    }
+}
+
+/// `Vec<u8>` payloads: the byte-string move over the whole vector.
+impl Cmov for Vec<u8> {
+    #[inline]
+    fn cmov(&mut self, src: &Self, cond: Choice) {
+        self.as_mut_slice().cmov(src, cond);
+    }
+
+    #[inline]
+    fn cswap(&mut self, other: &mut Self, cond: Choice) {
+        self.as_mut_slice().cswap(other, cond);
     }
 }
 

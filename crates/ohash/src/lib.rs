@@ -24,6 +24,22 @@
 //! single-tier table is real but smaller than the paper's quoted ~10×; the
 //! structure and obliviousness are faithful. [`single::SingleTierTable`]
 //! exists as the ablation baseline.
+//!
+//! **The lookup kernel.** Once built, the table stores its slots' values as
+//! one contiguous slab (stride `value_len`, bucket order) beside a compact
+//! array of what a lookup reads of each slot: the id and the "permitted" /
+//! "permitted write" masks. [`OHashTable::access`] is the subORAM's
+//! whole per-object step (Fig. 7 ➋): for each slot of both candidate buckets
+//! it forms `rd = hit ∧ permitted` and `wr = rd ∧ is_write` and makes one
+//! masked pass `d = o ^ s; o ^= wr & d; s ^= rd & d` over the object's value
+//! `o` and the slot's value `s`. Both updates read the same old bytes, so a
+//! permitted write swaps payload and object (the response gets the
+//! pre-write value) and a permitted read copies the object into the slot;
+//! ids are distinct, so at most one slot hits per object and the object is
+//! still at its start-of-batch value when it does. Every slot's bytes are
+//! read and rewritten whatever the masks, and `access` records the same two
+//! bucket touches a bucket-pair lookup always did, so the memory trace is
+//! that of the per-slot `Vec` kernel it replaced.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

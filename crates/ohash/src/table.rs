@@ -25,7 +25,7 @@ use crate::params::TableParams;
 use snoopy_crypto::{Key256, SipHash24};
 use snoopy_enclave::wire::{Request, FILLER_BASE};
 use snoopy_obliv::compact::ocompact;
-use snoopy_obliv::ct::{ct_eq_u64, ct_lt_u64, Choice, Cmov};
+use snoopy_obliv::ct::{ct_bytes_eq, ct_eq_u64, ct_lt_u64, Choice, Cmov};
 use snoopy_obliv::impl_cmov_struct;
 use snoopy_obliv::sort::{osort, osort_by};
 use snoopy_obliv::trace::{self, TraceEvent};
@@ -55,22 +55,39 @@ impl std::error::Error for OHashError {}
 
 /// One table slot: a request plus oblivious bookkeeping.
 #[derive(Clone, Debug)]
-pub struct Slot {
+struct Slot {
     /// Sort key (layout-internal, secret value).
     key: u64,
     /// 1 if this slot holds a batch entry, 0 for construction fillers
     /// (secret value).
     real_flag: u64,
-    /// The payload request.
-    pub req: Request,
+    /// The request. Once construction ends its value lives in the table's
+    /// slab and `req.value` is empty.
+    req: Request,
 }
 
 impl_cmov_struct!(Slot { key, real_flag, req });
 
 impl Slot {
     /// Secret predicate: does this slot hold a batch entry?
-    pub fn is_real(&self) -> Choice {
+    fn is_real(&self) -> Choice {
         ct_eq_u64(self.real_flag, 1)
+    }
+}
+
+/// What a lookup reads of a slot's request, laid out for the scan: the id,
+/// and the masks "permitted" and "permitted write" (secret values).
+#[derive(Clone, Copy, Debug)]
+struct Probe {
+    id: u64,
+    read: Choice,
+    write: Choice,
+}
+
+impl Probe {
+    fn of(req: &Request) -> Probe {
+        let read = req.is_permitted();
+        Probe { id: req.id, read, write: read.and(req.is_write()) }
     }
 }
 
@@ -84,6 +101,12 @@ pub struct OHashTable {
     h2: SipHash24,
     /// `m1·z1` tier-1 slots followed by `m2·z2` tier-2 slots.
     slots: Vec<Slot>,
+    /// `probes[i]` is what a lookup reads of slot `i`'s request.
+    probes: Vec<Probe>,
+    /// The slots' values as one slab: slot `i` owns
+    /// `values[i * value_len..(i + 1) * value_len]`.
+    values: Vec<u8>,
+    value_len: usize,
 }
 
 impl std::fmt::Debug for OHashTable {
@@ -208,7 +231,12 @@ impl OHashTable {
 
         let mut all = tier1;
         all.extend(slots);
-        Ok(OHashTable { params, h1, h2, slots: all })
+        let probes = all.iter().map(|s| Probe::of(&s.req)).collect();
+        let mut values = Vec::with_capacity(all.len() * value_len);
+        for s in &mut all {
+            values.extend_from_slice(&std::mem::take(&mut s.req.value));
+        }
+        Ok(OHashTable { params, h1, h2, slots: all, probes, values, value_len })
     }
 
     /// The derived parameters.
@@ -216,19 +244,38 @@ impl OHashTable {
         &self.params
     }
 
-    /// The two buckets `id` can live in (tier-1 and tier-2), as mutable
-    /// slices. Callers must scan *both buckets fully* and look each id up at
-    /// most once per table (§5).
-    pub fn bucket_pair_mut(&mut self, id: u64) -> (&mut [Slot], &mut [Slot]) {
-        let b1 = self.h1.bin_u64(id, self.params.m1);
-        let b2 = self.h2.bin_u64(id, self.params.m2);
+    /// One stored object's pass over the table (Fig. 7 step ➋): scans the
+    /// tier-1 and tier-2 buckets `id` can live in, in full. For every slot
+    /// it computes `rd = hit ∧ permitted` and `wr = rd ∧ is_write` and makes
+    /// one masked word pass over the object's `value` and the slot's value:
+    /// a permitted write moves its payload into the object, and every
+    /// permitted hit receives the object's value as of before this call
+    /// (both updates read the same old words). Denied and missed slots are
+    /// rewritten with their own bytes, so every call touches the same memory.
+    ///
+    /// Callers must look each id up at most once per table (§5).
+    pub fn access(&mut self, id: u64, value: &mut [u8]) {
+        assert_eq!(value.len(), self.value_len, "object size is public and fixed");
+        let TableParams { m1, z1, m2, z2, .. } = self.params;
+        let b1 = self.h1.bin_u64(id, m1);
+        let b2 = self.h2.bin_u64(id, m2);
         trace::record(TraceEvent::Touch { region: 0x4f, index: b1 });
-        trace::record(TraceEvent::Touch { region: 0x4f, index: self.params.m1 + b2 });
-        let t1_len = self.params.m1 * self.params.z1;
-        let (t1, t2) = self.slots.split_at_mut(t1_len);
-        let z1 = self.params.z1;
-        let z2 = self.params.z2;
-        (&mut t1[b1 * z1..(b1 + 1) * z1], &mut t2[b2 * z2..(b2 + 1) * z2])
+        trace::record(TraceEvent::Touch { region: 0x4f, index: m1 + b2 });
+        let t2 = m1 * z1 + b2 * z2;
+        self.probe_bucket(b1 * z1..(b1 + 1) * z1, id, value);
+        self.probe_bucket(t2..t2 + z2, id, value);
+    }
+
+    fn probe_bucket(&mut self, bucket: std::ops::Range<usize>, id: u64, value: &mut [u8]) {
+        let vl = self.value_len;
+        let values = &mut self.values[bucket.start * vl..bucket.end * vl];
+        for (i, probe) in self.probes[bucket].iter().enumerate() {
+            // The barrier hides that `hit` is all-zeros or all-ones, which
+            // would let the compiler turn the masking into a branch on it.
+            let hit = std::hint::black_box(ct_eq_u64(probe.id, id));
+            let (rd, wr) = (hit.and(probe.read), hit.and(probe.write));
+            masked_exchange(value, &mut values[i * vl..(i + 1) * vl], wr, rd);
+        }
     }
 
     /// Tears the table down, obliviously extracting exactly the `n` batch
@@ -237,7 +284,11 @@ impl OHashTable {
     /// (order-preserving compaction over the whole table).
     pub fn into_batch_requests(self) -> Vec<Request> {
         let n = self.params.n;
+        let vl = self.value_len;
         let mut slots = self.slots;
+        for (i, s) in slots.iter_mut().enumerate() {
+            s.req.value = self.values[i * vl..(i + 1) * vl].to_vec();
+        }
         let mut keep: Vec<Choice> = slots.iter().map(|s| s.is_real()).collect();
         ocompact(&mut slots, &mut keep);
         slots.truncate(n);
@@ -252,13 +303,14 @@ impl OHashTable {
     /// entry is matched by at most one stored object globally, so at most one
     /// copy changes any given slot.
     pub fn merge_changed_from(&mut self, baseline: &OHashTable, other: &OHashTable) {
-        assert_eq!(self.slots.len(), other.slots.len(), "tables must be congruent");
-        assert_eq!(self.slots.len(), baseline.slots.len(), "baseline must be congruent");
-        for ((mine, base), theirs) in
-            self.slots.iter_mut().zip(baseline.slots.iter()).zip(other.slots.iter())
-        {
-            let changed = snoopy_obliv::ct::ct_bytes_eq(&base.req.value, &theirs.req.value).not();
-            mine.req.value.cmov(&theirs.req.value, changed);
+        assert_eq!(self.values.len(), other.values.len(), "tables must be congruent");
+        assert_eq!(self.values.len(), baseline.values.len(), "baseline must be congruent");
+        let vl = self.value_len;
+        for i in 0..self.slots.len() {
+            let span = i * vl..(i + 1) * vl;
+            let theirs = &other.values[span.clone()];
+            let changed = ct_bytes_eq(&baseline.values[span.clone()], theirs).not();
+            self.values[span].cmov(theirs, changed);
         }
     }
 
@@ -270,6 +322,34 @@ impl OHashTable {
     /// Whether the table is empty (never true for a constructed table).
     pub fn is_empty(&self) -> bool {
         self.slots.is_empty()
+    }
+}
+
+/// The per-slot step of [`OHashTable::access`] on object bytes `o` and slot
+/// bytes `s`: with `d = o ^ s`, `o ^= wr & d` and `s ^= rd & d`, in one pass.
+/// Both updates use the same old bytes, so a write hit swaps the two values
+/// and a read hit copies the object into the slot. The pass runs over
+/// 32-byte blocks the compiler turns into 16-byte vector words (SSE2, the
+/// x86-64 baseline), then a byte tail: the scalar form of the paper's masked
+/// moves (§7).
+#[inline(always)]
+fn masked_exchange(o: &mut [u8], s: &mut [u8], wr: Choice, rd: Choice) {
+    let (wr, rd) = (wr.mask() as u8, rd.mask() as u8);
+    let mut o_blocks = o.chunks_exact_mut(32);
+    let mut s_blocks = s.chunks_exact_mut(32);
+    for (x, y) in (&mut o_blocks).zip(&mut s_blocks) {
+        let x: &mut [u8; 32] = x.try_into().unwrap();
+        let y: &mut [u8; 32] = y.try_into().unwrap();
+        for k in 0..32 {
+            let d = x[k] ^ y[k];
+            x[k] ^= wr & d;
+            y[k] ^= rd & d;
+        }
+    }
+    for (x, y) in o_blocks.into_remainder().iter_mut().zip(s_blocks.into_remainder()) {
+        let d = *x ^ *y;
+        *x ^= wr & d;
+        *y ^= rd & d;
     }
 }
 
@@ -333,24 +413,37 @@ mod tests {
         let ids: Vec<u64> = (0..1000u64).map(|i| i * 13 + 1).collect();
         let mut table = OHashTable::construct(batch_of(&ids), &key(), 128).unwrap();
         for &id in &ids {
-            let (b1, b2) = table.bucket_pair_mut(id);
-            let found = b1.iter().chain(b2.iter()).filter(|s| s.req.id == id).count();
-            assert_eq!(found, 1, "id {id} must appear exactly once across its buckets");
+            assert_eq!(copies(&table, id), 1, "id {id} must appear exactly once in its buckets");
+            assert!(write_found(&mut table, id), "id {id} must be found in its buckets");
         }
+    }
+
+    /// How many slots of `id`'s tier-1 and tier-2 buckets hold `id`.
+    fn copies(table: &OHashTable, id: u64) -> usize {
+        let TableParams { m1, z1, m2, z2, .. } = table.params;
+        let b1 = table.h1.bin_u64(id, m1);
+        let t2 = m1 * z1 + table.h2.bin_u64(id, m2) * z2;
+        let buckets = table.probes[b1 * z1..(b1 + 1) * z1].iter().chain(&table.probes[t2..t2 + z2]);
+        buckets.filter(|p| p.id == id).count()
+    }
+
+    /// Looks `id` up once; every batch entry here is a write whose payload
+    /// starts with its id, so the object receives it only on a hit.
+    fn write_found(table: &mut OHashTable, id: u64) -> bool {
+        let mut v = [0u8; VLEN];
+        table.access(id, &mut v);
+        v[..8] == id.to_le_bytes()
     }
 
     #[test]
     fn lookups_can_mutate_entries() {
         let ids = [10u64, 20, 30];
         let mut table = OHashTable::construct(batch_of(&ids), &key(), 128).unwrap();
-        {
-            let (b1, b2) = table.bucket_pair_mut(20);
-            for s in b1.iter_mut().chain(b2.iter_mut()) {
-                let hit = ct_eq_u64(s.req.id, 20);
-                let payload = vec![0xEEu8; VLEN];
-                s.req.value.cmov(&payload, hit);
-            }
-        }
+        // A write hit hands the object its payload and takes the object's
+        // old value as the response.
+        let mut object = [0xEEu8; VLEN];
+        table.access(20, &mut object);
+        assert_eq!(&object[..8], &20u64.to_le_bytes());
         let out = table.into_batch_requests();
         let r = out.iter().find(|r| r.id == 20).unwrap();
         assert_eq!(r.value, vec![0xEEu8; VLEN]);
@@ -370,9 +463,8 @@ mod tests {
             let ids: Vec<u64> = (0..n).map(|i| i + 100).collect();
             let mut table = OHashTable::construct(batch_of(&ids), &key(), 128).unwrap();
             for &id in &ids {
-                let (b1, b2) = table.bucket_pair_mut(id);
-                let found = b1.iter().chain(b2.iter()).filter(|s| s.req.id == id).count();
-                assert_eq!(found, 1, "n={n} id={id}");
+                assert_eq!(copies(&table, id), 1, "n={n} id={id}");
+                assert!(write_found(&mut table, id), "n={n} id={id}");
             }
         }
     }
@@ -391,7 +483,6 @@ mod tests {
     #[test]
     fn construction_trace_independent_of_ids() {
         // Same n, same keys, different batch contents ⇒ identical traces.
-        use snoopy_obliv::trace;
         let ids_a: Vec<u64> = (0..200).collect();
         let ids_b: Vec<u64> = (5000..5200).collect();
         let (ra, ta) = trace::capture(|| OHashTable::construct(batch_of(&ids_a), &key(), 128));
@@ -409,11 +500,10 @@ mod tests {
         // Bucket index sequences must differ for at least one id (keys fresh
         // per batch unlink bucket occupancy across batches).
         let differs = (0..64u64).any(|id| {
-            let a = t1.bucket_pair_mut(id).0.as_ptr() as usize;
-            let b = t2.bucket_pair_mut(id).0.as_ptr() as usize;
-            let base_a = t1.slots.as_ptr() as usize;
-            let base_b = t2.slots.as_ptr() as usize;
-            (a - base_a) != (b - base_b)
+            let mut v = [0u8; VLEN];
+            let ((), a) = trace::capture(|| t1.access(id, &mut v));
+            let ((), b) = trace::capture(|| t2.access(id, &mut v));
+            a != b
         });
         assert!(differs);
     }
@@ -440,13 +530,7 @@ mod merge_tests {
         let base = OHashTable::construct(batch, &key, 128).unwrap();
         let mut merged = base.clone();
         let mut changed = base.clone();
-        {
-            let (b1, b2) = changed.bucket_pair_mut(3);
-            for s in b1.iter_mut().chain(b2.iter_mut()) {
-                let hit = ct_eq_u64(s.req.id, 3);
-                s.req.value.cmov(&vec![0x77; 8], hit);
-            }
-        }
+        changed.access(3, &mut [0x77; 8]);
         let untouched = base.clone();
         merged.merge_changed_from(&base, &changed);
         merged.merge_changed_from(&base, &untouched); // must NOT revert
@@ -461,19 +545,122 @@ mod merge_tests {
         let base = OHashTable::construct(batch, &key, 128).unwrap();
         let mut a = base.clone();
         let mut b = base.clone();
-        // Mutate id 5's slot in b only.
-        {
-            let (b1, b2) = b.bucket_pair_mut(5);
-            for s in b1.iter_mut().chain(b2.iter_mut()) {
-                let hit = ct_eq_u64(s.req.id, 5);
-                s.req.value.cmov(&vec![0xEE; 8], hit);
-            }
-        }
+        // Mutate id 5's slot in b only: a read hit takes the object's value.
+        b.access(5, &mut [0xEE; 8]);
         a.merge_changed_from(&base, &b);
         let out = a.into_batch_requests();
         let r5 = out.iter().find(|r| r.id == 5).unwrap();
         assert_eq!(r5.value, vec![0xEE; 8]);
         let r6 = out.iter().find(|r| r.id == 6).unwrap();
         assert_eq!(r6.value, vec![0u8; 8]);
+    }
+}
+
+#[cfg(test)]
+mod access_oracle {
+    //! [`OHashTable::access`] against the per-slot kernel it replaced: one
+    //! `Request` per slot holding its own value, a clone of the object's
+    //! value per slot, and two separate `Vec<u8>` compare-and-sets.
+
+    use super::*;
+    use proptest::prelude::*;
+    use snoopy_enclave::wire::{StoredObject, LB_DUMMY_BASE, REAL_ID_LIMIT};
+
+    /// The replaced kernel, over slots that carry their values inline.
+    fn reference_step(table: &OHashTable, slots: &mut [Request], obj: &mut StoredObject) {
+        let p = table.params;
+        let b1 = table.h1.bin_u64(obj.id, p.m1);
+        let b2 = table.h2.bin_u64(obj.id, p.m2);
+        let (t1, t2) = slots.split_at_mut(p.m1 * p.z1);
+        let bucket1 = &mut t1[b1 * p.z1..(b1 + 1) * p.z1];
+        let bucket2 = &mut t2[b2 * p.z2..(b2 + 1) * p.z2];
+        for req in bucket1.iter_mut().chain(bucket2.iter_mut()) {
+            let hit = ct_eq_u64(req.id, obj.id);
+            let old = obj.value.clone();
+            obj.value.cmov(&req.value, hit.and(req.is_write()).and(req.is_permitted()));
+            req.value.cmov(&old, hit.and(req.is_permitted()));
+        }
+    }
+
+    /// SplitMix64: the case's batch and partition from one seed.
+    fn next(x: &mut u64) -> u64 {
+        *x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *x;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    fn bytes(x: &mut u64, len: usize) -> Vec<u8> {
+        (0..len).map(|_| next(x) as u8).collect()
+    }
+
+    proptest! {
+        #[test]
+        fn access_matches_reference_kernel(
+            seed in any::<u64>(),
+            value_len in prop::sample::select(vec![1usize, 7, 8, 13, 160]),
+            objects in 1u64..300,
+            batch_len in 1usize..120,
+        ) {
+            let mut x = seed;
+            let mut partition: Vec<StoredObject> =
+                (0..objects).map(|id| StoredObject { id, value: bytes(&mut x, value_len) }).collect();
+            // Distinct ids: stored objects, ids absent from the partition,
+            // and load-balancer dummies; random kinds, payloads and permits.
+            let mut ids: Vec<u64> = Vec::new();
+            while ids.len() < batch_len {
+                let id = match next(&mut x) % 3 {
+                    0 => next(&mut x) % objects,
+                    1 => objects + next(&mut x) % (REAL_ID_LIMIT - objects),
+                    _ => LB_DUMMY_BASE + next(&mut x) % 1000,
+                };
+                if !ids.contains(&id) {
+                    ids.push(id);
+                }
+            }
+            let batch: Vec<Request> = ids
+                .iter()
+                .enumerate()
+                .map(|(i, &id)| Request {
+                    id,
+                    kind: next(&mut x) % 2,
+                    value: bytes(&mut x, value_len),
+                    client: i as u64,
+                    seq: next(&mut x),
+                    permit: u64::from(!next(&mut x).is_multiple_of(4)),
+                })
+                .collect();
+            let key = Key256(seed.to_le_bytes().repeat(4).try_into().unwrap());
+            let mut table = OHashTable::construct(batch, &key, 128).unwrap();
+
+            let mut ref_slots: Vec<Request> = table.slots.iter().enumerate().map(|(i, s)| {
+                let mut req = s.req.clone();
+                req.value = table.values[i * value_len..(i + 1) * value_len].to_vec();
+                req
+            }).collect();
+            let mut ref_partition = partition.clone();
+            for obj in &mut ref_partition {
+                reference_step(&table, &mut ref_slots, obj);
+            }
+            for obj in &mut partition {
+                table.access(obj.id, &mut obj.value);
+            }
+
+            prop_assert_eq!(&partition, &ref_partition);
+            let ref_values: Vec<u8> = ref_slots.iter().flat_map(|r| r.value.clone()).collect();
+            prop_assert_eq!(&table.values, &ref_values);
+            let mut want: Vec<Request> = table
+                .slots
+                .iter()
+                .zip(ref_slots)
+                .filter(|(s, _)| s.is_real().declassify())
+                .map(|(_, r)| r)
+                .collect();
+            let mut got = table.into_batch_requests();
+            want.sort_by_key(|r| r.id);
+            got.sort_by_key(|r| r.id);
+            prop_assert_eq!(got, want);
+        }
     }
 }

@@ -20,7 +20,7 @@
 //! checkpoint stores the committed generation's root digest
 //! ([`snoopy_suboram::StorageGeneration`]), which gives whole-store rollback
 //! protection across restarts. Partitions that *do* fit the buffer run
-//! resident (plaintext objects in enclave memory, sealed only at commit) —
+//! resident (a plaintext slab in enclave memory, sealed only at commit) —
 //! crossing that boundary is the paper's Fig. 12 paging cliff, reproduced
 //! here with real I/O.
 //!
@@ -44,7 +44,7 @@ use snoopy_crypto::{Key256, Prg};
 use snoopy_enclave::external::IntegrityError;
 use snoopy_enclave::wire::{StoredObject, REAL_ID_LIMIT};
 use snoopy_suboram::{
-    decode_object, encode_object, SnapshotError, StorageBackend, StorageGeneration, SubOram,
+    visit_records, ObjectSlab, SnapshotError, StorageBackend, StorageGeneration, SubOram,
     SubOramError,
 };
 use snoopy_telemetry::events::{self, Event, EventKind};
@@ -194,9 +194,9 @@ pub struct DiskBackend {
     generation: u64,
     /// In-enclave per-block digests of the active sealed state.
     digests: Vec<[u8; 32]>,
-    /// Resident mode: the whole partition as plaintext objects in enclave
+    /// Resident mode: the whole partition as a plaintext slab in enclave
     /// memory (only when it fits the buffer budget); sealed at commit.
-    resident: Option<Vec<StoredObject>>,
+    resident: Option<ObjectSlab>,
     active_path: PathBuf,
     active_is_tmp: bool,
     /// Handle to the last scan's pending segment, kept for the commit fsync.
@@ -208,27 +208,28 @@ pub struct DiskBackend {
 }
 
 impl DiskBackend {
-    /// Seals `objects` into a fresh generation-0 segment under `dir`
-    /// (created if missing; stale segments from earlier runs are removed).
+    /// Seals `part` into a fresh generation-0 segment under `dir` (created
+    /// if missing; stale segments from earlier runs are removed). When the
+    /// partition fits the buffer, `part` itself becomes the resident cache.
     pub fn create(
         dir: &Path,
-        objects: &[StoredObject],
-        value_len: usize,
+        part: ObjectSlab,
         cfg: DiskConfig,
         root_key: &Key256,
     ) -> io::Result<DiskBackend> {
         fs::create_dir_all(dir)?;
         clear_segments(dir)?;
-        let mut b = DiskBackend::empty(dir.to_path_buf(), objects.len(), value_len, cfg, root_key);
+        let (count, value_len) = (part.len(), part.value_len());
+        let mut b = DiskBackend::empty(dir.to_path_buf(), count, value_len, cfg, root_key);
         b.seq = b.prg.gen();
-        let blocks = b.seal_objects(objects, b.seq);
+        let blocks = b.seal_records(b.seq, |i| part.get(i));
         b.digests = blocks.iter().map(|s| b.block_digest(s)).collect();
         let path = b.gen_path(0);
         b.write_segment(&path, b.seq, &blocks)?;
         fsync_dir(&b.dir)?;
         b.active_path = path;
         if b.nblocks() <= b.buffer_blocks {
-            b.resident = Some(objects.to_vec());
+            b.resident = Some(part);
         }
         Ok(b)
     }
@@ -237,13 +238,12 @@ impl DiskBackend {
     /// that is removed when the backend drops — for in-process clusters and
     /// the reference engine.
     pub fn create_temp(
-        objects: &[StoredObject],
-        value_len: usize,
+        part: ObjectSlab,
         cfg: DiskConfig,
         root_key: &Key256,
     ) -> io::Result<DiskBackend> {
         let temp = TempDir::new("snoopy-store")?;
-        let mut b = DiskBackend::create(temp.path(), objects, value_len, cfg, root_key)?;
+        let mut b = DiskBackend::create(temp.path(), part, cfg, root_key)?;
         b.temp = Some(temp);
         Ok(b)
     }
@@ -283,16 +283,18 @@ impl DiskBackend {
         let sealed_len = b.sealed_len();
         let mut sealed = vec![0u8; sealed_len];
         let mut resident =
-            if b.nblocks() <= b.buffer_blocks { Some(Vec::with_capacity(count)) } else { None };
+            (b.nblocks() <= b.buffer_blocks).then(|| ObjectSlab::with_capacity(count, value_len));
         for i in 0..b.nblocks() {
             f.read_exact(&mut sealed)?;
             let sb = SealedBox { bytes: sealed.clone() };
             b.digests.push(b.block_digest(&sb));
-            if let Some(objs) = resident.as_mut() {
-                let plain = b
+            if let Some(slab) = resident.as_mut() {
+                let mut plain = b
                     .open_block(&sb, i, seq)
                     .map_err(|e| bad_data(&format!("segment block: {e}")))?;
-                b.decode_block(&plain, i, &mut |o| objs.push(o.clone()));
+                visit_records(&mut plain, b.objs_in_block(i), value_len, &mut |id, value| {
+                    slab.push(id, value)
+                });
             }
         }
         if b.root_digest() != expected.digest {
@@ -432,21 +434,21 @@ impl DiskBackend {
         self.count.saturating_sub(start).min(self.objs_per_block)
     }
 
-    fn decode_block(&self, plain: &[u8], index: usize, visit: &mut dyn FnMut(&StoredObject)) {
-        let obj_len = 8 + self.value_len;
-        for j in 0..self.objs_in_block(index) {
-            visit(&decode_object(&plain[j * obj_len..(j + 1) * obj_len], self.value_len));
-        }
-    }
-
-    fn seal_objects(&self, objects: &[StoredObject], seq: u64) -> Vec<SealedBox> {
+    /// Seals the partition whose object `i` is `record(i)` as `(id, value)`.
+    fn seal_records<'a>(
+        &self,
+        seq: u64,
+        record: impl Fn(usize) -> (u64, &'a [u8]),
+    ) -> Vec<SealedBox> {
         let obj_len = 8 + self.value_len;
         let mut blocks = Vec::with_capacity(self.nblocks());
         for i in 0..self.nblocks() {
             let mut plain = vec![0u8; self.plain_len()];
             for j in 0..self.objs_in_block(i) {
-                let o = &objects[i * self.objs_per_block + j];
-                plain[j * obj_len..(j + 1) * obj_len].copy_from_slice(&encode_object(o));
+                let (id, value) = record(i * self.objs_per_block + j);
+                let record = &mut plain[j * obj_len..(j + 1) * obj_len];
+                record[..8].copy_from_slice(&id.to_le_bytes());
+                record[8..].copy_from_slice(value);
             }
             blocks.push(self.seal_block(&plain, i, seq));
         }
@@ -469,7 +471,7 @@ impl DiskBackend {
     /// and the active state is untouched.
     fn scan_streaming(
         &mut self,
-        visit: &mut dyn FnMut(&mut StoredObject),
+        visit: &mut dyn FnMut(u64, &mut [u8]),
     ) -> Result<(), SubOramError> {
         let new_seq: u64 = self.prg.gen();
         let tmp_path = self.dir.join(format!("scan-{new_seq:016x}.tmp"));
@@ -482,13 +484,12 @@ impl DiskBackend {
 
     fn scan_streaming_inner(
         &mut self,
-        visit: &mut dyn FnMut(&mut StoredObject),
+        visit: &mut dyn FnMut(u64, &mut [u8]),
         new_seq: u64,
         tmp_path: &Path,
     ) -> Result<(), SubOramError> {
         let sealed_len = self.sealed_len();
         let nblocks = self.nblocks();
-        let obj_len = 8 + self.value_len;
         // Split the block budget between read-ahead and write-behind.
         let read_chunk = (self.buffer_blocks / 2).max(1);
         let write_cap = (self.buffer_blocks - read_chunk).max(1);
@@ -528,12 +529,7 @@ impl DiskBackend {
                 }
                 let mut plain =
                     self.open_block(&sealed, index, self.seq).map_err(SubOramError::Integrity)?;
-                for s in 0..self.objs_in_block(index) {
-                    let span = s * obj_len..(s + 1) * obj_len;
-                    let mut obj = decode_object(&plain[span.clone()], self.value_len);
-                    visit(&mut obj);
-                    plain[span].copy_from_slice(&encode_object(&obj));
-                }
+                visit_records(&mut plain, self.objs_in_block(index), self.value_len, visit);
                 let resealed = self.seal_block(&plain, index, new_seq);
                 new_digests.push(self.block_digest(&resealed));
                 write_buf.extend_from_slice(&resealed.bytes);
@@ -626,13 +622,10 @@ impl StorageBackend for DiskBackend {
         self.count
     }
 
-    fn scan(&mut self, visit: &mut dyn FnMut(&mut StoredObject)) -> Result<(), SubOramError> {
+    fn scan(&mut self, visit: &mut dyn FnMut(u64, &mut [u8])) -> Result<(), SubOramError> {
         let started = std::time::Instant::now();
-        if let Some(mut objs) = self.resident.take() {
-            for obj in objs.iter_mut() {
-                visit(obj);
-            }
-            self.resident = Some(objs);
+        if let Some(slab) = self.resident.as_mut() {
+            slab.scan(visit);
             self.dirty = true;
         } else {
             self.scan_streaming(visit)?;
@@ -641,11 +634,9 @@ impl StorageBackend for DiskBackend {
         Ok(())
     }
 
-    fn for_each(&self, visit: &mut dyn FnMut(&StoredObject)) -> Result<(), SubOramError> {
-        if let Some(objs) = self.resident.as_ref() {
-            for obj in objs {
-                visit(obj);
-            }
+    fn for_each(&self, visit: &mut dyn FnMut(u64, &[u8])) -> Result<(), SubOramError> {
+        if let Some(slab) = self.resident.as_ref() {
+            slab.for_each(visit);
             return Ok(());
         }
         let sealed_len = self.sealed_len();
@@ -658,8 +649,10 @@ impl StorageBackend for DiskBackend {
             if self.block_digest(&sb) != self.digests[i] {
                 return Err(IntegrityError::Corrupted { index: i }.into());
             }
-            let plain = self.open_block(&sb, i, self.seq).map_err(SubOramError::Integrity)?;
-            self.decode_block(&plain, i, visit);
+            let mut plain = self.open_block(&sb, i, self.seq).map_err(SubOramError::Integrity)?;
+            visit_records(&mut plain, self.objs_in_block(i), self.value_len, &mut |id, value| {
+                visit(id, value)
+            });
         }
         Ok(())
     }
@@ -687,9 +680,8 @@ impl StorageBackend for DiskBackend {
         if self.resident.is_some() {
             // Resident partitions are sealed wholesale at commit time.
             let seq: u64 = self.prg.gen();
-            let objs = self.resident.take().expect("resident");
-            let blocks = self.seal_objects(&objs, seq);
-            self.resident = Some(objs);
+            let slab = self.resident.as_ref().expect("resident");
+            let blocks = self.seal_records(seq, |i| slab.get(i));
             self.digests = blocks.iter().map(|s| self.block_digest(s)).collect();
             let tmp = self.dir.join(format!("scan-{seq:016x}.tmp"));
             self.write_segment(&tmp, seq, &blocks)?;
@@ -791,26 +783,16 @@ pub fn build_suboram(
         StorageKind::Memory => SubOram::new_in_enclave(objects, value_len, root_key, lambda),
         StorageKind::External => SubOram::new_external(objects, value_len, root_key, lambda),
         StorageKind::Disk => {
-            for o in &objects {
-                assert!(o.id < REAL_ID_LIMIT, "object id {} in reserved namespace", o.id);
-                assert_eq!(o.value.len(), value_len, "object sizes are public and fixed");
-            }
+            let part = slab_of(objects, value_len);
             let cfg = DiskConfig { block_bytes: 1024, buffer_blocks: 8 };
-            let backend = DiskBackend::create_temp(
-                &objects,
-                value_len,
-                cfg,
-                &root_key.derive(b"suboram-disk"),
-            )
-            .expect("disk store setup");
+            let backend = DiskBackend::create_temp(part, cfg, &root_key.derive(b"suboram-disk"))
+                .expect("disk store setup");
             SubOram::with_backend(Box::new(backend), value_len, root_key, lambda)
         }
     }
 }
 
-/// Builds a disk-tier [`SubOram`] in a durable directory with explicit
-/// geometry — the daemon path: the segment directory outlives the process so
-/// a restart can [`open_suboram_disk`] the committed generation.
+/// [`build_suboram_disk_from_slab`] over an object list.
 pub fn build_suboram_disk(
     dir: &Path,
     objects: Vec<StoredObject>,
@@ -819,13 +801,30 @@ pub fn build_suboram_disk(
     root_key: Key256,
     lambda: u32,
 ) -> io::Result<SubOram> {
-    for o in &objects {
-        assert!(o.id < REAL_ID_LIMIT, "object id {} in reserved namespace", o.id);
-        assert_eq!(o.value.len(), value_len, "object sizes are public and fixed");
-    }
-    let backend =
-        DiskBackend::create(dir, &objects, value_len, cfg, &root_key.derive(b"suboram-disk"))?;
+    build_suboram_disk_from_slab(dir, slab_of(objects, value_len), cfg, root_key, lambda)
+}
+
+/// Builds a disk-tier [`SubOram`] holding `part` in a durable directory
+/// with explicit geometry — the daemon path: the segment directory outlives
+/// the process so a restart can [`open_suboram_disk`] the committed
+/// generation.
+pub fn build_suboram_disk_from_slab(
+    dir: &Path,
+    part: ObjectSlab,
+    cfg: DiskConfig,
+    root_key: Key256,
+    lambda: u32,
+) -> io::Result<SubOram> {
+    part.for_each(|id, _| assert!(id < REAL_ID_LIMIT, "object id {id} in reserved namespace"));
+    let value_len = part.value_len();
+    let backend = DiskBackend::create(dir, part, cfg, &root_key.derive(b"suboram-disk"))?;
     Ok(SubOram::with_backend(Box::new(backend), value_len, root_key, lambda))
+}
+
+/// `objects` as a slab, freeing the list before returning (every value must
+/// be `value_len` bytes).
+fn slab_of(objects: Vec<StoredObject>, value_len: usize) -> ObjectSlab {
+    ObjectSlab::from_objects(&objects, value_len)
 }
 
 /// Reopens a disk-tier [`SubOram`] from the committed generation recorded in
@@ -881,6 +880,10 @@ mod tests {
         (0..n).map(|i| StoredObject::new(i, &[(i % 251) as u8; 4], VLEN)).collect()
     }
 
+    fn slab(objects: &[StoredObject]) -> ObjectSlab {
+        ObjectSlab::from_objects(objects, VLEN)
+    }
+
     fn key() -> Key256 {
         Key256([7u8; 32])
     }
@@ -892,7 +895,7 @@ mod tests {
 
     fn collect(b: &DiskBackend) -> Vec<StoredObject> {
         let mut out = Vec::new();
-        b.for_each(&mut |o| out.push(o.clone())).unwrap();
+        b.for_each(&mut |id, value| out.push(StoredObject { id, value: value.to_vec() })).unwrap();
         out
     }
 
@@ -915,13 +918,13 @@ mod tests {
     #[test]
     fn create_scan_roundtrip_streaming() {
         let objs = objects(100);
-        let mut b = DiskBackend::create_temp(&objs, VLEN, streaming_cfg(), &key()).unwrap();
+        let mut b = DiskBackend::create_temp(slab(&objs), streaming_cfg(), &key()).unwrap();
         assert!(!b.is_resident(), "100 objects must exceed the 4-block buffer");
         assert_eq!(collect(&b), objs);
         // A scan that rewrites one object persists (in the pending segment).
-        b.scan(&mut |o| {
-            if o.id == 42 {
-                o.value = vec![0xEE; VLEN];
+        b.scan(&mut |id, value| {
+            if id == 42 {
+                value.fill(0xEE);
             }
         })
         .unwrap();
@@ -934,9 +937,9 @@ mod tests {
     #[test]
     fn resident_mode_for_small_partitions() {
         let objs = objects(16);
-        let mut b = DiskBackend::create_temp(&objs, VLEN, DiskConfig::default(), &key()).unwrap();
+        let mut b = DiskBackend::create_temp(slab(&objs), DiskConfig::default(), &key()).unwrap();
         assert!(b.is_resident());
-        b.scan(&mut |o| o.value[0] ^= 0xFF).unwrap();
+        b.scan(&mut |_, v| v[0] ^= 0xFF).unwrap();
         let gen = b.commit(1).unwrap().unwrap();
         assert_eq!(gen.generation, 1);
         assert_eq!(collect(&b)[3].value[0], objs[3].value[0] ^ 0xFF);
@@ -951,10 +954,10 @@ mod tests {
         let partition_bytes = objs.len() * (8 + VLEN);
         let buffer_bytes = cfg.buffer_blocks * cfg.block_bytes;
         assert!(partition_bytes >= 8 * buffer_bytes);
-        let mut b = DiskBackend::create_temp(&objs, VLEN, cfg, &key()).unwrap();
+        let mut b = DiskBackend::create_temp(slab(&objs), cfg, &key()).unwrap();
         assert!(!b.is_resident());
         for round in 0..3u8 {
-            b.scan(&mut |o| o.value[1] = round).unwrap();
+            b.scan(&mut |_, v| v[1] = round).unwrap();
             b.commit(round as u64).unwrap();
         }
         let now = collect(&b);
@@ -966,8 +969,8 @@ mod tests {
     fn commit_reopen_roundtrip() {
         let dir = TempDir::new("snoopy-store-test").unwrap();
         let objs = objects(100);
-        let mut b = DiskBackend::create(dir.path(), &objs, VLEN, streaming_cfg(), &key()).unwrap();
-        b.scan(&mut |o| o.value[0] = 0xAA).unwrap();
+        let mut b = DiskBackend::create(dir.path(), slab(&objs), streaming_cfg(), &key()).unwrap();
+        b.scan(&mut |_, v| v[0] = 0xAA).unwrap();
         let gen = b.commit(1).unwrap().unwrap();
         assert_eq!(gen.generation, 1);
         drop(b);
@@ -984,10 +987,10 @@ mod tests {
         // state and removes the orphaned pending segment.
         let dir = TempDir::new("snoopy-store-test").unwrap();
         let objs = objects(64);
-        let mut b = DiskBackend::create(dir.path(), &objs, VLEN, streaming_cfg(), &key()).unwrap();
-        b.scan(&mut |o| o.value[0] = 1).unwrap();
+        let mut b = DiskBackend::create(dir.path(), slab(&objs), streaming_cfg(), &key()).unwrap();
+        b.scan(&mut |_, v| v[0] = 1).unwrap();
         let gen = b.commit(1).unwrap().unwrap();
-        b.scan(&mut |o| o.value[0] = 2).unwrap(); // never committed
+        b.scan(&mut |_, v| v[0] = 2).unwrap(); // never committed
         drop(b);
         let b2 = DiskBackend::open(dir.path(), VLEN, streaming_cfg(), &key(), gen).unwrap();
         assert!(collect(&b2).iter().all(|o| o.value[0] == 1));
@@ -1003,11 +1006,11 @@ mod tests {
     fn open_rejects_rolled_back_generation() {
         let dir = TempDir::new("snoopy-store-test").unwrap();
         let objs = objects(64);
-        let mut b = DiskBackend::create(dir.path(), &objs, VLEN, streaming_cfg(), &key()).unwrap();
-        b.scan(&mut |o| o.value[0] = 1).unwrap();
+        let mut b = DiskBackend::create(dir.path(), slab(&objs), streaming_cfg(), &key()).unwrap();
+        b.scan(&mut |_, v| v[0] = 1).unwrap();
         let g1 = b.commit(1).unwrap().unwrap();
         let g1_bytes = fs::read(dir.path().join("gen-1.seg")).unwrap();
-        b.scan(&mut |o| o.value[0] = 2).unwrap();
+        b.scan(&mut |_, v| v[0] = 2).unwrap();
         let g2 = b.commit(2).unwrap().unwrap();
         drop(b);
         // Host rolls the store back to generation 1 but the checkpoint
@@ -1027,25 +1030,25 @@ mod tests {
 
     #[test]
     fn scan_detects_tampered_block() {
-        let mut b = DiskBackend::create_temp(&objects(100), VLEN, streaming_cfg(), &key()).unwrap();
+        let mut b = DiskBackend::create_temp(slab(&objects(100)), streaming_cfg(), &key()).unwrap();
         assert!(b.corrupt_block(5));
-        let err = b.scan(&mut |_| {}).unwrap_err();
+        let err = b.scan(&mut |_, _| {}).unwrap_err();
         assert_eq!(err, SubOramError::Integrity(IntegrityError::Corrupted { index: 5 }));
     }
 
     #[test]
     fn rollback_of_untrusted_image_detected() {
-        let mut b = DiskBackend::create_temp(&objects(100), VLEN, streaming_cfg(), &key()).unwrap();
-        b.scan(&mut |o| o.value[0] = 1).unwrap();
+        let mut b = DiskBackend::create_temp(slab(&objects(100)), streaming_cfg(), &key()).unwrap();
+        b.scan(&mut |_, v| v[0] = 1).unwrap();
         let before = b.untrusted_image().unwrap();
-        b.scan(&mut |o| o.value[0] = 2).unwrap();
+        b.scan(&mut |_, v| v[0] = 2).unwrap();
         assert!(b.restore_untrusted_image(&before));
-        assert!(matches!(b.scan(&mut |_| {}), Err(SubOramError::Integrity(_))));
+        assert!(matches!(b.scan(&mut |_, _| {}), Err(SubOramError::Integrity(_))));
     }
 
     #[test]
     fn snapshot_refuses_with_size() {
-        let b = DiskBackend::create_temp(&objects(100), VLEN, streaming_cfg(), &key()).unwrap();
+        let b = DiskBackend::create_temp(slab(&objects(100)), streaming_cfg(), &key()).unwrap();
         assert_eq!(
             b.snapshot().unwrap_err(),
             SnapshotError::Streaming { objects: 100, bytes: (100 * (8 + VLEN)) as u64 }
@@ -1058,11 +1061,11 @@ mod tests {
         // schedule (the leakage argument for why block I/O is public).
         let run = |payload: u8| {
             let mut b =
-                DiskBackend::create_temp(&objects(100), VLEN, streaming_cfg(), &key()).unwrap();
+                DiskBackend::create_temp(slab(&objects(100)), streaming_cfg(), &key()).unwrap();
             b.enable_io_log();
-            b.scan(&mut |o| {
-                if o.id % 3 == u64::from(payload % 3) {
-                    o.value = vec![payload; VLEN];
+            b.scan(&mut |id, value| {
+                if id % 3 == u64::from(payload % 3) {
+                    value.fill(payload);
                 }
             })
             .unwrap();
@@ -1077,8 +1080,8 @@ mod tests {
 
     #[test]
     fn commit_is_idempotent_when_clean() {
-        let mut b = DiskBackend::create_temp(&objects(32), VLEN, streaming_cfg(), &key()).unwrap();
-        b.scan(&mut |_| {}).unwrap();
+        let mut b = DiskBackend::create_temp(slab(&objects(32)), streaming_cfg(), &key()).unwrap();
+        b.scan(&mut |_, _| {}).unwrap();
         let g1 = b.commit(1).unwrap().unwrap();
         let g1_again = b.commit(2).unwrap().unwrap();
         assert_eq!(g1, g1_again, "no scan between commits → same generation");
@@ -1090,8 +1093,8 @@ mod tests {
         let before = reg
             .counter(names::STORE_BUFFER_STALLS_TOTAL, "write-behind buffer forced flushes")
             .value();
-        let mut b = DiskBackend::create_temp(&objects(512), VLEN, streaming_cfg(), &key()).unwrap();
-        b.scan(&mut |_| {}).unwrap();
+        let mut b = DiskBackend::create_temp(slab(&objects(512)), streaming_cfg(), &key()).unwrap();
+        b.scan(&mut |_, _| {}).unwrap();
         let after = reg
             .counter(names::STORE_BUFFER_STALLS_TOTAL, "write-behind buffer forced flushes")
             .value();

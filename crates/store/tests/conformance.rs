@@ -10,7 +10,7 @@ use snoopy_crypto::Key256;
 use snoopy_enclave::wire::{Request, StoredObject};
 use snoopy_obliv::trace;
 use snoopy_store::{build_suboram, DiskBackend, DiskConfig, StorageKind};
-use snoopy_suboram::{StorageBackend, SubOram, SubOramError};
+use snoopy_suboram::{ObjectSlab, StorageBackend, SubOram, SubOramError};
 
 const VLEN: usize = 24;
 const TIERS: [StorageKind; 3] = [StorageKind::Memory, StorageKind::External, StorageKind::Disk];
@@ -124,13 +124,13 @@ fn rollback_is_refused_on_every_untrusted_tier() {
 /// and returns the block-layer I/O schedule.
 fn io_schedule(n: u64, fill: u8) -> Vec<snoopy_store::IoEvent> {
     let cfg = DiskConfig { block_bytes: 128, buffer_blocks: 2 };
-    let mut b =
-        DiskBackend::create_temp(&objects(n), VLEN, cfg, &Key256([9u8; 32])).expect("create");
+    let part = ObjectSlab::from_objects(&objects(n), VLEN);
+    let mut b = DiskBackend::create_temp(part, cfg, &Key256([9u8; 32])).expect("create");
     b.enable_io_log();
-    b.scan(&mut |o| {
+    b.scan(&mut |id, value| {
         // Data-dependent contents, fixed-size writes — like a real batch.
-        if o.id % 7 == u64::from(fill) % 7 {
-            o.value = vec![fill; VLEN];
+        if id % 7 == u64::from(fill) % 7 {
+            value.fill(fill);
         }
     })
     .expect("scan");

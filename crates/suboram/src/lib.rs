@@ -8,15 +8,27 @@
 //! 1. Build a two-tier oblivious hash table over the batch under a fresh key
 //!    (so bucket occupancy is unlinkable across batches).
 //! 2. Scan every stored object; for each, scan its tier-1 and tier-2 buckets
-//!    fully, performing a *pair* of oblivious compare-and-sets per slot — one
-//!    that may update the stored object (writes) and one that may fill the
-//!    request's response value (reads and pre-write values) — so that neither
-//!    the match nor the request type is observable.
+//!    fully ([`OHashTable::access`]), performing per slot a *pair* of
+//!    oblivious compare-and-sets — one that may update the stored object
+//!    (writes) and one that may fill the request's response value (reads and
+//!    pre-write values) — so that neither the match nor the request type is
+//!    observable.
 //! 3. Obliviously extract exactly the batch entries from the table and return
 //!    them as responses.
 //!
 //! The batch must contain **distinct** object ids (paper Definition 2); the
 //! hash table verifies this obliviously and returns an error otherwise.
+//!
+//! **Layout.** The in-memory partition is an [`ObjectSlab`]: the ids in one
+//! array and the values in one contiguous byte slab with the public stride
+//! `value_len`; the table keeps its slot values in a slab of its own. The
+//! scan walks both in order and hands each object's value to the table in
+//! place, and the table does a slot's pair of compare-and-sets as one masked
+//! pass over the two values (`d = o ^ s; o ^= wr & d; s ^= rd & d`). So the
+//! scan allocates nothing and chases no pointers; the sealed tiers visit the
+//! records of each opened plaintext block in place the same way.
+//! [`StoredObject`] appears only where objects enter (construction) or leave
+//! (snapshots, exports).
 //!
 //! Storage lives behind the [`StorageBackend`] trait: [`MemoryBackend`] keeps
 //! the partition in (modeled) enclave memory; [`ExternalBackend`] keeps it
@@ -40,7 +52,6 @@ use snoopy_crypto::Key256;
 use snoopy_enclave::epc::{CostMeter, EpcModel};
 use snoopy_enclave::external::IntegrityError;
 use snoopy_enclave::wire::{Request, StoredObject, REAL_ID_LIMIT};
-use snoopy_obliv::ct::{ct_eq_u64, Cmov};
 use snoopy_obliv::trace::{self, TraceEvent};
 use snoopy_ohash::{OHashError, OHashTable};
 // Memory-touch trace vs. wall-clock spans: see the note in `snoopy-lb`.
@@ -154,27 +165,21 @@ pub trait StorageBackend: Send {
         self.len() == 0
     }
 
-    /// Visits every stored object in index order, writing each back
-    /// unconditionally after `visit` ran — a skipped write-back would reveal
-    /// which objects a batch wrote. Errors on integrity failure (host
-    /// tampering with a sealed backend) or storage I/O failure.
-    fn scan(&mut self, visit: &mut dyn FnMut(&mut StoredObject)) -> Result<(), SubOramError>;
+    /// Visits every stored object in index order as `(id, value)`, the value
+    /// in place, writing each back unconditionally after `visit` ran — a
+    /// skipped write-back would reveal which objects a batch wrote. Errors on
+    /// integrity failure (host tampering with a sealed backend) or storage
+    /// I/O failure.
+    fn scan(&mut self, visit: &mut dyn FnMut(u64, &mut [u8])) -> Result<(), SubOramError>;
 
     /// Read-only visit of every stored object in index order, *without* the
     /// write-back. Not part of the oblivious interface — used by `peek`,
     /// tests, and benches; the oblivious path is [`StorageBackend::scan`].
-    fn for_each(&self, visit: &mut dyn FnMut(&StoredObject)) -> Result<(), SubOramError>;
+    fn for_each(&self, visit: &mut dyn FnMut(u64, &[u8])) -> Result<(), SubOramError>;
 
-    /// Whether [`StorageBackend::as_memory_mut`] returns the partition as a
-    /// slice. Backends that stream (sealed or on-disk) return `false` and the
-    /// parallel scan falls back to the serial path.
-    fn is_memory(&self) -> bool {
-        false
-    }
-
-    /// Direct slice access for the chunked parallel scan; `None` for
-    /// streaming backends.
-    fn as_memory_mut(&mut self) -> Option<&mut [StoredObject]> {
+    /// The partition as a slab, for the chunked parallel scan; `None` for
+    /// streaming backends, which the parallel scan runs serially.
+    fn as_slab_mut(&mut self) -> Option<&mut ObjectSlab> {
         None
     }
 
@@ -219,48 +224,148 @@ pub trait StorageBackend: Send {
     }
 }
 
+/// A partition as two flat arrays: the ids, and the values as one slab
+/// with a public stride — object `i`'s value is
+/// `values[i * value_len..(i + 1) * value_len]`. The scan walks both in
+/// order and hands out each value in place, so it allocates nothing and
+/// chases no pointers.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct ObjectSlab {
+    ids: Vec<u64>,
+    values: Vec<u8>,
+    value_len: usize,
+}
+
+impl ObjectSlab {
+    /// An empty slab with room for `objects` objects of `value_len` bytes.
+    pub fn with_capacity(objects: usize, value_len: usize) -> ObjectSlab {
+        ObjectSlab {
+            ids: Vec::with_capacity(objects),
+            values: Vec::with_capacity(objects * value_len),
+            value_len,
+        }
+    }
+
+    /// Copies `objects` (every value `value_len` bytes) into a slab.
+    pub fn from_objects(objects: &[StoredObject], value_len: usize) -> ObjectSlab {
+        let mut slab = ObjectSlab::with_capacity(objects.len(), value_len);
+        for o in objects {
+            slab.push(o.id, &o.value);
+        }
+        slab
+    }
+
+    /// Appends one object.
+    pub fn push(&mut self, id: u64, value: &[u8]) {
+        assert_eq!(value.len(), self.value_len, "object sizes are public and fixed");
+        self.ids.push(id);
+        self.values.extend_from_slice(value);
+    }
+
+    /// Number of objects.
+    pub fn len(&self) -> usize {
+        self.ids.len()
+    }
+
+    /// The public object size.
+    pub fn value_len(&self) -> usize {
+        self.value_len
+    }
+
+    /// Whether the slab holds no objects.
+    pub fn is_empty(&self) -> bool {
+        self.ids.is_empty()
+    }
+
+    /// Object `i` as `(id, value)`.
+    pub fn get(&self, i: usize) -> (u64, &[u8]) {
+        let vl = self.value_len;
+        (self.ids[i], &self.values[i * vl..(i + 1) * vl])
+    }
+
+    /// Visits every object in index order.
+    pub fn for_each(&self, mut visit: impl FnMut(u64, &[u8])) {
+        for i in 0..self.len() {
+            let (id, value) = self.get(i);
+            visit(id, value);
+        }
+    }
+
+    /// Visits every object in index order with its value in place.
+    pub fn scan(&mut self, visit: impl FnMut(u64, &mut [u8])) {
+        scan_span(&self.ids, &mut self.values, self.value_len, visit);
+    }
+
+    /// Splits the slab into consecutive runs of at most `objects` objects
+    /// (ids, value bytes), for workers that scan disjoint ranges.
+    pub fn chunks_mut(&mut self, objects: usize) -> Vec<(&[u64], &mut [u8])> {
+        let objects = objects.max(1);
+        let mut values = self.values.as_mut_slice();
+        let mut out = Vec::new();
+        for ids in self.ids.chunks(objects) {
+            let (head, rest) = std::mem::take(&mut values).split_at_mut(ids.len() * self.value_len);
+            out.push((ids, head));
+            values = rest;
+        }
+        out
+    }
+
+    /// The objects, materialized (snapshot and export boundaries only).
+    pub fn to_objects(&self) -> Vec<StoredObject> {
+        let mut out = Vec::with_capacity(self.len());
+        self.for_each(|id, value| out.push(StoredObject { id, value: value.to_vec() }));
+        out
+    }
+}
+
+/// Visits a run of slab objects (`ids` with their `value_len`-byte values)
+/// in order, each value in place.
+fn scan_span(
+    ids: &[u64],
+    values: &mut [u8],
+    value_len: usize,
+    mut visit: impl FnMut(u64, &mut [u8]),
+) {
+    assert_eq!(values.len(), ids.len() * value_len, "one value per id");
+    for (i, &id) in ids.iter().enumerate() {
+        visit(id, &mut values[i * value_len..(i + 1) * value_len]);
+    }
+}
+
 /// Objects in (modeled) enclave memory — fastest, used when the partition
 /// fits in the EPC.
 pub struct MemoryBackend {
-    objects: Vec<StoredObject>,
+    slab: ObjectSlab,
 }
 
 impl MemoryBackend {
     /// Wraps a partition held in enclave memory.
-    pub fn new(objects: Vec<StoredObject>) -> MemoryBackend {
-        MemoryBackend { objects }
+    pub fn new(objects: Vec<StoredObject>, value_len: usize) -> MemoryBackend {
+        MemoryBackend { slab: ObjectSlab::from_objects(&objects, value_len) }
     }
 }
 
 impl StorageBackend for MemoryBackend {
     fn len(&self) -> usize {
-        self.objects.len()
+        self.slab.len()
     }
 
-    fn scan(&mut self, visit: &mut dyn FnMut(&mut StoredObject)) -> Result<(), SubOramError> {
-        for obj in self.objects.iter_mut() {
-            visit(obj);
-        }
+    fn scan(&mut self, visit: &mut dyn FnMut(u64, &mut [u8])) -> Result<(), SubOramError> {
+        self.slab.scan(visit);
         Ok(())
     }
 
-    fn for_each(&self, visit: &mut dyn FnMut(&StoredObject)) -> Result<(), SubOramError> {
-        for obj in &self.objects {
-            visit(obj);
-        }
+    fn for_each(&self, visit: &mut dyn FnMut(u64, &[u8])) -> Result<(), SubOramError> {
+        self.slab.for_each(visit);
         Ok(())
     }
 
-    fn is_memory(&self) -> bool {
-        true
-    }
-
-    fn as_memory_mut(&mut self) -> Option<&mut [StoredObject]> {
-        Some(&mut self.objects)
+    fn as_slab_mut(&mut self) -> Option<&mut ObjectSlab> {
+        Some(&mut self.slab)
     }
 
     fn snapshot(&self) -> Result<Vec<StoredObject>, SnapshotError> {
-        Ok(self.objects.clone())
+        Ok(self.slab.to_objects())
     }
 }
 
@@ -281,7 +386,7 @@ impl ExternalBackend {
         let block_len = 8 + value_len;
         let mut store = ExternalStore::new(key, count, block_len);
         for (i, o) in objects.iter().enumerate() {
-            store.put(i, &encode_object(o)).expect("in-range");
+            store.put(i, &[&o.id.to_le_bytes()[..], &o.value].concat()).expect("in-range");
         }
         ExternalBackend { store, count, value_len }
     }
@@ -297,33 +402,28 @@ impl StorageBackend for ExternalBackend {
         self.count
     }
 
-    fn scan(&mut self, visit: &mut dyn FnMut(&mut StoredObject)) -> Result<(), SubOramError> {
+    fn scan(&mut self, visit: &mut dyn FnMut(u64, &mut [u8])) -> Result<(), SubOramError> {
         for i in 0..self.count {
-            let plain = self.store.get(i)?;
-            let mut obj = decode_object(&plain, self.value_len);
-            visit(&mut obj);
-            self.store.put(i, &encode_object(&obj))?;
+            let mut plain = self.store.get(i)?;
+            visit_records(&mut plain, 1, self.value_len, visit);
+            self.store.put(i, &plain)?;
         }
         Ok(())
     }
 
-    fn for_each(&self, visit: &mut dyn FnMut(&StoredObject)) -> Result<(), SubOramError> {
+    fn for_each(&self, visit: &mut dyn FnMut(u64, &[u8])) -> Result<(), SubOramError> {
         for i in 0..self.count {
-            let plain = self.store.get(i)?;
-            visit(&decode_object(&plain, self.value_len));
+            let mut plain = self.store.get(i)?;
+            visit_records(&mut plain, 1, self.value_len, &mut |id, value| visit(id, value));
         }
         Ok(())
     }
 
     fn snapshot(&self) -> Result<Vec<StoredObject>, SnapshotError> {
-        (0..self.count)
-            .map(|i| {
-                self.store
-                    .get(i)
-                    .map(|p| decode_object(&p, self.value_len))
-                    .map_err(|e| SnapshotError::Failed(e.into()))
-            })
-            .collect()
+        let mut out = Vec::with_capacity(self.count);
+        self.for_each(&mut |id, value| out.push(StoredObject { id, value: value.to_vec() }))
+            .map_err(SnapshotError::Failed)?;
+        Ok(out)
     }
 
     fn untrusted_image(&mut self) -> Option<Vec<u8>> {
@@ -400,8 +500,15 @@ impl SubOram {
         root_key: Key256,
         lambda: u32,
     ) -> SubOram {
-        validate_objects(&objects, value_len);
-        SubOram::with_backend(Box::new(MemoryBackend::new(objects)), value_len, root_key, lambda)
+        SubOram::from_slab(ObjectSlab::from_objects(&objects, value_len), root_key, lambda)
+    }
+
+    /// Creates a subORAM holding `slab` in enclave memory. All object ids
+    /// must be below [`REAL_ID_LIMIT`].
+    pub fn from_slab(slab: ObjectSlab, root_key: Key256, lambda: u32) -> SubOram {
+        slab.for_each(|id, _| assert!(id < REAL_ID_LIMIT, "object id {id} in reserved namespace"));
+        let value_len = slab.value_len();
+        SubOram::with_backend(Box::new(MemoryBackend { slab }), value_len, root_key, lambda)
     }
 
     /// Creates a subORAM over an arbitrary [`StorageBackend`]. The backend
@@ -466,31 +573,15 @@ impl SubOram {
     /// computed over a partially-applied scan can escape. Recovery is by
     /// restart from the last sealed checkpoint/generation.
     pub fn batch_access(&mut self, batch: Vec<Request>) -> Result<Vec<Request>, SubOramError> {
-        if let Some(e) = self.poisoned {
-            return Err(e);
-        }
-        if batch.is_empty() {
-            return Err(SubOramError::EmptyBatch);
-        }
-        trace::record(TraceEvent::Phase(0x534f)); // "SO" batch marker
-                                                  // Fresh key per batch (§5): unlinks bucket occupancy across batches.
-        let batch_key = self.root_key.derive(&self.batch_counter.to_le_bytes());
-        self.batch_counter += 1;
-
-        let build_span = telem::span("epoch/suboram_scan/ohash_build");
-        let mut table = OHashTable::construct(batch, &batch_key, self.lambda)?;
-        drop(build_span);
-
-        // Linear scan of the partition: the backend streams every object
-        // through `scan_step` and writes it back unconditionally.
+        let mut table = self.build_table(batch)?;
+        // Linear scan of the partition: the backend hands every object's
+        // value to the table in place and writes it back unconditionally.
         let _scan_span = telem::span("epoch/suboram_scan/linear_scan");
-        let meter = &mut self.meter;
-        if let Err(e) = self.storage.scan(&mut |obj| scan_step(obj, &mut table, meter)) {
+        if let Err(e) = self.storage.scan(&mut |id, value| table.access(id, value)) {
             self.poisoned = Some(e);
             return Err(e);
         }
-        meter.record_scan(&self.epc, (self.storage.len() * (8 + self.value_len)) as u64, 0);
-
+        self.record_scan(&table);
         Ok(table.into_batch_requests())
     }
 
@@ -498,38 +589,24 @@ impl SubOram {
     /// remaining cores to parallelize both the hash table construction and
     /// linear scan").
     ///
-    /// The partition is split into `threads` chunks; each worker scans its
-    /// chunk against a private copy of the hash table (objects are distinct,
-    /// so each request matches in at most one chunk), and the copies are
-    /// merged with oblivious compare-and-sets afterwards. Only supported for
+    /// The slab is split into `threads` chunks; each worker scans its chunk
+    /// against a private copy of the hash table (objects are distinct, so
+    /// each request matches in at most one chunk), and the copies are merged
+    /// with oblivious compare-and-sets afterwards. Only supported for
     /// in-enclave storage (streaming backends scan serially by design).
     pub fn batch_access_parallel(
         &mut self,
         batch: Vec<Request>,
         threads: usize,
     ) -> Result<Vec<Request>, SubOramError> {
-        let threads = threads.max(1);
-        if threads == 1 {
+        if threads <= 1 || self.storage.as_slab_mut().is_none() {
             return self.batch_access(batch);
         }
-        if let Some(e) = self.poisoned {
-            return Err(e);
-        }
-        if batch.is_empty() {
-            return Err(SubOramError::EmptyBatch);
-        }
-        if !self.storage.is_memory() {
-            // Streaming backends scan serially by design.
-            return self.batch_access(batch);
-        }
-        let objects = self.storage.as_memory_mut().expect("memory backend");
-        trace::record(TraceEvent::Phase(0x534f)); // same batch marker as the serial path
-        let batch_key = self.root_key.derive(&self.batch_counter.to_le_bytes());
-        self.batch_counter += 1;
-        let lambda = self.lambda;
-
-        let table = OHashTable::construct(batch, &batch_key, lambda)?;
-        let chunk = objects.len().div_ceil(threads).max(1);
+        let table = self.build_table(batch)?;
+        let _scan_span = telem::span("epoch/suboram_scan/linear_scan");
+        let slab = self.storage.as_slab_mut().expect("checked above");
+        let value_len = self.value_len;
+        let chunks = slab.chunks_mut(slab.len().div_ceil(threads));
         // When the access trace is being recorded, each worker captures its
         // scan events on its own recorder; splicing the captures in chunk
         // order reproduces exactly the serial object order, so the trace is
@@ -538,36 +615,29 @@ impl SubOram {
         let mut tables: Vec<OHashTable> = Vec::new();
         std::thread::scope(|scope| {
             let mut handles = Vec::new();
-            for part in objects.chunks_mut(chunk) {
+            for (ids, values) in chunks {
                 let mut local = table.clone();
                 handles.push(scope.spawn(move || {
-                    let mut meter = CostMeter::default();
+                    let mut scan =
+                        || scan_span(ids, values, value_len, |id, v| local.access(id, v));
                     let sub_trace = if recording {
-                        let ((), t) = trace::capture(|| {
-                            for obj in part.iter_mut() {
-                                scan_step(obj, &mut local, &mut meter);
-                            }
-                        });
-                        Some(t)
+                        Some(trace::capture(scan).1)
                     } else {
-                        for obj in part.iter_mut() {
-                            scan_step(obj, &mut local, &mut meter);
-                        }
+                        scan();
                         None
                     };
-                    (local, meter, sub_trace)
+                    (local, sub_trace)
                 }));
             }
             for h in handles {
-                let (local, meter, sub_trace) = h.join().expect("scan worker panicked");
-                self.meter.absorb(&meter);
+                let (local, sub_trace) = h.join().expect("scan worker panicked");
                 if let Some(t) = sub_trace {
                     trace::splice(t);
                 }
                 tables.push(local);
             }
         });
-        self.meter.record_scan(&self.epc, (objects.len() * (8 + self.value_len)) as u64, 0);
+        self.record_scan(&table);
 
         // Merge: each request slot was mutated in at most one copy; fold the
         // changed versions (relative to the pristine table) back obliviously.
@@ -576,6 +646,32 @@ impl SubOram {
             merged.merge_changed_from(&table, &local);
         }
         Ok(merged.into_batch_requests())
+    }
+
+    /// Opens a batch: refuses it if the subORAM is poisoned or the batch is
+    /// empty, then builds its hash table under a fresh key.
+    fn build_table(&mut self, batch: Vec<Request>) -> Result<OHashTable, SubOramError> {
+        if let Some(e) = self.poisoned {
+            return Err(e);
+        }
+        if batch.is_empty() {
+            return Err(SubOramError::EmptyBatch);
+        }
+        // "SO" batch marker, then a fresh key per batch (§5): unlinks bucket
+        // occupancy across batches.
+        trace::record(TraceEvent::Phase(0x534f));
+        let batch_key = self.root_key.derive(&self.batch_counter.to_le_bytes());
+        self.batch_counter += 1;
+        let _build_span = telem::span("epoch/suboram_scan/ohash_build");
+        Ok(OHashTable::construct(batch, &batch_key, self.lambda)?)
+    }
+
+    /// Charges one full scan against `table`: two compare-and-sets per
+    /// probed slot, and the partition's bytes.
+    fn record_scan(&mut self, table: &OHashTable) {
+        let objects = self.storage.len();
+        self.meter.oblivious_ops += (2 * table.params().lookup_cost() * objects) as u64;
+        self.meter.record_scan(&self.epc, (objects * (8 + self.value_len)) as u64, 0);
     }
 
     /// Durably commits storage state mutated since the last commit (file-
@@ -621,9 +717,9 @@ impl SubOram {
     pub fn peek(&self, id: u64) -> Option<Vec<u8>> {
         let mut found = None;
         self.storage
-            .for_each(&mut |o| {
-                if o.id == id {
-                    found = Some(o.value.clone());
+            .for_each(&mut |oid, value| {
+                if oid == id {
+                    found = Some(value.to_vec());
                 }
             })
             .ok()?;
@@ -646,7 +742,7 @@ impl SubOram {
     /// Index order is data-independent, and the caller re-partitions, seals,
     /// and pads the collected set to a public bound before anything derived
     /// from it leaves the enclave.
-    pub fn stream_objects(&self, visit: &mut dyn FnMut(&StoredObject)) -> Result<(), SubOramError> {
+    pub fn stream_objects(&self, visit: &mut dyn FnMut(u64, &[u8])) -> Result<(), SubOramError> {
         self.storage.for_each(visit)
     }
 
@@ -674,40 +770,18 @@ fn validate_objects(objects: &[StoredObject], value_len: usize) {
     }
 }
 
-/// One object's interaction with the batch table: scan both candidate
-/// buckets, compare-and-set in both directions (Fig. 7 step ➋).
-fn scan_step(obj: &mut StoredObject, table: &mut OHashTable, meter: &mut CostMeter) {
-    let (b1, b2) = table.bucket_pair_mut(obj.id);
-    for slot in b1.iter_mut().chain(b2.iter_mut()) {
-        let hit = ct_eq_u64(slot.req.id, obj.id);
-        let is_write = slot.req.is_write();
-        let permitted = slot.req.is_permitted();
-        // Pre-write value: captured before the write lands so reads *and*
-        // writes return the value as of the start of the batch. Both
-        // compare-and-sets also require the request's access-control bit
-        // (Appendix D): denied writes do not apply, denied reads get zeros.
-        let old = obj.value.clone();
-        obj.value.cmov(&slot.req.value, hit.and(is_write).and(permitted));
-        slot.req.value.cmov(&old, hit.and(permitted));
-        meter.oblivious_ops += 2;
-    }
-}
-
-/// Fixed-layout object encoding shared by the sealed storage tiers:
-/// 8-byte little-endian id followed by the (fixed public length) value.
-pub fn encode_object(o: &StoredObject) -> Vec<u8> {
-    let mut out = Vec::with_capacity(8 + o.value.len());
-    out.extend_from_slice(&o.id.to_le_bytes());
-    out.extend_from_slice(&o.value);
-    out
-}
-
-/// Inverse of [`encode_object`].
-pub fn decode_object(bytes: &[u8], value_len: usize) -> StoredObject {
-    assert_eq!(bytes.len(), 8 + value_len);
-    StoredObject {
-        id: u64::from_le_bytes(bytes[..8].try_into().unwrap()),
-        value: bytes[8..].to_vec(),
+/// Visits the first `count` records of a plaintext block in place. A record
+/// is the sealed tiers' fixed object layout: an 8-byte little-endian id,
+/// then the (fixed public length) value.
+pub fn visit_records(
+    block: &mut [u8],
+    count: usize,
+    value_len: usize,
+    visit: &mut dyn FnMut(u64, &mut [u8]),
+) {
+    for record in block.chunks_exact_mut(8 + value_len).take(count) {
+        let (id, value) = record.split_at_mut(8);
+        visit(u64::from_le_bytes((&*id).try_into().unwrap()), value);
     }
 }
 
@@ -921,6 +995,30 @@ mod tests {
     }
 
     #[test]
+    fn scan_trace_golden() {
+        // The adversary's view of one fixed batch (table build, scan, and
+        // extraction), pinned to a constant: a change to the scan kernel's
+        // data layout must leave the memory trace exactly as it was.
+        let mut s = SubOram::new_in_enclave(objects(300), VLEN, Key256([9u8; 32]), 128);
+        let mut batch = vec![
+            Request::write(4, &[0xA4; 4], VLEN, 1, 0),
+            Request::read(17, VLEN, 1, 1),
+            Request::write(250, &[0x5A; 4], VLEN, 2, 2),
+            Request::read(100_000, VLEN, 2, 3),
+            Request::read(LB_DUMMY_BASE + 1, VLEN, 0, 0),
+        ];
+        batch[1].permit = 0;
+        let (out, tr) = snoopy_obliv::trace::capture(|| s.batch_access(batch));
+        let mut out = out.unwrap();
+        out.sort_by_key(|r| r.id);
+        let values: Vec<Vec<u8>> = out.iter().map(|r| r.value.clone()).collect();
+        assert_eq!(values, vec![val(4), vec![0; VLEN], val(250), vec![0; VLEN], vec![0; VLEN]]);
+        assert_eq!(s.peek(4).unwrap(), val(0xA4));
+        assert_eq!(s.peek(250).unwrap(), val(0x5A));
+        assert_eq!((tr.len(), tr.fingerprint()), (808, 18_095_120_036_910_692_420));
+    }
+
+    #[test]
     fn meter_accumulates_costs() {
         let mut s = suboram(100);
         s.batch_access(vec![Request::read(1, VLEN, 0, 0)]).unwrap();
@@ -1002,6 +1100,37 @@ mod parallel_tests {
             });
             assert_eq!(serial_trace, par_trace, "trace diverged at threads={threads}");
         }
+    }
+
+    #[test]
+    fn parallel_emits_the_serial_scan_spans() {
+        // With `sub_threads > 1` the build and the scan must still show up
+        // as named stages, not as unattributed epoch time.
+        use std::collections::BTreeSet;
+        let tracer = snoopy_telemetry::trace::tracer();
+        let tid = tracer.current_tid();
+        let span_names = |run: &mut dyn FnMut()| -> BTreeSet<String> {
+            run();
+            let (spans, _) = tracer.drain();
+            spans
+                .into_iter()
+                .filter(|s| s.tid == tid && s.name.starts_with("epoch/suboram_scan/"))
+                .map(|s| s.name.into_owned())
+                .collect()
+        };
+        let mut s = SubOram::new_in_enclave(objects(300), VLEN, Key256([4u8; 32]), 128);
+        let serial = span_names(&mut || {
+            s.batch_access(mixed_batch()).unwrap();
+        });
+        let parallel = span_names(&mut || {
+            s.batch_access_parallel(mixed_batch(), 3).unwrap();
+        });
+        let want: BTreeSet<String> =
+            ["epoch/suboram_scan/ohash_build", "epoch/suboram_scan/linear_scan"]
+                .map(String::from)
+                .into();
+        assert_eq!(serial, want);
+        assert_eq!(parallel, serial);
     }
 
     #[test]

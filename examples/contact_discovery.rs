@@ -11,7 +11,6 @@
 
 use snoopy_repro::crypto::Key256;
 use snoopy_repro::enclave::wire::Request;
-use snoopy_repro::obliv::ct::{ct_eq_u64, Cmov};
 use snoopy_repro::snoopy_ohash::OHashTable;
 
 const VALUE_LEN: usize = 8;
@@ -39,14 +38,12 @@ fn main() {
     );
 
     // 2. Scan every registered user against the table (one bucket-pair scan
-    //    each), marking matched contacts obliviously.
+    //    each). Each contact is a read, so a match copies the user's value —
+    //    the marker — into the contact's slot, obliviously.
     let marker = vec![0xFFu8; VALUE_LEN];
+    let mut user_value = marker.clone();
     for &user in &registered {
-        let (b1, b2) = table.bucket_pair_mut(user);
-        for slot in b1.iter_mut().chain(b2.iter_mut()) {
-            let hit = ct_eq_u64(slot.req.id, user);
-            slot.req.value.cmov(&marker, hit);
-        }
+        table.access(user, &mut user_value);
     }
 
     // 3. Extract the contacts (order-preserving oblivious compaction) and
