@@ -98,6 +98,13 @@ pub fn overflow_probability(r: u64, s: u64, b: u64) -> f64 {
 /// Exact upper-tail probability `P[Binomial(n, p) >= k]`, computed stably in
 /// log space. Used by the two-tier hash table parameter derivation
 /// (`snoopy-ohash`) to evaluate per-bucket overflow probabilities.
+///
+/// The terms are summed in increasing order and the sum stops once the
+/// terms can no longer change it: past the mode they only shrink, and a term
+/// below `2^-60` of the running sum is under half its last place, so adding
+/// it (or any later term) rounds back to the same value. The result is
+/// bit-identical to summing all `n + 1` terms, at `O(k + tail length)` cost
+/// instead of `O(n)`.
 pub fn binomial_tail(n: u64, p: f64, k: u64) -> f64 {
     if k == 0 {
         return 1.0;
@@ -110,6 +117,8 @@ pub fn binomial_tail(n: u64, p: f64, k: u64) -> f64 {
     }
     let ln_p = p.ln();
     let ln_q = (1.0 - p).ln();
+    let mode = n as f64 * p;
+    let negligible = 2f64.powi(-60);
     let mut ln_choose = 0.0f64;
     let mut tail = 0.0f64;
     for i in 0..=n {
@@ -117,7 +126,12 @@ pub fn binomial_tail(n: u64, p: f64, k: u64) -> f64 {
             ln_choose += ((n - i + 1) as f64).ln() - (i as f64).ln();
         }
         if i >= k {
-            tail += (ln_choose + i as f64 * ln_p + (n - i) as f64 * ln_q).exp();
+            let term = (ln_choose + i as f64 * ln_p + (n - i) as f64 * ln_q).exp();
+            tail += term;
+            // From i ≥ n·p on, each term is smaller than the one before.
+            if i as f64 >= mode && term <= tail * negligible {
+                break;
+            }
         }
     }
     tail.min(1.0)
@@ -383,7 +397,47 @@ mod tests {
         assert_eq!(epoch_capacity(20, 128, 1000), 12_610);
     }
 
+    /// `binomial_tail` without the early stop: every term summed.
+    fn binomial_tail_full(n: u64, p: f64, k: u64) -> f64 {
+        if k == 0 || k > n {
+            return if k == 0 { 1.0 } else { 0.0 };
+        }
+        let (ln_p, ln_q) = (p.ln(), (1.0 - p).ln());
+        let (mut ln_choose, mut tail) = (0.0f64, 0.0f64);
+        for i in 0..=n {
+            if i > 0 {
+                ln_choose += ((n - i + 1) as f64).ln() - (i as f64).ln();
+            }
+            if i >= k {
+                tail += (ln_choose + i as f64 * ln_p + (n - i) as f64 * ln_q).exp();
+            }
+        }
+        tail.min(1.0)
+    }
+
+    #[test]
+    fn binomial_tail_early_stop_is_bit_exact() {
+        // The hash-table derivation's shapes (p = 1/m1, k = z1) and a few
+        // far from them, tails near 1 and underflowing to 0 included.
+        for n in [1u64, 2, 31, 32, 218, 1506, 4095, 8191] {
+            let mut ps: Vec<f64> = (1..14).map(|e| 1.0 / (1u64 << e) as f64).collect();
+            ps.extend([0.3, 0.7, 0.999]);
+            for p in ps {
+                for k in (0..=40).chain([64, 200, n / 2, n]) {
+                    let (fast, full) = (binomial_tail(n, p, k), binomial_tail_full(n, p, k));
+                    assert_eq!(fast.to_bits(), full.to_bits(), "n={n} p={p} k={k}");
+                }
+            }
+        }
+    }
+
     proptest! {
+        #[test]
+        fn binomial_tail_matches_full_sum(n in 1u64..10_000, m in 1u64..20_000, k in 0u64..64) {
+            let p = 1.0 / m as f64;
+            prop_assert_eq!(binomial_tail(n, p, k).to_bits(), binomial_tail_full(n, p, k).to_bits());
+        }
+
         #[test]
         fn batch_size_monotone_in_r(r in 1u64..1_000_000, s in 1u64..64) {
             let b1 = batch_size(r, s, 128);

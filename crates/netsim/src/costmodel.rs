@@ -58,7 +58,7 @@ pub struct CostModel {
     /// Enclave threads per subORAM (Fig. 13b). Accelerates the linear scan
     /// term only; table construction stays serial, as in the implementation.
     pub sub_threads: usize,
-    lookup_memo: RefCell<HashMap<u64, u64>>,
+    lookup_memo: RefCell<HashMap<(u64, u64), u64>>,
 }
 
 impl CostModel {
@@ -107,16 +107,15 @@ impl CostModel {
     }
 
     /// Two-tier-table lookup cost (slots scanned per stored object) for a
-    /// batch of `b`, memoized because the derivation does numeric search.
-    pub fn lookup_cost(&self, b: u64) -> u64 {
+    /// batch of `b` over `n_objects` stored objects — the real subORAM's
+    /// derivation, memoized because it does numeric search.
+    pub fn lookup_cost(&self, b: u64, n_objects: u64) -> u64 {
         if b == 0 {
             return 0;
         }
-        *self
-            .lookup_memo
-            .borrow_mut()
-            .entry(b)
-            .or_insert_with(|| TableParams::derive(b as usize, self.lambda).lookup_cost() as u64)
+        *self.lookup_memo.borrow_mut().entry((b, n_objects)).or_insert_with(|| {
+            TableParams::derive(b as usize, n_objects as usize, self.lambda).lookup_cost() as u64
+        })
     }
 
     /// Bitonic-sort compare-swap count for `n` elements.
@@ -172,7 +171,7 @@ impl CostModel {
         let table_n = (3 * b) as f64; // slots incl. fillers across both tiers
         let scale = self.sub_byte_scale();
         let build = self.sub_build_ns * Self::sort_ops(table_n) * 3.0 * scale;
-        let lookup = self.lookup_cost(b) as f64;
+        let lookup = self.lookup_cost(b, n_objects) as f64;
         let scan = n_objects as f64 * (self.sub_obj_ns + self.sub_slot_ns * lookup) * scale
             / Self::parallel_speedup(self.sub_threads);
         let bytes = n_objects * (8 + self.object_bytes);
@@ -305,13 +304,15 @@ mod tests {
     #[test]
     fn lookup_cost_memoizes_and_grows_slowly() {
         let m = m();
-        let c1 = m.lookup_cost(1 << 10);
-        let c2 = m.lookup_cost(1 << 14);
+        // The paper's regime: partitions many times the batch.
+        let (b1, b2) = (1u64 << 10, 1u64 << 14);
+        let c1 = m.lookup_cost(b1, 16 * b1);
+        let c2 = m.lookup_cost(b2, 16 * b2);
         assert!(c1 > 0 && c2 > 0);
         // Bucket sizes grow far slower than the batch (that is the point of
         // hashing the batch instead of scanning it per object).
         assert!(c2 < 10 * c1, "lookup cost must grow sublinearly: {c1} -> {c2}");
         assert!(c2 < 1 << 12);
-        assert_eq!(m.lookup_cost(1 << 10), c1);
+        assert_eq!(m.lookup_cost(b1, 16 * b1), c1);
     }
 }

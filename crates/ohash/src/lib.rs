@@ -25,6 +25,22 @@
 //! structure and obliviousness are faithful. [`single::SingleTierTable`]
 //! exists as the ablation baseline.
 //!
+//! **Which certified table.** Many `(m1, z1, m2, z2)` meet both certificates;
+//! the derivation picks by predicted cost, not by lookup width alone. A
+//! batch pays for its table in the build (three bitonic sorts and two
+//! compactions over every slot, one more compaction to extract the batch)
+//! and in the scan (`objects · (z1 + z2)` slot probes), so
+//! [`TableParams::derive`] takes the public partition size `objects` beside
+//! the batch size and minimises
+//! `34 ns · sort exchanges + 33 ns · compaction swaps + 15 ns · objects ·
+//! (z1 + z2)` — exact network counts, constants measured once at 160-byte
+//! values and fixed in `params.rs`. Against a partition many times the
+//! batch the pick has narrow buckets; against one near the batch size it
+//! has a small tier 2 (batch_mem's shape, 1 507 entries over 2 048 objects:
+//! 3 112 slots instead of 14 336). [`OHashTable::construct`] sizes for
+//! `objects = n`; the subORAM passes its partition size through
+//! [`OHashTable::construct_with_params`].
+//!
 //! **The lookup kernel.** Once built, the table stores its slots' values as
 //! one contiguous slab (stride `value_len`, bucket order) beside a compact
 //! array of what a lookup reads of each slot: the id and the "permitted" /

@@ -160,10 +160,11 @@ mod tests {
     #[test]
     fn single_tier_buckets_larger_than_two_tier_lookup() {
         // The §5 argument: the two-tier lookup cost (z1+z2) beats the
-        // single-tier bucket size at realistic batch sizes.
+        // single-tier bucket size at realistic batch sizes, in the paper's
+        // regime of a partition many times the batch.
         for n in [1usize << 12, 1 << 14] {
             let (_, z_single) = SingleTierTable::derive_params(n, 128);
-            let two = TableParams::derive(n, 128);
+            let two = TableParams::derive(n, 16 * n, 128);
             assert!(
                 two.lookup_cost() <= z_single,
                 "n={n}: two-tier {} vs single {z_single}",

@@ -121,14 +121,31 @@ fn filler(id: u64, value_len: usize) -> Request {
 
 impl OHashTable {
     /// Builds the table from a batch of distinct requests using fresh keys
-    /// derived from `key` (the subORAM samples a new key per batch, §5).
+    /// derived from `key` (the subORAM samples a new key per batch, §5),
+    /// sized as if the table will be scanned by as many objects as the batch
+    /// has entries. A caller that knows its partition size uses
+    /// [`OHashTable::construct_with_params`].
     pub fn construct(
         batch: Vec<Request>,
         key: &Key256,
         lambda: u32,
     ) -> Result<OHashTable, OHashError> {
+        let params = TableParams::derive(batch.len(), batch.len(), lambda);
+        OHashTable::construct_with_params(batch, key, params)
+    }
+
+    /// Builds the table with `params` from
+    /// [`TableParams::derive`]`(batch.len(), objects, λ)`, where `objects`
+    /// is the public size of the partition the table will be scanned
+    /// against. Callers that build many tables memoize the derivation.
+    pub fn construct_with_params(
+        batch: Vec<Request>,
+        key: &Key256,
+        params: TableParams,
+    ) -> Result<OHashTable, OHashError> {
         assert!(!batch.is_empty(), "batch must be non-empty");
         let n = batch.len();
+        assert_eq!(params.n, n, "table parameters are derived for the batch size");
         let value_len = batch[0].value.len();
         trace::record(TraceEvent::Phase(0x4f48)); // "OH" construction marker
 
@@ -143,7 +160,6 @@ impl OHashTable {
             return Err(OHashError::DuplicateIds);
         }
 
-        let params = TableParams::derive(n, lambda);
         let h1 = SipHash24::from_key256(&key.derive(b"ohash-tier1"));
         let h2 = SipHash24::from_key256(&key.derive(b"ohash-tier2"));
 

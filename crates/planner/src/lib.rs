@@ -128,9 +128,11 @@ pub fn feasible(
 /// `None` if even `max_suborams` cannot carry the load (the operator must
 /// provision more, not reshard).
 ///
-/// Feasibility is monotone in `S` for a fixed `(B, T)` in the paper's model
-/// (Equation (1): both the balancer's `f(R, S)` batch work and the per-node
-/// partition shrink as `S` grows), so the first feasible `S` is the answer.
+/// Fleet sizes are tried in increasing order, so the first feasible `S` is
+/// the answer. That does not need feasibility to be monotone in `S`, and in
+/// this model it is not everywhere: the balancer sorts `R + S·B` work items,
+/// which grow with `S`, and the subORAM term steps with the hash table's
+/// discrete lookup width. So a fleet larger than the answer may still fail.
 pub fn recommend_suborams(
     req: &Requirements,
     model: &CostModel,
@@ -299,10 +301,44 @@ mod tests {
         let m = CostModel::paper_calibrated();
         let r = req(50_000.0, 500.0, 2_000_000);
         let t = (r.max_latency_ms * 1e6 * 2.0 / 5.0) as u64;
-        // If (l, s) works then (l+1, s+1) should too (more capacity).
+        // At the paper's configuration, if (l, s) works then (l, s+1) does
+        // too: a subORAM more shrinks every partition. This is a spot check,
+        // not a law of the model (see `suboram_term_steps_are_small_in_s`).
+        // Adding a balancer as well is not monotone: Equation (1) charges
+        // each subORAM one scan per balancer, so (l+1, s+1) does more scan
+        // work per subORAM than (l, s) whenever s > l.
+        let mut exercised = 0;
         for (l, s) in [(2usize, 8usize), (3, 10), (4, 12)] {
             if feasible(&r, &m, l, s, t) {
-                assert!(feasible(&r, &m, l + 1, s + 1, t), "({l},{s}) ok but +1 not");
+                exercised += 1;
+                assert!(feasible(&r, &m, l, s + 1, t), "({l},{s}) ok but +1 subORAM not");
+            }
+        }
+        assert!(exercised > 0, "no feasible starting point: the check would be vacuous");
+    }
+
+    #[test]
+    fn suboram_term_steps_are_small_in_s() {
+        // Feasibility is not monotone in S in this model: the balancer
+        // sorts R + S·B work items, which grow with S, and the subORAM term
+        // steps with the table's discrete lookup width. A subORAM more
+        // always shrinks the partition, but the derivation may then trade a
+        // few lookup slots for a smaller table, whose cheaper build the
+        // model's `3·B`-slot build term does not credit. Bound that step:
+        // over s = 1..=64 at every load below, one subORAM more raises the
+        // per-batch subORAM time by under 10 %.
+        let m = CostModel::paper_calibrated();
+        for objects in [100_000u64, 1_000_000, 2_000_000, 10_000_000] {
+            for r in [100u64, 500, 2_000, 5_000, 10_000, 40_000] {
+                let at = |s: u64| m.suboram_batch_ns(m.batch_size(r, s), objects / s);
+                for s in 1..=64u64 {
+                    let (now, next) = (at(s), at(s + 1));
+                    assert!(
+                        next < 1.10 * now,
+                        "objects={objects} r={r}: s={s} -> {} costs {now:.0} -> {next:.0} ns",
+                        s + 1
+                    );
+                }
             }
         }
     }

@@ -11,7 +11,7 @@
 
 use snoopy_repro::crypto::Key256;
 use snoopy_repro::enclave::wire::Request;
-use snoopy_repro::snoopy_ohash::OHashTable;
+use snoopy_repro::snoopy_ohash::{OHashTable, TableParams};
 
 const VALUE_LEN: usize = 8;
 
@@ -22,14 +22,17 @@ fn main() {
     let registered: Vec<u64> = (0..50_000u64).map(|i| 15_550_000 + i * 3).collect();
 
     // 1. Build the oblivious table over the contacts under a fresh key; the
-    //    construction's access pattern hides which contact went where.
+    //    construction's access pattern hides which contact went where. The
+    //    table is sized for the (public) number of users scanned against it.
     let batch: Vec<Request> = contacts
         .iter()
         .enumerate()
         .map(|(i, &c)| Request::read(c, VALUE_LEN, 0, i as u64))
         .collect();
     let key = Key256([77u8; 32]);
-    let mut table = OHashTable::construct(batch, &key, 128).expect("distinct contacts");
+    let params = TableParams::derive(batch.len(), registered.len(), 128);
+    let mut table =
+        OHashTable::construct_with_params(batch, &key, params).expect("distinct contacts");
     println!(
         "oblivious table over {} contacts: {} slots, {} scanned per lookup",
         contacts.len(),
