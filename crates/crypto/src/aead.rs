@@ -6,8 +6,11 @@
 //! primitive, plus [`SealedBox`], the framing used by the deployment layers.
 
 use crate::chacha20;
-use crate::poly1305::{poly1305, tags_equal};
+use crate::poly1305::{tags_equal, Poly1305};
 use crate::Key256;
+
+/// Bytes of the Poly1305 tag that ends every sealed message.
+pub const TAG_LEN: usize = 16;
 
 /// A 96-bit AEAD nonce. Deployments derive it from `(sender id, sequence
 /// number)` so that no (key, nonce) pair ever repeats and stale messages are
@@ -80,51 +83,82 @@ impl AeadKey {
 
     /// Encrypts and authenticates `plaintext` with `aad` as associated data.
     pub fn seal(&self, nonce: Nonce, aad: &[u8], plaintext: &[u8]) -> SealedBox {
-        let mut ct = plaintext.to_vec();
-        chacha20::xor_stream(&self.0 .0, 1, &nonce.0, &mut ct);
-        let tag = self.compute_tag(nonce, aad, &ct);
-        ct.extend_from_slice(&tag);
-        SealedBox { bytes: ct }
+        let mut bytes = Vec::with_capacity(plaintext.len() + TAG_LEN);
+        bytes.extend_from_slice(plaintext);
+        let tag = self.seal_in_place(nonce, aad, &mut bytes);
+        bytes.extend_from_slice(&tag);
+        SealedBox { bytes }
     }
 
     /// Verifies and decrypts a sealed box; returns the plaintext.
     pub fn open(&self, nonce: Nonce, aad: &[u8], sealed: &SealedBox) -> Result<Vec<u8>, AeadError> {
-        if sealed.bytes.len() < 16 {
-            return Err(AeadError::Truncated);
-        }
-        let (ct, tag_bytes) = sealed.bytes.split_at(sealed.bytes.len() - 16);
-        let expected = self.compute_tag(nonce, aad, ct);
-        let mut tag = [0u8; 16];
-        tag.copy_from_slice(tag_bytes);
-        if !tags_equal(&expected, &tag) {
-            return Err(AeadError::TagMismatch);
-        }
+        let split = sealed.bytes.len().checked_sub(TAG_LEN).ok_or(AeadError::Truncated)?;
+        let (ct, tag) = sealed.bytes.split_at(split);
         let mut pt = ct.to_vec();
-        chacha20::xor_stream(&self.0 .0, 1, &nonce.0, &mut pt);
+        self.open_in_place(nonce, aad, &mut pt, tag.try_into().expect("TAG_LEN bytes"))?;
         Ok(pt)
     }
 
-    /// RFC 8439 §2.8: Poly1305 over pad16(aad) || pad16(ct) || len(aad) || len(ct),
-    /// keyed by the first 32 bytes of keystream block 0.
-    fn compute_tag(&self, nonce: Nonce, aad: &[u8], ct: &[u8]) -> [u8; 16] {
-        let block0 = chacha20::block(&self.0 .0, 0, &nonce.0);
-        let mut otk = [0u8; 32];
-        otk.copy_from_slice(&block0[..32]);
+    /// Encrypts `buf` in place and returns the tag that authenticates it
+    /// together with `aad`.
+    pub fn seal_in_place(&self, nonce: Nonce, aad: &[u8], buf: &mut [u8]) -> [u8; TAG_LEN] {
+        chacha20::xor_stream(&self.0 .0, 1, &nonce.0, buf);
+        self.tag(nonce, aad, buf)
+    }
 
-        let mut mac_data = Vec::with_capacity(aad.len() + ct.len() + 32);
-        mac_data.extend_from_slice(aad);
-        mac_data.resize(mac_data.len().next_multiple_of(16), 0);
-        mac_data.extend_from_slice(ct);
-        mac_data.resize(mac_data.len().next_multiple_of(16), 0);
-        mac_data.extend_from_slice(&(aad.len() as u64).to_le_bytes());
-        mac_data.extend_from_slice(&(ct.len() as u64).to_le_bytes());
-        poly1305(&otk, &mac_data)
+    /// Checks `tag` against the ciphertext `buf` and `aad`, then decrypts
+    /// `buf` in place. On failure `buf` is left as it was.
+    pub fn open_in_place(
+        &self,
+        nonce: Nonce,
+        aad: &[u8],
+        buf: &mut [u8],
+        tag: &[u8; TAG_LEN],
+    ) -> Result<(), AeadError> {
+        self.verify(nonce, aad, buf, tag)?;
+        chacha20::xor_stream(&self.0 .0, 1, &nonce.0, buf);
+        Ok(())
+    }
+
+    /// Checks `tag` against the ciphertext `ct` and `aad` without decrypting:
+    /// Poly1305 only.
+    pub fn verify(
+        &self,
+        nonce: Nonce,
+        aad: &[u8],
+        ct: &[u8],
+        tag: &[u8; TAG_LEN],
+    ) -> Result<(), AeadError> {
+        if tags_equal(&self.tag(nonce, aad, ct), tag) {
+            Ok(())
+        } else {
+            Err(AeadError::TagMismatch)
+        }
+    }
+
+    /// RFC 8439 §2.8: Poly1305 over pad16(aad) || pad16(ct) || len(aad) || len(ct),
+    /// keyed by the first 32 bytes of keystream block 0, absorbed from the
+    /// caller's buffers without copying them.
+    fn tag(&self, nonce: Nonce, aad: &[u8], ct: &[u8]) -> [u8; TAG_LEN] {
+        let block0 = chacha20::block(&self.0 .0, 0, &nonce.0);
+        let mut mac = Poly1305::new(block0[..32].try_into().expect("32 bytes"));
+        mac.update(aad);
+        mac.pad16();
+        mac.update(ct);
+        mac.pad16();
+        let mut lengths = [0u8; 16];
+        lengths[..8].copy_from_slice(&(aad.len() as u64).to_le_bytes());
+        lengths[8..].copy_from_slice(&(ct.len() as u64).to_le_bytes());
+        mac.update(&lengths);
+        mac.finalize()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::poly1305::tests::oracle_poly1305;
+    use proptest::prelude::*;
 
     fn hex(s: &str) -> Vec<u8> {
         let s: String = s.split_whitespace().collect();
@@ -194,5 +228,86 @@ mod tests {
         let nonce = Nonce::from_parts(3, 9);
         let sealed = aead.seal(nonce, b"meta", b"");
         assert_eq!(aead.open(nonce, b"meta", &sealed).unwrap(), Vec::<u8>::new());
+    }
+
+    #[test]
+    fn seal_does_not_reallocate() {
+        // `with_capacity` promises at least the requested capacity, so bound
+        // it from above instead of pinning it: growing by the tag after the
+        // plaintext copy would roughly double it.
+        let aead = AeadKey::new(Key256([8u8; 32]));
+        for len in [0, 1, 15, 16, 17, 4096] {
+            let sealed = aead.seal(Nonce::from_parts(0, 0), b"", &vec![3u8; len]);
+            let cap = sealed.bytes.capacity();
+            assert!(cap >= len + TAG_LEN && cap <= len + TAG_LEN + 16, "len {len}: cap {cap}");
+        }
+    }
+
+    #[test]
+    fn failed_open_in_place_leaves_buffer() {
+        let aead = AeadKey::new(Key256([9u8; 32]));
+        let nonce = Nonce::from_parts(0, 7);
+        let mut buf = b"block of objects".to_vec();
+        let mut tag = aead.seal_in_place(nonce, b"7", &mut buf);
+        tag[0] ^= 1;
+        let ct = buf.clone();
+        assert_eq!(aead.open_in_place(nonce, b"7", &mut buf, &tag), Err(AeadError::TagMismatch));
+        assert_eq!(buf, ct);
+    }
+
+    /// RFC 8439 §2.8 composed from the pieces: `xor_stream` for the
+    /// ciphertext and the 26-bit oracle MAC over a materialized
+    /// pad16(aad) || pad16(ct) || lengths.
+    fn oracle_seal(key: &[u8; 32], nonce: Nonce, aad: &[u8], pt: &[u8]) -> Vec<u8> {
+        let mut ct = pt.to_vec();
+        chacha20::xor_stream(key, 1, &nonce.0, &mut ct);
+        let otk: [u8; 32] = chacha20::block(key, 0, &nonce.0)[..32].try_into().unwrap();
+        let mut mac_data = aad.to_vec();
+        mac_data.resize(aad.len().next_multiple_of(16), 0);
+        mac_data.extend_from_slice(&ct);
+        mac_data.resize(mac_data.len().next_multiple_of(16), 0);
+        mac_data.extend_from_slice(&(aad.len() as u64).to_le_bytes());
+        mac_data.extend_from_slice(&(ct.len() as u64).to_le_bytes());
+        ct.extend_from_slice(&oracle_poly1305(&otk, &mac_data));
+        ct
+    }
+
+    proptest! {
+        #[test]
+        fn in_place_matches_boxed_and_oracle(
+            key in any::<[u8; 32]>(),
+            nonce in any::<[u8; 12]>(),
+            aad in prop::collection::vec(any::<u8>(), 0..40),
+            pt in prop::collection::vec(any::<u8>(), 0..1025),
+        ) {
+            let aead = AeadKey::new(Key256(key));
+            let nonce = Nonce(nonce);
+            let sealed = aead.seal(nonce, &aad, &pt);
+            prop_assert_eq!(&sealed.bytes, &oracle_seal(&key, nonce, &aad, &pt));
+
+            let mut buf = pt.clone();
+            let tag = aead.seal_in_place(nonce, &aad, &mut buf);
+            prop_assert_eq!(&buf[..], &sealed.bytes[..pt.len()]);
+            prop_assert_eq!(&tag[..], &sealed.bytes[pt.len()..]);
+
+            prop_assert!(aead.verify(nonce, &aad, &buf, &tag).is_ok());
+            aead.open_in_place(nonce, &aad, &mut buf, &tag).unwrap();
+            prop_assert_eq!(&buf, &pt);
+            prop_assert_eq!(aead.open(nonce, &aad, &sealed).unwrap(), pt);
+        }
+
+        #[test]
+        fn any_flipped_bit_is_refused(
+            key in any::<[u8; 32]>(),
+            pt in prop::collection::vec(any::<u8>(), 1..300),
+            at in any::<u64>(),
+        ) {
+            let aead = AeadKey::new(Key256(key));
+            let nonce = Nonce::from_parts(0, 1);
+            let mut sealed = aead.seal(nonce, b"aad", &pt);
+            let bit = (at % (sealed.bytes.len() as u64 * 8)) as usize;
+            sealed.bytes[bit / 8] ^= 1 << (bit % 8);
+            prop_assert_eq!(aead.open(nonce, b"aad", &sealed), Err(AeadError::TagMismatch));
+        }
     }
 }

@@ -22,7 +22,6 @@
 
 pub mod aead;
 pub mod chacha20;
-pub mod hkdf;
 pub mod hmac;
 pub mod poly1305;
 pub mod prg;

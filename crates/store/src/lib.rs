@@ -5,12 +5,16 @@
 //! AEAD-sealed **segment file** of fixed-size blocks, laid out for exactly
 //! the access pattern the subORAM has: a full sequential scan with
 //! unconditional write-back (Goodrich–Mitzenmacher, "Oblivious Storage with
-//! Low I/O Overhead"). The sealing discipline mirrors
-//! [`snoopy_enclave::external::ExternalStore`]: every block is sealed under
-//! a per-segment sequence number (folded into the nonce, so no (key, nonce)
-//! pair ever repeats), and a per-block HMAC digest stays *inside* the
-//! enclave, so the host can neither forge, swap, nor roll back individual
-//! blocks.
+//! Low I/O Overhead"). Every sealing pass (create, each streaming scan,
+//! each resident commit) draws a random 128-bit pass id and seals under its
+//! own key, derived from that id; block `i` uses nonce `i` and AAD `i`. So,
+//! while pass ids do not repeat, each (key, nonce) pair seals exactly once
+//! and a block moved from another index or another pass fails to open. The
+//! enclave keeps every block's 16-byte AEAD tag and compares it before
+//! opening the block, so a block replayed from an earlier pass is refused
+//! even if that pass drew the same id. A root digest over (pass id, count,
+//! tags) rides in the sealed checkpoint, so the host can neither forge,
+//! swap, nor roll back blocks or whole segments.
 //!
 //! The scan streams blocks through a bounded read-ahead/write-behind buffer
 //! — resident memory is O(`buffer_blocks`), not O(partition) — writing the
@@ -33,12 +37,13 @@
 #![warn(missing_docs)]
 
 use std::fs::{self, File, OpenOptions};
-use std::io::{self, Read, Seek, SeekFrom, Write};
+use std::io::{self, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use snoopy_crypto::aead::{AeadKey, Nonce, SealedBox};
+use snoopy_crypto::aead::{AeadKey, Nonce, TAG_LEN};
 use snoopy_crypto::hmac::hmac_sha256;
+use snoopy_crypto::poly1305::tags_equal;
 use snoopy_crypto::rng::Rng;
 use snoopy_crypto::{Key256, Prg};
 use snoopy_enclave::external::IntegrityError;
@@ -51,9 +56,11 @@ use snoopy_telemetry::events::{self, Event, EventKind};
 use snoopy_telemetry::metrics::{self, names};
 use snoopy_telemetry::Public;
 
-const MAGIC: &[u8; 8] = b"SNPSEG01";
-const HEADER_LEN: usize = 40;
-const TAG_LEN: usize = 16;
+const MAGIC: &[u8; 8] = b"SNPSEG02";
+/// The format before per-pass keys: one key for every pass. Refused.
+const MAGIC_V1: &[u8; 8] = b"SNPSEG01";
+/// Magic, pass id (16 B), count, value_len, objs_per_block.
+const HEADER_LEN: usize = 48;
 
 /// Which storage tier a subORAM partition lives in. Flows from the manifest
 /// (`storage = memory|external|disk`) and `SnoopyConfig` down to the backend
@@ -176,24 +183,74 @@ impl Drop for TempDir {
     }
 }
 
+/// One sealing pass: a random 128-bit id (in the segment header and the
+/// root digest) and the key derived from it. Block `i` of the pass is sealed
+/// under nonce `i`, AAD `i`.
+struct Pass {
+    id: u128,
+    key: AeadKey,
+}
+
+impl Pass {
+    /// The pass with id `id`: its key is `root.derive("disk-pass" ‖ id)`, so
+    /// distinct passes never share a (key, nonce) pair.
+    fn derive(root: &Key256, id: u128) -> Pass {
+        let mut label = b"disk-pass".to_vec();
+        label.extend_from_slice(&id.to_le_bytes());
+        Pass { id, key: AeadKey::new(root.derive(&label)) }
+    }
+
+    /// Seals the plaintext at the front of `block` in place and writes its
+    /// tag into the last [`TAG_LEN`] bytes; returns the tag.
+    fn seal(&self, index: usize, block: &mut [u8]) -> [u8; TAG_LEN] {
+        let (plain, tag_bytes) = block.split_at_mut(block.len() - TAG_LEN);
+        let tag = self.key.seal_in_place(block_nonce(index), &block_aad(index), plain);
+        tag_bytes.copy_from_slice(&tag);
+        tag
+    }
+
+    /// Authenticates the sealed `block` as this pass's block `index` and
+    /// decrypts it in place; the plaintext is `block[..len - TAG_LEN]`.
+    fn open(&self, index: usize, block: &mut [u8]) -> Result<(), IntegrityError> {
+        let (ct, tag) = block.split_at_mut(block.len() - TAG_LEN);
+        let tag: &[u8; TAG_LEN] = (&*tag).try_into().expect("TAG_LEN bytes");
+        self.key
+            .open_in_place(block_nonce(index), &block_aad(index), ct, tag)
+            .map_err(|_| IntegrityError::Corrupted { index })
+    }
+
+    /// Authenticates the sealed `block` without decrypting it.
+    fn verify(&self, index: usize, block: &[u8]) -> Result<(), IntegrityError> {
+        let (ct, tag) = block.split_at(block.len() - TAG_LEN);
+        self.key
+            .verify(
+                block_nonce(index),
+                &block_aad(index),
+                ct,
+                tag.try_into().expect("TAG_LEN bytes"),
+            )
+            .map_err(|_| IntegrityError::Corrupted { index })
+    }
+}
+
 /// The file-backed [`StorageBackend`]: AEAD-sealed fixed-size blocks in a
-/// sequential-scan-friendly segment file, per-block digests in-enclave,
-/// bounded-buffer streaming scan, crash-safe generation commit.
+/// sequential-scan-friendly segment file under a fresh key per sealing pass,
+/// per-block tags in-enclave, bounded-buffer streaming scan, crash-safe
+/// generation commit.
 pub struct DiskBackend {
     dir: PathBuf,
-    aead: AeadKey,
+    /// The key every pass key is derived from.
+    pass_root: Key256,
     mac_key: Key256,
     count: usize,
     value_len: usize,
     objs_per_block: usize,
     buffer_blocks: usize,
-    /// Sequence number the active sealed state was sealed under (folded into
-    /// every block nonce; fresh random draw per scan so a crash can never
-    /// cause (key, nonce) reuse).
-    seq: u64,
+    /// The pass the active sealed state was sealed under.
+    pass: Pass,
     generation: u64,
-    /// In-enclave per-block digests of the active sealed state.
-    digests: Vec<[u8; 32]>,
+    /// In-enclave per-block AEAD tags of the active sealed state.
+    tags: Vec<[u8; TAG_LEN]>,
     /// Resident mode: the whole partition as a plaintext slab in enclave
     /// memory (only when it fits the buffer budget); sealed at commit.
     resident: Option<ObjectSlab>,
@@ -220,12 +277,10 @@ impl DiskBackend {
         fs::create_dir_all(dir)?;
         clear_segments(dir)?;
         let (count, value_len) = (part.len(), part.value_len());
+        // A fresh backend already holds a fresh pass: the create pass.
         let mut b = DiskBackend::empty(dir.to_path_buf(), count, value_len, cfg, root_key);
-        b.seq = b.prg.gen();
-        let blocks = b.seal_records(b.seq, |i| part.get(i));
-        b.digests = blocks.iter().map(|s| b.block_digest(s)).collect();
         let path = b.gen_path(0);
-        b.write_segment(&path, b.seq, &blocks)?;
+        b.tags = b.write_sealed_segment(&path, &b.pass, |i| part.get(i))?;
         fsync_dir(&b.dir)?;
         b.active_path = path;
         if b.nblocks() <= b.buffer_blocks {
@@ -249,10 +304,14 @@ impl DiskBackend {
     }
 
     /// Reopens the committed generation named by `expected` (from the sealed
-    /// checkpoint), re-deriving every in-enclave digest from the segment and
-    /// refusing to start if the root digest disagrees — host tampering or a
-    /// whole-store rollback while the enclave was down is detected here.
-    /// Uncommitted pending segments and orphaned generations are removed.
+    /// checkpoint): authenticates every block under the segment's pass key
+    /// (Poly1305 only, unless the partition fits the buffer and is decrypted
+    /// into the resident cache), and refuses to start if a block fails or the
+    /// root digest disagrees — host tampering or a whole-store rollback while
+    /// the enclave was down is detected here, before any request is served.
+    /// A segment in the retired `SNPSEG01` format is refused as
+    /// `InvalidData`. Uncommitted pending segments and orphaned generations
+    /// are removed.
     pub fn open(
         dir: &Path,
         value_len: usize,
@@ -262,40 +321,53 @@ impl DiskBackend {
     ) -> io::Result<DiskBackend> {
         let path = dir.join(format!("gen-{}.seg", expected.generation));
         let mut f = File::open(&path)?;
-        let mut header = [0u8; HEADER_LEN];
-        f.read_exact(&mut header)?;
-        if &header[..8] != MAGIC {
+        let mut magic = [0u8; 8];
+        f.read_exact(&mut magic)?;
+        if &magic == MAGIC_V1 {
+            return Err(bad_data(
+                "segment format SNPSEG01 (one key for every pass) is no longer supported; \
+                 this build reads SNPSEG02",
+            ));
+        }
+        if &magic != MAGIC {
             return Err(bad_data("segment magic mismatch"));
         }
-        let seq = u64::from_le_bytes(header[8..16].try_into().unwrap());
-        let count = u64::from_le_bytes(header[16..24].try_into().unwrap()) as usize;
-        let hdr_value_len = u64::from_le_bytes(header[24..32].try_into().unwrap()) as usize;
-        let hdr_opb = u64::from_le_bytes(header[32..40].try_into().unwrap()) as usize;
+        let mut header = [0u8; HEADER_LEN - 8];
+        f.read_exact(&mut header)?;
+        let word = |at: usize| u64::from_le_bytes(header[at..at + 8].try_into().expect("8 bytes"));
+        let id = u128::from_le_bytes(header[..16].try_into().expect("16 bytes"));
+        let count = word(16) as usize;
+        let (hdr_value_len, hdr_opb) = (word(24) as usize, word(32) as usize);
         let mut b = DiskBackend::empty(dir.to_path_buf(), count, value_len, cfg, root_key);
         if hdr_value_len != value_len || hdr_opb != b.objs_per_block {
             return Err(bad_data("segment geometry does not match configuration"));
         }
-        b.seq = seq;
+        b.pass = Pass::derive(&b.pass_root, id);
         b.generation = expected.generation;
 
-        // Stream the segment once, rebuilding the in-enclave digests (and
-        // the resident cache when the partition fits the buffer).
-        let sealed_len = b.sealed_len();
-        let mut sealed = vec![0u8; sealed_len];
+        // Stream the segment once, authenticating every block and rebuilding
+        // the in-enclave tags (and the resident cache when the partition
+        // fits the buffer).
+        let plain_len = b.plain_len();
+        let mut block = vec![0u8; b.sealed_len()];
         let mut resident =
             (b.nblocks() <= b.buffer_blocks).then(|| ObjectSlab::with_capacity(count, value_len));
+        let refuse = |e: IntegrityError| bad_data(&format!("segment block: {e}"));
         for i in 0..b.nblocks() {
-            f.read_exact(&mut sealed)?;
-            let sb = SealedBox { bytes: sealed.clone() };
-            b.digests.push(b.block_digest(&sb));
+            f.read_exact(&mut block)?;
             if let Some(slab) = resident.as_mut() {
-                let mut plain = b
-                    .open_block(&sb, i, seq)
-                    .map_err(|e| bad_data(&format!("segment block: {e}")))?;
-                visit_records(&mut plain, b.objs_in_block(i), value_len, &mut |id, value| {
-                    slab.push(id, value)
-                });
+                b.pass.open(i, &mut block).map_err(refuse)?;
+                visit_records(
+                    &mut block[..plain_len],
+                    b.objs_in_block(i),
+                    value_len,
+                    &mut |id, v| slab.push(id, v),
+                );
+            } else {
+                b.pass.verify(i, &block).map_err(refuse)?;
             }
+            // Opening decrypts only the ciphertext; the tag is as read.
+            b.tags.push(block[plain_len..].try_into().expect("TAG_LEN bytes"));
         }
         if b.root_digest() != expected.digest {
             return Err(bad_data("generation root digest mismatch (tampering or rollback)"));
@@ -323,17 +395,20 @@ impl DiskBackend {
     ) -> DiskBackend {
         let obj_len = 8 + value_len;
         let objs_per_block = (cfg.block_bytes / obj_len).max(1);
+        let pass_root = root_key.derive(b"disk-store-aead");
+        let mut prg = Prg::from_entropy();
+        let pass = Pass::derive(&pass_root, prg.gen());
         DiskBackend {
             dir,
-            aead: AeadKey::new(root_key.derive(b"disk-store-aead")),
+            pass_root,
             mac_key: root_key.derive(b"disk-store-mac"),
             count,
             value_len,
             objs_per_block,
             buffer_blocks: cfg.buffer_blocks.max(1),
-            seq: 0,
+            pass,
             generation: 0,
-            digests: Vec::new(),
+            tags: Vec::new(),
             resident: None,
             active_path: PathBuf::new(),
             active_is_tmp: false,
@@ -341,7 +416,7 @@ impl DiskBackend {
             dirty: false,
             temp: None,
             io_log: None,
-            prg: Prg::from_entropy(),
+            prg,
         }
     }
 
@@ -397,36 +472,39 @@ impl DiskBackend {
         self.dir.join(format!("gen-{generation}.seg"))
     }
 
-    fn seal_block(&self, plaintext: &[u8], index: usize, seq: u64) -> SealedBox {
-        debug_assert_eq!(plaintext.len(), self.plain_len());
-        self.aead.seal(Nonce::from_parts(index as u32, seq), &block_aad(index, seq), plaintext)
+    /// A pass with a fresh random id.
+    fn new_pass(&mut self) -> Pass {
+        Pass::derive(&self.pass_root, self.prg.gen())
     }
 
-    fn open_block(
-        &self,
-        sealed: &SealedBox,
-        index: usize,
-        seq: u64,
-    ) -> Result<Vec<u8>, IntegrityError> {
-        self.aead
-            .open(Nonce::from_parts(index as u32, seq), &block_aad(index, seq), sealed)
-            .map_err(|_| IntegrityError::Corrupted { index })
+    /// Where a pass writes its segment before a commit publishes it.
+    fn pending_path(&self, pass: &Pass) -> PathBuf {
+        self.dir.join(format!("scan-{:032x}.tmp", pass.id))
     }
 
-    fn block_digest(&self, sealed: &SealedBox) -> [u8; 32] {
-        hmac_sha256(&self.mac_key.0, &sealed.bytes)
-    }
-
-    /// HMAC over (seq, count, every per-block digest): the whole-segment
+    /// HMAC over (pass id, count, every block's tag): the whole-segment
     /// identity carried in the sealed checkpoint.
     fn root_digest(&self) -> [u8; 32] {
-        let mut buf = Vec::with_capacity(16 + self.digests.len() * 32);
-        buf.extend_from_slice(&self.seq.to_le_bytes());
+        let mut buf = Vec::with_capacity(24 + self.tags.len() * TAG_LEN);
+        buf.extend_from_slice(&self.pass.id.to_le_bytes());
         buf.extend_from_slice(&(self.count as u64).to_le_bytes());
-        for d in &self.digests {
-            buf.extend_from_slice(d);
+        for tag in &self.tags {
+            buf.extend_from_slice(tag);
         }
         hmac_sha256(&self.mac_key.0, &buf)
+    }
+
+    /// Opens block `index` of the active sealed state in place. Its tag must
+    /// be the one the enclave kept for that index before it is authenticated
+    /// under the active pass, so integrity does not rest on pass ids never
+    /// repeating: a block sealed by another pass that drew the same id (and
+    /// so the same key) carries a different tag.
+    fn open_active(&self, index: usize, block: &mut [u8]) -> Result<(), IntegrityError> {
+        let tag: &[u8; TAG_LEN] = block[block.len() - TAG_LEN..].try_into().expect("TAG_LEN bytes");
+        if !tags_equal(tag, &self.tags[index]) {
+            return Err(IntegrityError::Corrupted { index });
+        }
+        self.pass.open(index, block)
     }
 
     fn objs_in_block(&self, index: usize) -> usize {
@@ -434,35 +512,33 @@ impl DiskBackend {
         self.count.saturating_sub(start).min(self.objs_per_block)
     }
 
-    /// Seals the partition whose object `i` is `record(i)` as `(id, value)`.
-    fn seal_records<'a>(
+    /// Seals the partition whose object `i` is `record(i)` as `(id, value)`
+    /// under `pass` into a new segment file at `path`, one block at a time,
+    /// and fsyncs it. Returns the blocks' tags.
+    fn write_sealed_segment<'a>(
         &self,
-        seq: u64,
+        path: &Path,
+        pass: &Pass,
         record: impl Fn(usize) -> (u64, &'a [u8]),
-    ) -> Vec<SealedBox> {
+    ) -> io::Result<Vec<[u8; TAG_LEN]>> {
         let obj_len = 8 + self.value_len;
-        let mut blocks = Vec::with_capacity(self.nblocks());
+        let mut out = BufWriter::with_capacity(64 * 1024, File::create(path)?);
+        out.write_all(&segment_header(pass.id, self.count, self.value_len, self.objs_per_block))?;
+        let mut block = vec![0u8; self.sealed_len()];
+        let mut tags = Vec::with_capacity(self.nblocks());
         for i in 0..self.nblocks() {
-            let mut plain = vec![0u8; self.plain_len()];
-            for j in 0..self.objs_in_block(i) {
+            let objs = self.objs_in_block(i);
+            for (j, rec) in block.chunks_exact_mut(obj_len).take(objs).enumerate() {
                 let (id, value) = record(i * self.objs_per_block + j);
-                let record = &mut plain[j * obj_len..(j + 1) * obj_len];
-                record[..8].copy_from_slice(&id.to_le_bytes());
-                record[8..].copy_from_slice(value);
+                rec[..8].copy_from_slice(&id.to_le_bytes());
+                rec[8..].copy_from_slice(value);
             }
-            blocks.push(self.seal_block(&plain, i, seq));
+            block[objs * obj_len..self.plain_len()].fill(0);
+            tags.push(pass.seal(i, &mut block));
+            out.write_all(&block)?;
         }
-        blocks
-    }
-
-    fn write_segment(&self, path: &Path, seq: u64, blocks: &[SealedBox]) -> io::Result<File> {
-        let mut f = File::create(path)?;
-        f.write_all(&segment_header(seq, self.count, self.value_len, self.objs_per_block))?;
-        for b in blocks {
-            f.write_all(&b.bytes)?;
-        }
-        f.sync_all()?;
-        Ok(f)
+        out.into_inner().map_err(io::IntoInnerError::into_error)?.sync_all()?;
+        Ok(tags)
     }
 
     /// The streaming scan: bounded read-ahead from the active segment,
@@ -473,9 +549,9 @@ impl DiskBackend {
         &mut self,
         visit: &mut dyn FnMut(u64, &mut [u8]),
     ) -> Result<(), SubOramError> {
-        let new_seq: u64 = self.prg.gen();
-        let tmp_path = self.dir.join(format!("scan-{new_seq:016x}.tmp"));
-        let result = self.scan_streaming_inner(visit, new_seq, &tmp_path);
+        let pass = self.new_pass();
+        let tmp_path = self.pending_path(&pass);
+        let result = self.scan_streaming_inner(visit, pass, &tmp_path);
         if result.is_err() {
             let _ = fs::remove_file(&tmp_path);
         }
@@ -485,10 +561,11 @@ impl DiskBackend {
     fn scan_streaming_inner(
         &mut self,
         visit: &mut dyn FnMut(u64, &mut [u8]),
-        new_seq: u64,
+        pass: Pass,
         tmp_path: &Path,
     ) -> Result<(), SubOramError> {
         let sealed_len = self.sealed_len();
+        let plain_len = self.plain_len();
         let nblocks = self.nblocks();
         // Split the block budget between read-ahead and write-behind.
         let read_chunk = (self.buffer_blocks / 2).max(1);
@@ -497,7 +574,7 @@ impl DiskBackend {
         let mut src = File::open(&self.active_path)?;
         src.seek(SeekFrom::Start(HEADER_LEN as u64))?;
         let mut dst = File::create(tmp_path)?;
-        dst.write_all(&segment_header(new_seq, self.count, self.value_len, self.objs_per_block))?;
+        dst.write_all(&segment_header(pass.id, self.count, self.value_len, self.objs_per_block))?;
         self.log(IoEvent::Write { offset: 0, len: HEADER_LEN as u64 });
 
         let reg = metrics::global();
@@ -506,9 +583,10 @@ impl DiskBackend {
         let mut stalls = 0u64;
 
         let mut read_buf = vec![0u8; read_chunk * sealed_len];
-        let mut write_buf: Vec<u8> = Vec::with_capacity(write_cap * sealed_len);
+        let mut write_buf = vec![0u8; write_cap * sealed_len];
+        let mut pending = 0usize; // blocks in write_buf
         let mut write_off = HEADER_LEN as u64;
-        let mut new_digests = Vec::with_capacity(nblocks);
+        let mut new_tags = Vec::with_capacity(nblocks);
 
         let mut i = 0usize;
         while i < nblocks {
@@ -520,20 +598,18 @@ impl DiskBackend {
                 len: buf.len() as u64,
             });
             bytes_read += buf.len() as u64;
-            for j in 0..k {
+            for (j, block) in read_buf[..k * sealed_len].chunks_exact_mut(sealed_len).enumerate() {
+                // Open in place in the read buffer, visit, then re-seal in
+                // place at the tail of the write buffer.
                 let index = i + j;
-                let sealed =
-                    SealedBox { bytes: read_buf[j * sealed_len..(j + 1) * sealed_len].to_vec() };
-                if self.block_digest(&sealed) != self.digests[index] {
-                    return Err(IntegrityError::Corrupted { index }.into());
-                }
-                let mut plain =
-                    self.open_block(&sealed, index, self.seq).map_err(SubOramError::Integrity)?;
-                visit_records(&mut plain, self.objs_in_block(index), self.value_len, visit);
-                let resealed = self.seal_block(&plain, index, new_seq);
-                new_digests.push(self.block_digest(&resealed));
-                write_buf.extend_from_slice(&resealed.bytes);
-                if write_buf.len() >= write_cap * sealed_len {
+                self.open_active(index, block)?;
+                let plain = &mut block[..plain_len];
+                visit_records(plain, self.objs_in_block(index), self.value_len, visit);
+                let out = &mut write_buf[pending * sealed_len..(pending + 1) * sealed_len];
+                out[..plain_len].copy_from_slice(plain);
+                new_tags.push(pass.seal(index, out));
+                pending += 1;
+                if pending == write_cap {
                     // Write-behind buffer full: forced flush before the next
                     // read-ahead — a buffer stall.
                     dst.write_all(&write_buf)?;
@@ -541,16 +617,16 @@ impl DiskBackend {
                     write_off += write_buf.len() as u64;
                     bytes_written += write_buf.len() as u64;
                     stalls += 1;
-                    write_buf.clear();
+                    pending = 0;
                 }
             }
             i += k;
         }
-        if !write_buf.is_empty() {
-            dst.write_all(&write_buf)?;
-            self.log(IoEvent::Write { offset: write_off, len: write_buf.len() as u64 });
-            bytes_written += write_buf.len() as u64;
-            write_buf.clear();
+        if pending > 0 {
+            let rest = &write_buf[..pending * sealed_len];
+            dst.write_all(rest)?;
+            self.log(IoEvent::Write { offset: write_off, len: rest.len() as u64 });
+            bytes_written += rest.len() as u64;
         }
         dst.flush()?;
 
@@ -570,28 +646,29 @@ impl DiskBackend {
         self.active_path = tmp_path.to_path_buf();
         self.active_is_tmp = true;
         self.active_file = Some(dst);
-        self.digests = new_digests;
-        self.seq = new_seq;
+        self.tags = new_tags;
+        self.pass = pass;
         self.dirty = true;
         Ok(())
     }
 }
 
-fn segment_header(seq: u64, count: usize, value_len: usize, objs_per_block: usize) -> Vec<u8> {
+fn segment_header(pass_id: u128, count: usize, value_len: usize, objs_per_block: usize) -> Vec<u8> {
     let mut h = Vec::with_capacity(HEADER_LEN);
     h.extend_from_slice(MAGIC);
-    h.extend_from_slice(&seq.to_le_bytes());
+    h.extend_from_slice(&pass_id.to_le_bytes());
     h.extend_from_slice(&(count as u64).to_le_bytes());
     h.extend_from_slice(&(value_len as u64).to_le_bytes());
     h.extend_from_slice(&(objs_per_block as u64).to_le_bytes());
     h
 }
 
-fn block_aad(index: usize, seq: u64) -> [u8; 16] {
-    let mut aad = [0u8; 16];
-    aad[..8].copy_from_slice(&(index as u64).to_le_bytes());
-    aad[8..].copy_from_slice(&seq.to_le_bytes());
-    aad
+fn block_nonce(index: usize) -> Nonce {
+    Nonce::from_parts(0, index as u64)
+}
+
+fn block_aad(index: usize) -> [u8; 8] {
+    (index as u64).to_le_bytes()
 }
 
 fn bad_data(msg: &str) -> io::Error {
@@ -639,20 +716,19 @@ impl StorageBackend for DiskBackend {
             slab.for_each(visit);
             return Ok(());
         }
-        let sealed_len = self.sealed_len();
+        let plain_len = self.plain_len();
         let mut f = File::open(&self.active_path)?;
         f.seek(SeekFrom::Start(HEADER_LEN as u64))?;
-        let mut sealed = vec![0u8; sealed_len];
+        let mut block = vec![0u8; self.sealed_len()];
         for i in 0..self.nblocks() {
-            f.read_exact(&mut sealed)?;
-            let sb = SealedBox { bytes: sealed.clone() };
-            if self.block_digest(&sb) != self.digests[i] {
-                return Err(IntegrityError::Corrupted { index: i }.into());
-            }
-            let mut plain = self.open_block(&sb, i, self.seq).map_err(SubOramError::Integrity)?;
-            visit_records(&mut plain, self.objs_in_block(i), self.value_len, &mut |id, value| {
-                visit(id, value)
-            });
+            f.read_exact(&mut block)?;
+            self.open_active(i, &mut block)?;
+            visit_records(
+                &mut block[..plain_len],
+                self.objs_in_block(i),
+                self.value_len,
+                &mut |id, value| visit(id, value),
+            );
         }
         Ok(())
     }
@@ -679,20 +755,19 @@ impl StorageBackend for DiskBackend {
         let mut fsyncs = 0u64;
         if self.resident.is_some() {
             // Resident partitions are sealed wholesale at commit time.
-            let seq: u64 = self.prg.gen();
+            let pass = self.new_pass();
+            let tmp = self.pending_path(&pass);
             let slab = self.resident.as_ref().expect("resident");
-            let blocks = self.seal_records(seq, |i| slab.get(i));
-            self.digests = blocks.iter().map(|s| self.block_digest(s)).collect();
-            let tmp = self.dir.join(format!("scan-{seq:016x}.tmp"));
-            self.write_segment(&tmp, seq, &blocks)?;
-            self.seq = seq;
+            let tags = self.write_sealed_segment(&tmp, &pass, |i| slab.get(i))?;
             self.log(IoEvent::Write {
                 offset: 0,
-                len: (HEADER_LEN + blocks.len() * self.sealed_len()) as u64,
+                len: (HEADER_LEN + tags.len() * self.sealed_len()) as u64,
             });
             self.log(IoEvent::Fsync);
             fsyncs += 1;
             fs::rename(&tmp, &new_path)?;
+            self.tags = tags;
+            self.pass = pass;
         } else {
             let pending =
                 self.active_file.take().ok_or(SubOramError::Storage(io::ErrorKind::NotFound))?;
@@ -1099,5 +1174,124 @@ mod tests {
             .counter(names::STORE_BUFFER_STALLS_TOTAL, "write-behind buffer forced flushes")
             .value();
         assert!(after > before, "a 64-block scan through a 4-block buffer must stall");
+    }
+
+    /// The sealed blocks of a segment image, header stripped.
+    fn blocks_of(image: &[u8], b: &DiskBackend) -> Vec<Vec<u8>> {
+        image[HEADER_LEN..].chunks(b.sealed_len()).map(<[u8]>::to_vec).collect()
+    }
+
+    #[test]
+    fn open_refuses_v1_segment() {
+        let dir = TempDir::new("snoopy-store-test").unwrap();
+        let objs = objects(64);
+        let mut b = DiskBackend::create(dir.path(), slab(&objs), streaming_cfg(), &key()).unwrap();
+        b.scan(&mut |_, _| {}).unwrap();
+        let gen = b.commit(1).unwrap().unwrap();
+        drop(b);
+        // Rewrite the committed segment in the SNPSEG01 layout: a 40-byte
+        // header (magic, u64 sequence, count, value_len, objs_per_block)
+        // ahead of the same blocks.
+        let path = dir.path().join("gen-1.seg");
+        let current = fs::read(&path).unwrap();
+        let mut v1 = b"SNPSEG01".to_vec();
+        v1.extend_from_slice(&7u64.to_le_bytes());
+        v1.extend_from_slice(&current[24..HEADER_LEN]);
+        v1.extend_from_slice(&current[HEADER_LEN..]);
+        fs::write(&path, &v1).unwrap();
+        let err = DiskBackend::open(dir.path(), VLEN, streaming_cfg(), &key(), gen)
+            .map(|_| ())
+            .unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("SNPSEG01"), "{err}");
+    }
+
+    #[test]
+    fn every_scan_seals_under_a_fresh_pass() {
+        let mut b = DiskBackend::create_temp(slab(&objects(100)), streaming_cfg(), &key()).unwrap();
+        b.scan(&mut |_, _| {}).unwrap();
+        let first = b.untrusted_image().unwrap();
+        b.scan(&mut |_, _| {}).unwrap();
+        let second = b.untrusted_image().unwrap();
+        // Same plaintext, no writes: a new pass id in the header, and every
+        // block's ciphertext (and so its tag) differs.
+        assert_eq!(first.len(), second.len());
+        assert_eq!(&first[..8], b"SNPSEG02");
+        assert_ne!(first[8..24], second[8..24], "pass id");
+        let (a, c) = (blocks_of(&first, &b), blocks_of(&second, &b));
+        assert_eq!(a.len(), b.nblocks());
+        for (i, (x, y)) in a.iter().zip(&c).enumerate() {
+            assert_ne!(x, y, "block {i} resealed identically");
+        }
+    }
+
+    #[test]
+    fn block_from_previous_generation_is_refused() {
+        let dir = TempDir::new("snoopy-store-test").unwrap();
+        let objs = objects(100);
+        let mut b = DiskBackend::create(dir.path(), slab(&objs), streaming_cfg(), &key()).unwrap();
+        b.scan(&mut |_, v| v[0] = 1).unwrap();
+        b.commit(1).unwrap();
+        b.scan(&mut |_, v| v[0] = 2).unwrap();
+        b.commit(2).unwrap();
+        // The host splices block 3 of generation 1 into generation 2 at the
+        // same offset: a validly sealed block, but from another pass.
+        let old = fs::read(dir.path().join("gen-1.seg")).unwrap();
+        let path = dir.path().join("gen-2.seg");
+        let mut now = fs::read(&path).unwrap();
+        let at = HEADER_LEN + 3 * b.sealed_len();
+        now[at..at + b.sealed_len()].copy_from_slice(&old[at..at + b.sealed_len()]);
+        fs::write(&path, &now).unwrap();
+        let err = b.scan(&mut |_, _| {}).unwrap_err();
+        assert_eq!(err, SubOramError::Integrity(IntegrityError::Corrupted { index: 3 }));
+    }
+
+    #[test]
+    fn block_from_a_pass_with_a_reused_id_is_refused() {
+        // Two backends whose PRGs share a seed draw the same pass ids, so
+        // their scans seal under the same pass key: the model of a restart
+        // that replays the entropy behind the ids. A block of one then opens
+        // under the other's key at the same index, and only the in-enclave
+        // tag tells the two apart.
+        let cfg = streaming_cfg();
+        let mut a = DiskBackend::create_temp(slab(&objects(100)), cfg, &key()).unwrap();
+        let mut b = DiskBackend::create_temp(slab(&objects(100)), cfg, &key()).unwrap();
+        a.prg = Prg::from_seed(9);
+        b.prg = Prg::from_seed(9);
+        a.scan(&mut |_, v| v[0] = 1).unwrap();
+        b.scan(&mut |_, v| v[0] = 2).unwrap();
+        assert_eq!(a.pass.id, b.pass.id);
+        let len = b.sealed_len();
+        let at = HEADER_LEN + 3 * len;
+        let spliced = a.untrusted_image().unwrap()[at..at + len].to_vec();
+        assert!(b.pass.open(3, &mut spliced.clone()).is_ok(), "same pass key");
+        let mut image = b.untrusted_image().unwrap();
+        image[at..at + len].copy_from_slice(&spliced);
+        assert!(b.restore_untrusted_image(&image));
+        let corrupted = SubOramError::Integrity(IntegrityError::Corrupted { index: 3 });
+        assert_eq!(b.for_each(&mut |_, _| {}).unwrap_err(), corrupted);
+        assert_eq!(b.scan(&mut |_, _| {}).unwrap_err(), corrupted);
+    }
+
+    #[test]
+    fn boot_refuses_flipped_ciphertext_with_intact_tag() {
+        let dir = TempDir::new("snoopy-store-test").unwrap();
+        let mut b =
+            DiskBackend::create(dir.path(), slab(&objects(100)), streaming_cfg(), &key()).unwrap();
+        b.scan(&mut |_, _| {}).unwrap();
+        let gen = b.commit(1).unwrap().unwrap();
+        let at = HEADER_LEN + 2 * b.sealed_len() + 5; // ciphertext of block 2
+        drop(b);
+        let path = dir.path().join("gen-1.seg");
+        let mut bytes = fs::read(&path).unwrap();
+        bytes[at] ^= 0x40;
+        fs::write(&path, &bytes).unwrap();
+        // The root digest covers the tags, which are intact: only the
+        // per-block tag check at open can catch this.
+        let err = DiskBackend::open(dir.path(), VLEN, streaming_cfg(), &key(), gen)
+            .map(|_| ())
+            .unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("block 2"), "{err}");
     }
 }

@@ -144,7 +144,7 @@ impl std::error::Error for SnapshotError {}
 pub struct StorageGeneration {
     /// Monotone commit counter.
     pub generation: u64,
-    /// HMAC over the segment header and every per-block digest.
+    /// HMAC over the segment's pass id, object count and every block's tag.
     pub digest: [u8; 32],
 }
 
