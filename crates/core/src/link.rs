@@ -12,10 +12,11 @@
 //! plane (`snoopy-net`) speak this format, so the network layer never sees
 //! plaintext requests.
 
-use snoopy_crypto::aead::{AeadKey, Nonce, SealedBox};
+use snoopy_crypto::aead::{AeadKey, Nonce, SealedBox, TAG_LEN};
 use snoopy_crypto::Key256;
 use snoopy_enclave::wire::{
-    decode_request, decode_response, encode_request, encode_response, Request, Response,
+    decode_request, decode_response, encode_request_into, encode_response_into, Request, Response,
+    REQUEST_HEADER, RESPONSE_HEADER,
 };
 
 /// Errors raised by link sealing/opening.
@@ -76,15 +77,7 @@ impl Link {
 
     /// Seals a batch of requests as the next message on this link.
     pub fn seal(&mut self, batch: &[Request]) -> Result<SealedBox, LinkError> {
-        let mut plain = Vec::new();
-        for r in batch {
-            plain.extend_from_slice(&encode_request(r));
-        }
-        let nonce = Nonce::from_parts(self.channel_id, self.send_seq);
-        // Refuse to wrap: a repeated (key, nonce) pair would break both
-        // confidentiality and the replay guarantee.
-        self.send_seq = self.send_seq.checked_add(1).ok_or(LinkError::NonceExhausted)?;
-        Ok(self.key.seal(nonce, &(batch.len() as u64).to_le_bytes(), &plain))
+        self.seal_rows(batch, |r| REQUEST_HEADER + r.value.len(), encode_request_into)
     }
 
     /// Opens the next message on this link. Anything that is not the exact
@@ -95,37 +88,13 @@ impl Link {
         sealed: &SealedBox,
         value_len: usize,
     ) -> Result<Vec<Request>, LinkError> {
-        let nonce = Nonce::from_parts(self.channel_id, self.recv_seq);
-        self.recv_seq = self.recv_seq.checked_add(1).ok_or(LinkError::NonceExhausted)?;
-        let frame = 40 + value_len;
-        // The AAD binds the batch length; it is recomputed from the (public)
-        // ciphertext length. A failure here means the untrusted network
-        // tampered with, reordered, or replayed a message; the enclave cannot
-        // proceed safely.
-        let n = (sealed.bytes.len().saturating_sub(16)) / frame;
-        let plain = self
-            .key
-            .open(nonce, &(n as u64).to_le_bytes(), sealed)
-            .map_err(|_| LinkError::Integrity)?;
-        if plain.len() != n * frame {
-            return Err(LinkError::Malformed);
-        }
-        plain
-            .chunks(frame)
-            .map(|c| decode_request(c, value_len).ok_or(LinkError::Malformed))
-            .collect()
+        self.open_rows(sealed, REQUEST_HEADER + value_len, |c| decode_request(c, value_len))
     }
 
     /// Seals a batch of client responses as the next message on this link
     /// (the client ↔ load-balancer direction of the TCP plane).
     pub fn seal_responses(&mut self, batch: &[Response]) -> Result<SealedBox, LinkError> {
-        let mut plain = Vec::new();
-        for r in batch {
-            plain.extend_from_slice(&encode_response(r));
-        }
-        let nonce = Nonce::from_parts(self.channel_id, self.send_seq);
-        self.send_seq = self.send_seq.checked_add(1).ok_or(LinkError::NonceExhausted)?;
-        Ok(self.key.seal(nonce, &(batch.len() as u64).to_le_bytes(), &plain))
+        self.seal_rows(batch, |r| RESPONSE_HEADER + r.value.len(), encode_response_into)
     }
 
     /// Opens a batch of client responses; the replay/reorder guarantees of
@@ -135,21 +104,60 @@ impl Link {
         sealed: &SealedBox,
         value_len: usize,
     ) -> Result<Vec<Response>, LinkError> {
+        self.open_rows(sealed, RESPONSE_HEADER + value_len, |c| decode_response(c, value_len))
+    }
+
+    /// Encodes every row straight into one buffer sized for the rows and the
+    /// tag, and seals it in place. The AAD is the row count.
+    fn seal_rows<T>(
+        &mut self,
+        rows: &[T],
+        frame_len: impl Fn(&T) -> usize,
+        encode: impl Fn(&T, &mut Vec<u8>),
+    ) -> Result<SealedBox, LinkError> {
+        let nonce = Nonce::from_parts(self.channel_id, self.send_seq);
+        // Refuse to wrap: a repeated (key, nonce) pair would break both
+        // confidentiality and the replay guarantee.
+        self.send_seq = self.send_seq.checked_add(1).ok_or(LinkError::NonceExhausted)?;
+        let mut bytes = Vec::with_capacity(rows.iter().map(frame_len).sum::<usize>() + TAG_LEN);
+        for r in rows {
+            encode(r, &mut bytes);
+        }
+        let tag = self.key.seal_in_place(nonce, &(rows.len() as u64).to_le_bytes(), &mut bytes);
+        bytes.extend_from_slice(&tag);
+        Ok(SealedBox { bytes })
+    }
+
+    /// Authenticates and decrypts the next message in place on one copy of
+    /// its ciphertext, then splits it into `frame`-byte rows.
+    fn open_rows<T>(
+        &mut self,
+        sealed: &SealedBox,
+        frame: usize,
+        decode: impl Fn(&[u8]) -> Option<T>,
+    ) -> Result<Vec<T>, LinkError> {
         let nonce = Nonce::from_parts(self.channel_id, self.recv_seq);
         self.recv_seq = self.recv_seq.checked_add(1).ok_or(LinkError::NonceExhausted)?;
-        let frame = 24 + value_len;
-        let n = (sealed.bytes.len().saturating_sub(16)) / frame;
-        let plain = self
-            .key
-            .open(nonce, &(n as u64).to_le_bytes(), sealed)
+        // The AAD binds the batch length; it is recomputed from the (public)
+        // ciphertext length. A failure here means the untrusted network
+        // tampered with, reordered, or replayed a message; the enclave cannot
+        // proceed safely.
+        let split = sealed.bytes.len().checked_sub(TAG_LEN).ok_or(LinkError::Integrity)?;
+        let n = split / frame;
+        let (ct, tag) = sealed.bytes.split_at(split);
+        let mut plain = ct.to_vec();
+        self.key
+            .open_in_place(
+                nonce,
+                &(n as u64).to_le_bytes(),
+                &mut plain,
+                tag.try_into().expect("TAG_LEN bytes"),
+            )
             .map_err(|_| LinkError::Integrity)?;
         if plain.len() != n * frame {
             return Err(LinkError::Malformed);
         }
-        plain
-            .chunks(frame)
-            .map(|c| decode_response(c, value_len).ok_or(LinkError::Malformed))
-            .collect()
+        plain.chunks(frame).map(|c| decode(c).ok_or(LinkError::Malformed)).collect()
     }
 }
 
@@ -210,6 +218,40 @@ mod tests {
         let sealed = a.seal_responses(&sent).unwrap();
         assert_eq!(b.open_responses(&sealed, VLEN).unwrap(), sent);
         assert_eq!(b.open_responses(&sealed, VLEN).unwrap_err(), LinkError::Integrity);
+    }
+
+    /// The one-buffer encoding changes no wire byte: in both directions the
+    /// sealed message is `AeadKey::seal` over the concatenated row encodings,
+    /// with the row count as AAD and `(channel, seq)` as nonce.
+    #[test]
+    fn sealed_bytes_equal_seal_of_concatenated_encodings() {
+        use snoopy_enclave::wire::{encode_request, encode_response};
+        let key = Key256([9u8; 32]);
+        let aead = AeadKey::new(key.clone());
+        let (mut a, mut b) = Link::pair(key, 7);
+        let responses: Vec<Response> = (0..5u64)
+            .map(|i| Response { id: i, value: vec![i as u8; VLEN], client: i, seq: i })
+            .collect();
+        for (seq, n) in [0u64, 1, 12].into_iter().enumerate() {
+            let requests = batch(n);
+            let plain: Vec<u8> = requests.iter().flat_map(encode_request).collect();
+            let expected =
+                aead.seal(Nonce::from_parts(7, 2 * seq as u64), &n.to_le_bytes(), &plain);
+            let sealed = a.seal(&requests).unwrap();
+            assert_eq!(sealed, expected);
+            assert_eq!(b.open(&sealed, VLEN).unwrap(), requests);
+
+            let rows = &responses[..n.min(5) as usize];
+            let plain: Vec<u8> = rows.iter().flat_map(encode_response).collect();
+            let expected = aead.seal(
+                Nonce::from_parts(7, 2 * seq as u64 + 1),
+                &(rows.len() as u64).to_le_bytes(),
+                &plain,
+            );
+            let sealed = a.seal_responses(rows).unwrap();
+            assert_eq!(sealed, expected);
+            assert_eq!(b.open_responses(&sealed, VLEN).unwrap(), rows);
+        }
     }
 
     #[test]

@@ -58,21 +58,75 @@ pub fn block(key: &[u8; 32], counter: u32, nonce: &[u8; 12]) -> [u8; BLOCK_BYTES
     out
 }
 
+/// Bytes of keystream one wide call produces: eight blocks.
+pub(crate) const WIDE_BYTES: usize = 8 * BLOCK_BYTES;
+
 /// Encrypts or decrypts `data` in place (ChaCha20 is its own inverse) with the
-/// keystream starting at block `initial_counter`.
+/// keystream starting at block `initial_counter`: eight blocks per call on a
+/// CPU with AVX2, one scalar block at a time otherwise, with the same
+/// output.
 pub fn xor_stream(key: &[u8; 32], initial_counter: u32, nonce: &[u8; 12], data: &mut [u8]) {
+    #[cfg(target_arch = "x86_64")]
+    if data.len() > BLOCK_BYTES {
+        if let Some(avx2) = crate::simd::Avx2::detect() {
+            let mut ks = [0u8; WIDE_BYTES];
+            for (i, chunk) in data.chunks_mut(WIDE_BYTES).enumerate() {
+                let counter = initial_counter.wrapping_add((i as u32).wrapping_mul(8));
+                avx2.chacha20_blocks8(key, counter, nonce, &mut ks);
+                xor(chunk, &ks);
+            }
+            return;
+        }
+    }
+    xor_stream_scalar(key, initial_counter, nonce, data);
+}
+
+/// [`xor_stream`] one scalar block at a time: the fallback without AVX2, and
+/// the oracle the wide path is tested against.
+pub(crate) fn xor_stream_scalar(
+    key: &[u8; 32],
+    initial_counter: u32,
+    nonce: &[u8; 12],
+    data: &mut [u8],
+) {
     for (block_idx, chunk) in data.chunks_mut(BLOCK_BYTES).enumerate() {
         let counter = initial_counter.wrapping_add(block_idx as u32);
-        let ks = block(key, counter, nonce);
-        for (byte, k) in chunk.iter_mut().zip(ks.iter()) {
-            *byte ^= k;
+        xor(chunk, &block(key, counter, nonce));
+    }
+}
+
+/// Writes the keystream from block `counter` on over `out`, which holds at
+/// most [`WIDE_BYTES`]: one wide call if it spans more than one block and the
+/// CPU has AVX2, otherwise only the blocks it needs, one scalar block at a
+/// time.
+pub(crate) fn keystream(key: &[u8; 32], counter: u32, nonce: &[u8; 12], out: &mut [u8]) {
+    assert!(out.len() <= WIDE_BYTES, "one wide call at most");
+    #[cfg(target_arch = "x86_64")]
+    if out.len() > BLOCK_BYTES {
+        if let Some(avx2) = crate::simd::Avx2::detect() {
+            let mut ks = [0u8; WIDE_BYTES];
+            avx2.chacha20_blocks8(key, counter, nonce, &mut ks);
+            out.copy_from_slice(&ks[..out.len()]);
+            return;
         }
+    }
+    for (i, chunk) in out.chunks_mut(BLOCK_BYTES).enumerate() {
+        chunk.copy_from_slice(&block(key, counter.wrapping_add(i as u32), nonce)[..chunk.len()]);
+    }
+}
+
+/// `data ^= ks`, over the shorter of the two.
+#[inline]
+pub(crate) fn xor(data: &mut [u8], ks: &[u8]) {
+    for (byte, k) in data.iter_mut().zip(ks) {
+        *byte ^= k;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn hex(s: &str) -> Vec<u8> {
         let s: String = s.split_whitespace().collect();
@@ -112,6 +166,75 @@ mod tests {
         // round-trip
         xor_stream(&key, 1, nonce.as_slice().try_into().unwrap(), &mut data);
         assert_eq!(&data, plaintext);
+    }
+
+    /// RFC 8439 Appendix A.2 test vector #2: 375 bytes from counter 1, so
+    /// the wide path covers whole eight-block calls and a short tail.
+    #[test]
+    fn rfc8439_a2_vector2() {
+        let mut key = [0u8; 32];
+        key[31] = 1;
+        let nonce = hex("000000000000000000000002");
+        let plaintext = b"Any submission to the IETF intended by the Contributor for publication as all or part of an IETF Internet-Draft or RFC and any statement made within the context of an IETF activity is considered an \"IETF Contribution\". Such statements include oral statements in IETF sessions, as well as written and electronic communications made at any time or place, which are addressed to";
+        assert_eq!(plaintext.len(), 375);
+        let expected = hex("a3fbf07df3fa2fde4f376ca23e82737041605d9f4f4f57bd8cff2c1d4b7955ec \
+             2a97948bd3722915c8f3d337f7d370050e9e96d647b7c39f56e031ca5eb6250d \
+             4042e02785ececfa4b4bb5e8ead0440e20b6e8db09d881a7c6132f420e527950 \
+             42bdfa7773d8a9051447b3291ce1411c680465552aa6c405b7764d5e87bea85a \
+             d00f8449ed8f72d0d662ab052691ca66424bc86d2df80ea41f43abf937d3259d \
+             c4b2d0dfb48a6c9139ddd7f76966e928e635553ba76c5c879d7b35d49eb2e62b \
+             0871cdac638939e25e8a1e0ef9d5280fa8ca328b351c3c765989cbcf3daa8b6c \
+             cc3aaf9f3979c92b3720fc88dc95ed84a1be059c6499b9fda236e7e818b04b0b \
+             c39c1e876b193bfe5569753f88128cc08aaa9b63d1a16f80ef2554d7189c411f \
+             5869ca52c5b83fa36ff216b9c1d30062bebcfd2dc5bce0911934fda79a86f6e6 \
+             98ced759c3ff9b6477338f3da4f9cd8514ea9982ccafb341b2384dd902f3d1ab \
+             7ac61dd29c6f21ba5b862f3730e37cfdc4fd806c22f221");
+        let nonce: &[u8; 12] = nonce.as_slice().try_into().unwrap();
+        for xor in [xor_stream, xor_stream_scalar] {
+            let mut data = plaintext.to_vec();
+            xor(&key, 1, nonce, &mut data);
+            assert_eq!(data, expected);
+        }
+    }
+
+    proptest! {
+        /// The dispatching stream (eight blocks per call where the CPU has
+        /// AVX2) against the scalar one, including counters whose eight lanes
+        /// wrap past `u32::MAX`.
+        #[test]
+        fn xor_stream_matches_scalar(
+            key in any::<[u8; 32]>(),
+            nonce in any::<[u8; 12]>(),
+            data in prop::collection::vec(any::<u8>(), 0..8193),
+            counter in any::<u32>(),
+            near_wrap in 0u32..16,
+            wrap in any::<bool>(),
+        ) {
+            // Half the cases start in the last 16 blocks before the wrap.
+            let counter = if wrap { u32::MAX - near_wrap } else { counter };
+            let mut wide = data.clone();
+            xor_stream(&key, counter, &nonce, &mut wide);
+            let mut scalar = data;
+            xor_stream_scalar(&key, counter, &nonce, &mut scalar);
+            prop_assert_eq!(wide, scalar);
+        }
+
+        #[test]
+        fn keystream_matches_blocks(
+            key in any::<[u8; 32]>(),
+            nonce in any::<[u8; 12]>(),
+            len in 0usize..WIDE_BYTES + 1,
+            counter in any::<u32>(),
+            near_wrap in 0u32..8,
+            wrap in any::<bool>(),
+        ) {
+            let counter = if wrap { u32::MAX - near_wrap } else { counter };
+            let mut out = vec![0u8; len];
+            keystream(&key, counter, &nonce, &mut out);
+            let mut expected = vec![0u8; len];
+            xor_stream_scalar(&key, counter, &nonce, &mut expected);
+            prop_assert_eq!(out, expected);
+        }
     }
 
     #[test]

@@ -16,8 +16,15 @@
 //! tests of each module. None of the implementations here aim to be
 //! side-channel-hardened beyond being branch-free on secret data where noted;
 //! the *system-level* obliviousness Snoopy needs lives in `snoopy-obliv`.
+//!
+//! ChaCha20 and Poly1305 run eight and four blocks at a time on x86-64 CPUs
+//! with AVX2 (the private `simd` module), and one block at a time otherwise, with identical
+//! output. That dispatch is the workspace's only `unsafe` code: this crate
+//! denies `unsafe_code` and allows it only on the `simd` token's calls
+//! into `#[target_feature(enable = "avx2")]` functions; every other crate
+//! forbids it (`tests/unsafe_ledger.rs` holds both to that).
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod aead;
@@ -27,6 +34,8 @@ pub mod poly1305;
 pub mod prg;
 pub mod rng;
 pub mod sha256;
+#[cfg(target_arch = "x86_64")]
+mod simd;
 pub mod siphash;
 
 pub use aead::{AeadError, AeadKey, Nonce, SealedBox};

@@ -135,36 +135,112 @@ impl Poly1305 {
     }
 
     /// h = (h + block) · r mod 2^130 − 5 for each whole 16-byte block of
-    /// `data`, with `hibit` at 2^128.
-    fn blocks(&mut self, data: &[u8], hibit: u64) {
-        let [r0, r1, r2] = self.r;
-        let [s1, s2] = self.s;
-        let [mut h0, mut h1, mut h2] = self.h;
+    /// `data`, with `hibit` at 2^128. Inputs of [`WIDE_MIN_BYTES`] or more
+    /// take the 4-lane AVX2 kernel for their whole 64-byte chunks where the
+    /// CPU has it.
+    fn blocks(&mut self, mut data: &[u8], hibit: u64) {
+        #[cfg(target_arch = "x86_64")]
+        if hibit == HIBIT && data.len() >= WIDE_MIN_BYTES {
+            if let Some(avx2) = crate::simd::Avx2::detect() {
+                let wide = data.len() - data.len() % 64;
+                let mut h = to_26(self.h);
+                avx2.poly1305_blocks4(&mut h, &self.powers(), &data[..wide]);
+                self.h = from_26(h);
+                data = &data[wide..];
+            }
+        }
+        let mut h = self.h;
         for block in data.chunks_exact(16) {
             let t0 = u64::from_le_bytes(block[..8].try_into().expect("8 bytes"));
             let t1 = u64::from_le_bytes(block[8..].try_into().expect("8 bytes"));
-            h0 += t0 & M44;
-            h1 += ((t0 >> 44) | (t1 << 20)) & M44;
-            h2 += ((t1 >> 24) & M42) | hibit;
-
-            let mul = |a: u64, b: u64| u128::from(a) * u128::from(b);
-            let d0 = mul(h0, r0) + mul(h1, s2) + mul(h2, s1);
-            let mut d1 = mul(h0, r1) + mul(h1, r0) + mul(h2, s2);
-            let mut d2 = mul(h0, r2) + mul(h1, r1) + mul(h2, r0);
-
-            d1 += d0 >> 44;
-            h0 = d0 as u64 & M44;
-            d2 += d1 >> 44;
-            h1 = d1 as u64 & M44;
-            let c = (d2 >> 42) as u64;
-            h2 = d2 as u64 & M42;
-            h0 += c * 5;
-            h1 += h0 >> 44;
-            h0 &= M44;
+            h[0] += t0 & M44;
+            h[1] += ((t0 >> 44) | (t1 << 20)) & M44;
+            h[2] += ((t1 >> 24) & M42) | hibit;
+            h = mul(h, self.r, self.s);
         }
-        self.h = [h0, h1, h2];
+        self.h = h;
+    }
+
+    /// `[r, r², r³, r⁴]` in 26-bit limbs, for the 4-lane kernel.
+    #[cfg(target_arch = "x86_64")]
+    fn powers(&self) -> [[u64; 5]; 4] {
+        let r2 = mul(self.r, self.r, self.s);
+        let r3 = mul(r2, self.r, self.s);
+        let r4 = mul(r3, self.r, self.s);
+        [to_26(self.r), to_26(r2), to_26(r3), to_26(r4)]
     }
 }
+
+/// `h · r mod 2^130 − 5` in 44/44/42-bit limbs, with `s = [20·r1, 20·r2]`;
+/// the result's limbs are carried back to (about) their widths.
+#[inline(always)]
+fn mul([h0, h1, h2]: [u64; 3], [r0, r1, r2]: [u64; 3], [s1, s2]: [u64; 2]) -> [u64; 3] {
+    let mul = |a: u64, b: u64| u128::from(a) * u128::from(b);
+    let d0 = mul(h0, r0) + mul(h1, s2) + mul(h2, s1);
+    let mut d1 = mul(h0, r1) + mul(h1, r0) + mul(h2, s2);
+    let mut d2 = mul(h0, r2) + mul(h1, r1) + mul(h2, r0);
+
+    d1 += d0 >> 44;
+    let mut h0 = d0 as u64 & M44;
+    d2 += d1 >> 44;
+    let h1 = d1 as u64 & M44;
+    let c = (d2 >> 42) as u64;
+    let h2 = d2 as u64 & M42;
+    h0 += c * 5;
+    [h0 & M44, h1 + (h0 >> 44), h2]
+}
+
+/// Bits 0..26 of a limb.
+#[cfg(target_arch = "x86_64")]
+const M26: u64 = (1 << 26) - 1;
+
+/// The same value mod 2^130 − 5 in five 26-bit limbs. The 44/44/42 limbs
+/// may run a few bits over their widths; the top 26-bit limbs may run over
+/// by a bit, which the 4-lane kernel allows.
+#[cfg(target_arch = "x86_64")]
+fn to_26([mut a, mut b, mut c]: [u64; 3]) -> [u64; 5] {
+    b += a >> 44;
+    a &= M44;
+    c += b >> 44;
+    b &= M44;
+    a += (c >> 42) * 5;
+    c &= M42;
+    b += a >> 44;
+    a &= M44;
+    [
+        a & M26,
+        (a >> 26) + ((b & 0xff) << 18),
+        (b >> 8) & M26,
+        (b >> 34) + ((c & 0xffff) << 10),
+        c >> 16,
+    ]
+}
+
+/// Back from five 26-bit limbs (each up to a few bits over, as the kernel
+/// leaves them) to 44/44/42, carried.
+#[cfg(target_arch = "x86_64")]
+fn from_26(mut g: [u64; 5]) -> [u64; 3] {
+    for i in 0..4 {
+        g[i + 1] += g[i] >> 26;
+        g[i] &= M26;
+    }
+    g[0] += (g[4] >> 26) * 5;
+    g[4] &= M26;
+    g[1] += g[0] >> 26;
+    g[0] &= M26;
+    let a = g[0] + ((g[1] & 0x3ffff) << 26);
+    let mut b = (g[1] >> 18) + (g[2] << 8) + ((g[3] & 0x3ff) << 34);
+    let mut c = (g[3] >> 10) + (g[4] << 16);
+    c += b >> 44;
+    b &= M44;
+    [a, b, c]
+}
+
+/// Shortest input to [`Poly1305::blocks`] that the 4-lane kernel takes:
+/// below it the powers of r and the lane fold cost more than the scalar
+/// blocks they replace.
+#[cfg(target_arch = "x86_64")]
+const WIDE_MIN_BYTES: usize = 256;
 
 /// Computes the 16-byte Poly1305 tag of `msg` under the 32-byte one-time key.
 pub fn poly1305(key: &[u8; 32], msg: &[u8]) -> [u8; 16] {
@@ -443,11 +519,29 @@ pub(crate) mod tests {
         }
     }
 
+    /// The 26-bit form holds the same value mod p as the 44/44/42 form it
+    /// came from, including limbs a few bits over their widths.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn limb_conversions_round_trip() {
+        let tag = |h: [u64; 3]| {
+            let mut mac = Poly1305::new(&[0u8; 32]);
+            mac.h = h;
+            mac.finalize()
+        };
+        for h in [[0, 0, 0], [1, 2, 3], [M44, M44, M42], [M44 + 7, M44 + 1, M42 + 3]] {
+            assert_eq!(tag(from_26(to_26(h))), tag(h), "{h:?}");
+        }
+    }
+
     proptest! {
+        /// Up to 8 KiB, so every length class of the 4-lane path (below the
+        /// crossover, whole chunks, chunks plus a scalar tail) meets the
+        /// oracle.
         #[test]
         fn matches_oracle(
             key in any::<[u8; 32]>(),
-            msg in prop::collection::vec(any::<u8>(), 0..1025),
+            msg in prop::collection::vec(any::<u8>(), 0..8193),
             ones in 0u8..4,
         ) {
             // One case in four each: all-0xFF key, all-0xFF message, both.
@@ -459,8 +553,8 @@ pub(crate) mod tests {
         #[test]
         fn incremental_updates_match_one_shot(
             key in any::<[u8; 32]>(),
-            msg in prop::collection::vec(any::<u8>(), 0..600),
-            cuts in prop::collection::vec(0usize..600, 0..6),
+            msg in prop::collection::vec(any::<u8>(), 0..8193),
+            cuts in prop::collection::vec(0usize..8193, 0..6),
         ) {
             let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c.min(msg.len())).collect();
             cuts.sort_unstable();

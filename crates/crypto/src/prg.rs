@@ -38,9 +38,19 @@ impl Prg {
         Prg::new(&Key256(key))
     }
 
-    /// Seeds a PRG from ambient process entropy (wall clock, pid, a process
-    /// counter). Not reproducible; use where tests or daemons only need
-    /// *some* fresh randomness rather than a reproducible stream.
+    /// Seeds a PRG from fresh entropy: 32 bytes read from `/dev/urandom`,
+    /// mixed with the wall clock, the pid and a process-wide counter. Not
+    /// reproducible; use where tests or daemons need fresh randomness (disk
+    /// pass ids, session ids, checkpoint sequence numbers) rather than a
+    /// reproducible stream. In an enclave the OS bytes would come from
+    /// RDRAND / `sgx_read_rand`; the clock, pid and counter alone are all
+    /// host-controlled.
+    ///
+    /// # Panics
+    ///
+    /// If `/dev/urandom` cannot be read. There is deliberately no fallback to
+    /// the host-controlled inputs alone: a seed the host can replay would
+    /// redraw the same pass ids, and with them the same keystream.
     pub fn from_entropy() -> Prg {
         use std::sync::atomic::{AtomicU64, Ordering};
         static COUNTER: AtomicU64 = AtomicU64::new(0);
@@ -48,11 +58,10 @@ impl Prg {
             .duration_since(std::time::UNIX_EPOCH)
             .map(|d| d.as_nanos() as u64)
             .unwrap_or(0);
-        let mut seed = [0u8; 32];
-        seed[..8].copy_from_slice(&nanos.to_le_bytes());
-        seed[8..16].copy_from_slice(&u64::from(std::process::id()).to_le_bytes());
-        seed[16..24].copy_from_slice(&COUNTER.fetch_add(1, Ordering::Relaxed).to_le_bytes());
-        Prg::new(&Key256(crate::sha256::sha256(&seed)))
+        let os =
+            os_entropy().expect("reading 32 bytes from /dev/urandom to seed Prg::from_entropy");
+        let counter = COUNTER.fetch_add(1, Ordering::Relaxed);
+        Prg::new(&entropy_seed(&os, nanos, std::process::id(), counter))
     }
 
     fn refill(&mut self) {
@@ -60,6 +69,25 @@ impl Prg {
         self.counter = self.counter.checked_add(1).expect("PRG exhausted");
         self.used = 0;
     }
+}
+
+/// 32 bytes from the operating system's entropy source.
+fn os_entropy() -> std::io::Result<[u8; 32]> {
+    use std::io::Read;
+    let mut bytes = [0u8; 32];
+    std::fs::File::open("/dev/urandom")?.read_exact(&mut bytes)?;
+    Ok(bytes)
+}
+
+/// The seed [`Prg::from_entropy`] uses: SHA-256 over the OS bytes, the
+/// clock, the pid and the counter.
+fn entropy_seed(os: &[u8; 32], nanos: u64, pid: u32, counter: u64) -> Key256 {
+    let mut seed = [0u8; 52];
+    seed[..32].copy_from_slice(os);
+    seed[32..40].copy_from_slice(&nanos.to_le_bytes());
+    seed[40..44].copy_from_slice(&pid.to_le_bytes());
+    seed[44..].copy_from_slice(&counter.to_le_bytes());
+    Key256(crate::sha256::sha256(&seed))
 }
 
 impl RngCore for Prg {
@@ -134,6 +162,22 @@ mod tests {
         let first = a.next_u64();
         let any_diff = (0..32).any(|_| a.next_u64() != first);
         assert!(any_diff);
+    }
+
+    /// With the clock, pid and counter all frozen, two OS reads still give
+    /// two different seeds: the host-controlled inputs alone decide nothing.
+    #[test]
+    fn frozen_clock_pid_and_counter_still_give_distinct_seeds() {
+        let a = entropy_seed(&os_entropy().unwrap(), 42, 7, 0);
+        let b = entropy_seed(&os_entropy().unwrap(), 42, 7, 0);
+        assert_ne!(a.0, b.0);
+        // Every input reaches the seed.
+        let os = [5u8; 32];
+        let base = entropy_seed(&os, 1, 1, 1).0;
+        assert_ne!(base, entropy_seed(&[6u8; 32], 1, 1, 1).0);
+        assert_ne!(base, entropy_seed(&os, 2, 1, 1).0);
+        assert_ne!(base, entropy_seed(&os, 1, 2, 1).0);
+        assert_ne!(base, entropy_seed(&os, 1, 1, 2).0);
     }
 
     #[test]

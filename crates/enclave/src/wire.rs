@@ -162,20 +162,29 @@ impl_cmov_struct!(Response { id, value, client, seq });
 /// Fixed-size framing: all requests in a deployment serialize to the same
 /// length, so ciphertext lengths leak nothing but the (public) object size.
 pub fn encode_request(r: &Request) -> Vec<u8> {
-    let mut out = Vec::with_capacity(40 + r.value.len());
+    let mut out = Vec::with_capacity(REQUEST_HEADER + r.value.len());
+    encode_request_into(r, &mut out);
+    out
+}
+
+/// Bytes of a request frame before its value.
+pub const REQUEST_HEADER: usize = 40;
+
+/// Appends [`encode_request`]'s bytes to `out`, so a batch encodes into one
+/// buffer.
+pub fn encode_request_into(r: &Request, out: &mut Vec<u8>) {
     out.extend_from_slice(&r.id.to_le_bytes());
     out.extend_from_slice(&r.kind.to_le_bytes());
     out.extend_from_slice(&r.client.to_le_bytes());
     out.extend_from_slice(&r.seq.to_le_bytes());
     out.extend_from_slice(&r.permit.to_le_bytes());
     out.extend_from_slice(&r.value);
-    out
 }
 
 /// Inverse of [`encode_request`]. `value_len` is the deployment's public
 /// object size. Returns `None` on malformed length.
 pub fn decode_request(bytes: &[u8], value_len: usize) -> Option<Request> {
-    if bytes.len() != 40 + value_len {
+    if bytes.len() != REQUEST_HEADER + value_len {
         return None;
     }
     Some(Request {
@@ -184,7 +193,7 @@ pub fn decode_request(bytes: &[u8], value_len: usize) -> Option<Request> {
         client: u64::from_le_bytes(bytes[16..24].try_into().ok()?),
         seq: u64::from_le_bytes(bytes[24..32].try_into().ok()?),
         permit: u64::from_le_bytes(bytes[32..40].try_into().ok()?),
-        value: bytes[40..].to_vec(),
+        value: bytes[REQUEST_HEADER..].to_vec(),
     })
 }
 
@@ -192,24 +201,32 @@ pub fn decode_request(bytes: &[u8], value_len: usize) -> Option<Request> {
 /// Fixed-size framing, like [`encode_request`]: 24-byte header + the public
 /// object size.
 pub fn encode_response(r: &Response) -> Vec<u8> {
-    let mut out = Vec::with_capacity(24 + r.value.len());
+    let mut out = Vec::with_capacity(RESPONSE_HEADER + r.value.len());
+    encode_response_into(r, &mut out);
+    out
+}
+
+/// Bytes of a response frame before its value.
+pub const RESPONSE_HEADER: usize = 24;
+
+/// Appends [`encode_response`]'s bytes to `out`.
+pub fn encode_response_into(r: &Response, out: &mut Vec<u8>) {
     out.extend_from_slice(&r.id.to_le_bytes());
     out.extend_from_slice(&r.client.to_le_bytes());
     out.extend_from_slice(&r.seq.to_le_bytes());
     out.extend_from_slice(&r.value);
-    out
 }
 
 /// Inverse of [`encode_response`]. Returns `None` on malformed length.
 pub fn decode_response(bytes: &[u8], value_len: usize) -> Option<Response> {
-    if bytes.len() != 24 + value_len {
+    if bytes.len() != RESPONSE_HEADER + value_len {
         return None;
     }
     Some(Response {
         id: u64::from_le_bytes(bytes[0..8].try_into().ok()?),
         client: u64::from_le_bytes(bytes[8..16].try_into().ok()?),
         seq: u64::from_le_bytes(bytes[16..24].try_into().ok()?),
-        value: bytes[24..].to_vec(),
+        value: bytes[RESPONSE_HEADER..].to_vec(),
     })
 }
 

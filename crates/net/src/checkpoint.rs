@@ -20,7 +20,7 @@ use snoopy_core::transport::SubOramNode;
 use snoopy_crypto::aead::{AeadKey, Nonce};
 use snoopy_crypto::rng::Rng;
 use snoopy_crypto::{Key256, Prg};
-use snoopy_enclave::wire::{decode_request, encode_request, Request, StoredObject};
+use snoopy_enclave::wire::{decode_request, encode_request_into, Request, StoredObject};
 use snoopy_store::{DiskConfig, StorageKind};
 use snoopy_suboram::{ObjectSlab, SnapshotError, StorageGeneration, SubOram, SubOramError};
 use std::collections::BTreeMap;
@@ -223,7 +223,7 @@ fn encode_state(node: &SubOramNode) -> Result<Vec<u8>, SaveError> {
             Some(batch) => {
                 out.extend_from_slice(&(batch.len() as u64).to_le_bytes());
                 for r in batch {
-                    out.extend_from_slice(&encode_request(r));
+                    encode_request_into(r, &mut out);
                 }
             }
             None => out.extend_from_slice(&REFUSED.to_le_bytes()),

@@ -6,15 +6,16 @@
 //! the access pattern the subORAM has: a full sequential scan with
 //! unconditional write-back (Goodrich–Mitzenmacher, "Oblivious Storage with
 //! Low I/O Overhead"). Every sealing pass (create, each streaming scan,
-//! each resident commit) draws a random 128-bit pass id and seals under its
-//! own key, derived from that id; block `i` uses nonce `i` and AAD `i`. So,
-//! while pass ids do not repeat, each (key, nonce) pair seals exactly once
-//! and a block moved from another index or another pass fails to open. The
-//! enclave keeps every block's 16-byte AEAD tag and compares it before
-//! opening the block, so a block replayed from an earlier pass is refused
-//! even if that pass drew the same id. A root digest over (pass id, count,
-//! tags) rides in the sealed checkpoint, so the host can neither forge,
-//! swap, nor roll back blocks or whole segments.
+//! each resident commit) draws a random 128-bit pass id (from a PRG seeded
+//! with OS entropy) and seals under its own key, derived from that id;
+//! block `i` uses nonce `i` and AAD `i`. So, while pass ids do not repeat,
+//! each (key, nonce) pair seals exactly once and a block moved from another
+//! index or another pass fails to open. The enclave keeps every block's
+//! 16-byte AEAD tag and compares it before opening the block, so a block
+//! replayed from an earlier pass is refused even if that pass drew the same
+//! id. A root digest over (pass id, count, tags) rides in the sealed
+//! checkpoint, so the host can neither forge, swap, nor roll back blocks or
+//! whole segments.
 //!
 //! The scan streams blocks through a bounded read-ahead/write-behind buffer
 //! — resident memory is O(`buffer_blocks`), not O(partition) — writing the
@@ -988,6 +989,16 @@ mod tests {
         assert_ne!(g1, key());
         assert_ne!(g1, g2);
         assert_ne!(generation_dir(base, 1), generation_dir(base, 2));
+    }
+
+    /// Pass ids come from `Prg::from_entropy`, which reads the OS entropy
+    /// source: two backends in one process never share a pass key.
+    #[test]
+    fn backends_in_one_process_draw_distinct_pass_ids() {
+        let objs = objects(10);
+        let a = DiskBackend::create_temp(slab(&objs), streaming_cfg(), &key()).unwrap();
+        let b = DiskBackend::create_temp(slab(&objs), streaming_cfg(), &key()).unwrap();
+        assert_ne!(a.pass.id, b.pass.id);
     }
 
     #[test]
