@@ -13,9 +13,9 @@ use snoopy_bench::{fmt, print_table, time_ms, write_csv};
 use snoopy_crypto::Key256;
 use snoopy_enclave::wire::{Request, StoredObject};
 use snoopy_obliv::compact::{ocompact, ocompact_by_sort};
-use snoopy_obliv::ct::Choice;
-use snoopy_obliv::shuffle::osort_odd_even_u64;
+use snoopy_obliv::ct::{ct_lt_u64, Choice, Cmov};
 use snoopy_obliv::sort::osort;
+use snoopy_obliv::trace::{self, TraceEvent};
 use snoopy_ohash::single::SingleTierTable;
 use snoopy_ohash::{OHashTable, TableParams};
 use snoopy_suboram::SubOram;
@@ -140,4 +140,68 @@ fn storage_backends() {
         &rows,
     );
     write_csv("exp_ablation_storage", &["objects", "in_ms", "ext_ms", "ratio"], &rows);
+}
+
+/// Batcher's odd-even merge sort on `u64`s: the other `O(n log² n)`
+/// network, the ablation's point of comparison for bitonic. It runs the
+/// power-of-two network of the next size up and skips every comparator
+/// whose upper index falls outside the array (out-of-range elements behave
+/// as +infinity, which never move), so the pattern depends only on `n`.
+fn osort_odd_even_u64(items: &mut [u64]) {
+    trace::record(TraceEvent::Phase(0x4f45)); // "OE" marker
+    let n = items.len();
+    let padded = n.next_power_of_two();
+    let mut p = 1usize;
+    while p < padded {
+        let mut k = p;
+        while k >= 1 {
+            let mut j = k % p;
+            while j + k < padded {
+                for i in 0..k.min(padded - j - k) {
+                    let (a, b) = (i + j, i + j + k);
+                    if a / (2 * p) == b / (2 * p) && b < n {
+                        trace::record(TraceEvent::Touch { region: 0x4f, index: a });
+                        trace::record(TraceEvent::Touch { region: 0x4f, index: b });
+                        let (head, tail) = items.split_at_mut(b);
+                        let gt = ct_lt_u64(tail[0], head[a]);
+                        head[a].cswap(&mut tail[0], gt);
+                    }
+                }
+                j += 2 * k;
+            }
+            k /= 2;
+        }
+        p *= 2;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    #[test]
+    fn odd_even_sorts_small_cases() {
+        for n in 0..=33usize {
+            let mut v: Vec<u64> = (0..n as u64).rev().collect();
+            osort_odd_even_u64(&mut v);
+            assert_eq!(v, (0..n as u64).collect::<Vec<_>>(), "n={n}");
+        }
+    }
+
+    #[test]
+    fn odd_even_trace_fixed_for_n() {
+        let run = |mut v: Vec<u64>| trace::capture(|| osort_odd_even_u64(&mut v)).1.fingerprint();
+        assert_eq!(run(vec![3, 1, 2, 9, 5]), run(vec![0, 0, 0, 0, 0]));
+    }
+
+    proptest! {
+        #[test]
+        fn odd_even_matches_std_sort(mut v in proptest::collection::vec(any::<u64>(), 0..300)) {
+            let mut expected = v.clone();
+            expected.sort_unstable();
+            osort_odd_even_u64(&mut v);
+            prop_assert_eq!(v, expected);
+        }
+    }
 }

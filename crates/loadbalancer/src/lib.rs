@@ -9,11 +9,13 @@
 //!   (`snoopy-binning`), a function of the request *count* and the subORAM
 //!   count only.
 //! * **Batch generation** ([`LoadBalancer::make_batches`], Fig. 5): assign
-//!   each request to a subORAM with the secret keyed hash, append `B` dummy
-//!   requests per subORAM, bitonic-sort by (subORAM, dummy-last, id,
-//!   arrival), scan once to deduplicate (aggregating writes last-write-wins
-//!   and marking the first `B` kept entries per subORAM), and obliviously
-//!   compact — yielding exactly `S·B` requests grouped by subORAM.
+//!   each request to a subORAM with the secret keyed hash, bitonic-sort the
+//!   `R` requests by (subORAM, id, arrival), scan once to deduplicate
+//!   (aggregating writes last-write-wins, ranking each kept entry within its
+//!   subORAM and giving it the slot `subORAM·B + rank`), obliviously compact
+//!   the kept entries and expand them into their slots, and turn every
+//!   empty slot into a dummy — yielding exactly `S·B` requests grouped by
+//!   subORAM. The padding never passes through the sort.
 //! * **Response matching** ([`LoadBalancer::match_responses`], Fig. 6): merge
 //!   subORAM responses with the original (pre-dedup) client requests, sort by
 //!   (id, responses-first), propagate each response's value to the requests
@@ -30,6 +32,7 @@ use snoopy_crypto::{Key256, SipHash24};
 use snoopy_enclave::wire::{Request, Response, StoredObject, LB_DUMMY_BASE, REAL_ID_LIMIT};
 use snoopy_obliv::compact::ocompact_adaptive;
 use snoopy_obliv::ct::{ct_eq_u64, ct_lt_u64, Choice, Cmov};
+use snoopy_obliv::expand::oexpand;
 use snoopy_obliv::impl_cmov_struct;
 use snoopy_obliv::sort::osort_adaptive;
 use snoopy_obliv::trace::{self, TraceEvent};
@@ -65,25 +68,23 @@ impl std::error::Error for LbError {}
 struct WorkReq {
     /// Target subORAM (secret value).
     sub: u64,
-    /// 1 for padding dummies (sort after real requests within a subORAM).
-    dummy: u64,
     /// Arrival index (dedup tie-break; last-write-wins needs arrival order).
     arrival: u64,
+    /// Batch slot `sub·B + rank` of a kept entry (secret value).
+    target: u64,
     req: Request,
 }
 
-impl_cmov_struct!(WorkReq { sub, dummy, arrival, req });
+impl_cmov_struct!(WorkReq { sub, arrival, target, req });
 
-/// Lexicographic branch-free "greater-than" over (sub, dummy, id, arrival).
+/// Lexicographic branch-free "greater-than" over (sub, id, arrival).
 fn work_gt(a: &WorkReq, b: &WorkReq) -> Choice {
     let sub_gt = ct_lt_u64(b.sub, a.sub);
     let sub_eq = ct_eq_u64(a.sub, b.sub);
-    let dum_gt = ct_lt_u64(b.dummy, a.dummy);
-    let dum_eq = ct_eq_u64(a.dummy, b.dummy);
     let id_gt = ct_lt_u64(b.req.id, a.req.id);
     let id_eq = ct_eq_u64(a.req.id, b.req.id);
     let arr_gt = ct_lt_u64(b.arrival, a.arrival);
-    sub_gt.or(sub_eq.and(dum_gt.or(dum_eq.and(id_gt.or(id_eq.and(arr_gt))))))
+    sub_gt.or(sub_eq.and(id_gt.or(id_eq.and(arr_gt))))
 }
 
 /// Item flowing through the response-matching pipeline.
@@ -201,44 +202,31 @@ impl LoadBalancer {
         let b = self.epoch_batch_size(r);
 
         // ➊ Assign requests to subORAMs.
-        let mut work: Vec<WorkReq> = Vec::with_capacity(r + s * b);
+        let slots = s * b;
+        let mut work: Vec<WorkReq> = Vec::with_capacity(r.max(slots));
         for (i, q) in requests.iter().enumerate() {
-            work.push(WorkReq {
-                sub: self.suboram_of(q.id) as u64,
-                dummy: 0,
-                arrival: i as u64,
-                req: q.clone(),
-            });
-        }
-        // ➋ Append B dummies per subORAM, each with a unique synthetic id.
-        let mut dummy_ctr = 0u64;
-        for sub in 0..s as u64 {
-            for _ in 0..b {
-                let mut d = Request::dummy(self.value_len);
-                d.id = LB_DUMMY_BASE + dummy_ctr;
-                dummy_ctr += 1;
-                work.push(WorkReq { sub, dummy: 1, arrival: (r as u64) + dummy_ctr, req: d });
-            }
+            let sub = self.suboram_of(q.id) as u64;
+            work.push(WorkReq { sub, arrival: i as u64, target: 0, req: q.clone() });
         }
 
-        // ➌ Oblivious sort groups batches: (subORAM, dummies-last, id, arrival).
+        // ➋ Oblivious sort of the requests alone: (subORAM, id, arrival).
         {
             let _span = telem::span("epoch/lb_make/osort");
             osort_adaptive(&mut work, &work_gt, self.threads);
         }
 
-        // ➍ One scan: last-write-wins aggregation per id group, keep the
-        // last entry of each group, cap at B kept per subORAM.
-        let n = work.len();
-        let zeros = vec![0u8; self.value_len];
-        let mut keep: Vec<Choice> = Vec::with_capacity(n);
+        // ➌ One scan: last-write-wins aggregation per id group, keep the
+        // last entry of each group, rank the kept entries of each subORAM and
+        // give each its batch slot `sub·B + rank`; at most B fit.
+        let mut keep: Vec<Choice> = Vec::with_capacity(r.max(slots));
         let mut overflow = Choice::FALSE;
         let mut prev_id = u64::MAX; // ids never equal u64::MAX (dummies are below it)
         let mut prev_sub = u64::MAX;
         let mut group_any_write = Choice::FALSE;
+        let zeros = vec![0u8; self.value_len];
         let mut group_value = zeros.clone();
         let mut kept_in_sub = 0u64;
-        for i in 0..n {
+        for i in 0..r {
             trace::record(TraceEvent::Touch { region: 0x4c, index: i });
             let same_group = ct_eq_u64(work[i].req.id, prev_id);
             let same_sub = ct_eq_u64(work[i].sub, prev_sub);
@@ -253,10 +241,8 @@ impl LoadBalancer {
             let mut carried_any_write = Choice::FALSE;
             carried_any_write.cmov(&group_any_write, same_group);
             group_any_write = carried_any_write.or(is_write);
-            let mut carried_value = zeros.clone();
-            carried_value.cmov(&group_value, same_group);
-            carried_value.cmov(&work[i].req.value, is_write);
-            group_value = carried_value;
+            group_value.cmov(&zeros, same_group.not());
+            group_value.cmov(&work[i].req.value, is_write);
             // Fold the aggregate into the current entry (it only matters if
             // this entry ends up being kept as its group's representative).
             let write_kind = 1u64;
@@ -264,22 +250,22 @@ impl LoadBalancer {
             let mut kind = read_kind;
             kind.cmov(&write_kind, group_any_write);
             work[i].req.kind = kind;
-            work[i].req.value.cmov(&group_value.clone(), group_any_write);
+            work[i].req.value.cmov(&group_value, group_any_write);
             // The merged batch entry represents only permitted operations;
             // per-client read permissions are enforced at response time.
             work[i].req.permit = 1;
             // Last-of-group: next entry (if any) starts a different id group.
-            let last_of_group = if i + 1 < n {
+            let last_of_group = if i + 1 < r {
                 ct_eq_u64(work[i + 1].req.id, work[i].req.id).not()
             } else {
                 Choice::TRUE
             };
             let within_cap = ct_lt_u64(kept_in_sub, b as u64);
             let kept = last_of_group.and(within_cap);
-            // A real (non-dummy) group representative that didn't fit is an
-            // overflow: the epoch cannot be served without dropping requests.
-            let is_real = ct_eq_u64(work[i].dummy, 0);
-            overflow = overflow.or(last_of_group.and(is_real).and(within_cap.not()));
+            // A group representative that didn't fit is an overflow: the
+            // epoch cannot be served without dropping requests.
+            overflow = overflow.or(last_of_group.and(within_cap.not()));
+            work[i].target = work[i].sub.wrapping_mul(b as u64).wrapping_add(kept_in_sub);
             let mut inc = kept_in_sub;
             let bumped = kept_in_sub.wrapping_add(1);
             inc.cmov(&bumped, kept);
@@ -292,17 +278,42 @@ impl LoadBalancer {
             return Err(LbError::BatchOverflow);
         }
 
-        // ➎ Compact to exactly S·B entries, still grouped by subORAM.
+        // ➍ Compact the kept entries to the front and expand them into the
+        // S·B batch slots. At most S·B entries are kept, but with many
+        // duplicates (or λ = 0) there can be more requests than slots: the
+        // array is cut or padded to S·B after the compaction.
         {
             let _span = telem::span("epoch/lb_make/ocompact");
             ocompact_adaptive(&mut work, &mut keep, self.threads);
         }
-        work.truncate(s * b);
-        let mut batches: Vec<Vec<Request>> = Vec::with_capacity(s);
-        for chunk in work.chunks(b) {
-            batches.push(chunk.iter().map(|w| w.req.clone()).collect());
+        let pad = || WorkReq { sub: 0, arrival: 0, target: 0, req: Request::dummy(self.value_len) };
+        work.resize_with(slots, pad);
+        keep.resize(slots, Choice::FALSE);
+        {
+            let _span = telem::span("epoch/lb_make/oexpand");
+            let targets: Vec<u64> = work.iter().map(|w| w.target).collect();
+            oexpand(&mut work, &targets, &mut keep);
         }
-        debug_assert_eq!(batches.len(), s);
+
+        // ➎ Every empty slot becomes a read dummy with the distinct id
+        // `LB_DUMMY_BASE + slot`, by masked moves.
+        let mut batches: Vec<Vec<Request>> = Vec::with_capacity(s);
+        let mut rows = work.into_iter().zip(keep).enumerate();
+        for _ in 0..s {
+            let mut batch = Vec::with_capacity(b);
+            for (slot, (w, real)) in rows.by_ref().take(b) {
+                trace::record(TraceEvent::Touch { region: 0x4c, index: slot });
+                let mut req = w.req;
+                let dummy = real.not();
+                req.id.cmov(&(LB_DUMMY_BASE + slot as u64), dummy);
+                req.kind.cmov(&0, dummy);
+                req.value.cmov(&zeros, dummy);
+                req.client.cmov(&0, dummy);
+                req.seq.cmov(&0, dummy);
+                batch.push(req);
+            }
+            batches.push(batch);
+        }
         Ok(batches)
     }
 
@@ -347,7 +358,7 @@ impl LoadBalancer {
             let is_resp = ct_eq_u64(slot.is_request, 0);
             // prev ← value (if response); value ← prev (if request).
             prev.cmov(&slot.req.value, is_resp);
-            slot.req.value.cmov(&prev.clone(), is_resp.not());
+            slot.req.value.cmov(&prev, is_resp.not());
         }
 
         // ➍ Compact out the responses; exactly R requests remain.
@@ -708,6 +719,114 @@ mod tests {
             for req in batch {
                 if req.is_dummy().declassify() {
                     assert!(dummy_ids.insert(req.id), "dummy id {} reused", req.id);
+                }
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod model {
+    //! [`LoadBalancer::make_batches`] against a plain, non-oblivious model
+    //! of Fig. 5: deduplicate, last permitted write wins (a denied write is
+    //! left out), group by subORAM, pad every batch to exactly `B`.
+
+    use super::*;
+    use proptest::prelude::*;
+    use snoopy_enclave::wire::FILLER_BASE;
+    use std::collections::{BTreeMap, HashSet};
+
+    const VLEN: usize = 8;
+
+    /// SplitMix64: the case's requests from one seed.
+    fn next(x: &mut u64) -> u64 {
+        *x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *x;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// What a subORAM's batch must hold for each distinct id, in id order.
+    fn model(lb: &LoadBalancer, requests: &[Request]) -> Option<Vec<Vec<Request>>> {
+        let mut groups: BTreeMap<u64, Request> = BTreeMap::new();
+        let mut last_write: BTreeMap<u64, Vec<u8>> = BTreeMap::new();
+        for q in requests {
+            if q.kind == 1 && q.permit == 1 {
+                last_write.insert(q.id, q.value.clone());
+            }
+            groups.insert(q.id, q.clone()); // the last arrival represents the group
+        }
+        let b = lb.epoch_batch_size(requests.len());
+        let mut batches = vec![Vec::new(); lb.num_suborams()];
+        for (id, mut rep) in groups {
+            rep.permit = 1;
+            rep.kind = 0;
+            if let Some(v) = last_write.get(&id) {
+                rep.kind = 1;
+                rep.value = v.clone();
+            }
+            batches[lb.suboram_of(id)].push(rep);
+        }
+        batches.iter().all(|batch| batch.len() <= b).then_some(batches)
+    }
+
+    proptest! {
+        #[test]
+        fn make_batches_matches_the_plain_model(
+            r in 1usize..600,
+            s in 1usize..6,
+            lambda in prop::sample::select(vec![0u32, 16, 128]),
+            mode in 0u8..4,
+            seed in any::<u64>(),
+        ) {
+            let lb = LoadBalancer::new(&Key256([seed as u8; 32]), s, VLEN, lambda);
+            let mut x = seed;
+            // Mode 0: few repeats; 1: many duplicates; 2: one id;
+            // 3: every request on subORAM 0, with repeats.
+            let hot: Vec<u64> = (0..).filter(|&id| lb.suboram_of(id) == 0).take(r / 2 + 1).collect();
+            let requests: Vec<Request> = (0..r as u64)
+                .map(|i| {
+                    let id = match mode {
+                        0 => next(&mut x) % (1 << 40),
+                        1 => next(&mut x) % (r as u64 / 4 + 1),
+                        2 => 77,
+                        _ => hot[next(&mut x) as usize % hot.len()],
+                    };
+                    let mut q = if next(&mut x).is_multiple_of(2) {
+                        Request::read(id, VLEN, i, next(&mut x))
+                    } else {
+                        Request::write(id, &next(&mut x).to_le_bytes(), VLEN, i, next(&mut x))
+                    };
+                    q.permit = u64::from(!next(&mut x).is_multiple_of(4));
+                    q
+                })
+                .collect();
+            let b = lb.epoch_batch_size(r);
+            let want = model(&lb, &requests);
+            let got = lb.make_batches(&requests);
+            let Some(want) = want else {
+                prop_assert_eq!(got.unwrap_err(), LbError::BatchOverflow);
+                return Ok(());
+            };
+            let got = got.unwrap();
+            prop_assert_eq!(got.len(), s);
+            let mut dummy_ids = HashSet::new();
+            for (batch, reals) in got.iter().zip(&want) {
+                prop_assert_eq!(batch.len(), b, "every batch holds exactly B rows");
+                let (head, tail) = batch.split_at(reals.len());
+                for (g, w) in head.iter().zip(reals) {
+                    prop_assert_eq!((g.id, g.kind, g.client, g.seq, g.permit), (w.id, w.kind, w.client, w.seq, 1));
+                    // A read's payload is ignored downstream.
+                    if w.kind == 1 {
+                        prop_assert_eq!(&g.value, &w.value);
+                    }
+                }
+                for d in tail {
+                    // Dummy ids stay below the hash table's construction fillers.
+                    prop_assert!(d.id >= LB_DUMMY_BASE && d.id < FILLER_BASE, "dummy id {}", d.id);
+                    prop_assert_eq!((d.kind, d.permit, &d.value), (0, 1, &vec![0u8; VLEN]));
+                    prop_assert!(dummy_ids.insert(d.id), "dummy id {} reused", d.id);
                 }
             }
         }

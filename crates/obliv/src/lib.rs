@@ -10,7 +10,9 @@
 //! * **bitonic sort** ([`sort`]) — `O(n log² n)`, fixed compare-swap network,
 //!   highly parallelizable (§8.4, Fig. 13a);
 //! * **order-preserving oblivious compaction** ([`compact`]) — Goodrich's
-//!   `O(n log n)` routing-network algorithm.
+//!   `O(n log n)` routing-network algorithm — and its inverse,
+//!   **order-preserving expansion** ([`expand`]), which pads a secret number
+//!   of rows into a public layout in `O(n log n)` without sorting the padding.
 //!
 //! In addition, because this reproduction runs on an *abstract* enclave rather
 //! than SGX, it can do something the original system could not: **record the
@@ -44,7 +46,6 @@ pub mod compact;
 pub mod ct;
 pub mod expand;
 pub mod scan;
-pub mod shuffle;
 pub mod sort;
 pub mod trace;
 
@@ -53,6 +54,5 @@ pub use compact::{
 };
 pub use ct::{ocmp_set, ocmp_swap, Choice, Cmov};
 pub use expand::oexpand;
-pub use shuffle::{oshuffle, osort_odd_even};
 pub use sort::{osort, osort_adaptive, osort_parallel, osort_parallel_with_grain};
 pub use trace::{Trace, TraceEvent};

@@ -12,8 +12,10 @@
 //! (negligible-overflow buckets must be large), adopting Chan et al.'s
 //! **two-tier** scheme: a first tier of many small buckets absorbs the bulk;
 //! the (padded, secret-count) overflow goes to a second tier whose buckets
-//! are sized for cryptographically negligible failure. Construction is a
-//! handful of oblivious sorts + scans + compactions.
+//! are sized for cryptographically negligible failure. Construction sorts
+//! only the batch's own rows and pads them into each tier's public layout
+//! with an order-preserving oblivious expansion (`snoopy_obliv::expand`),
+//! so no sort ever runs over filler slots.
 //!
 //! Parameter derivation ([`params::TableParams::derive`]) is from first
 //! principles: exact binomial tails for the tier-1 overflow rate, a Chernoff
@@ -27,17 +29,18 @@
 //!
 //! **Which certified table.** Many `(m1, z1, m2, z2)` meet both certificates;
 //! the derivation picks by predicted cost, not by lookup width alone. A
-//! batch pays for its table in the build (three bitonic sorts and two
-//! compactions over every slot, one more compaction to extract the batch)
-//! and in the scan (`objects · (z1 + z2)` slot probes), so
+//! batch pays for its table in the build (a sort of the batch rows, then
+//! compactions and an expansion per tier, one more compaction to extract
+//! the batch) and in the scan (`objects · (z1 + z2)` slot probes), so
 //! [`TableParams::derive`] takes the public partition size `objects` beside
 //! the batch size and minimises
-//! `34 ns · sort exchanges + 33 ns · compaction swaps + 15 ns · objects ·
-//! (z1 + z2)` — exact network counts, constants measured once at 160-byte
-//! values and fixed in `params.rs`. Against a partition many times the
-//! batch the pick has narrow buckets; against one near the batch size it
-//! has a small tier 2 (batch_mem's shape, 1 507 entries over 2 048 objects:
-//! 3 112 slots instead of 14 336). [`OHashTable::construct`] sizes for
+//! `24 ns · sort exchanges + 30 ns · compaction and expansion swaps + 13 ns ·
+//! objects · (z1 + z2)` — exact network counts, constants measured once at
+//! 160-byte values and fixed in `params.rs`. Against a partition many times
+//! the batch the pick has narrow buckets (scan_mem's shape, 256 entries
+//! over 32 768 objects: 18 slots per lookup); against one near the batch
+//! size it has a small tier 2 (batch_mem's shape, 1 507 entries over 2 048
+//! objects: 3 112 slots). [`OHashTable::construct`] sizes for
 //! `objects = n`; the subORAM passes its partition size through
 //! [`OHashTable::construct_with_params`].
 //!

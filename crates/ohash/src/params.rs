@@ -14,42 +14,51 @@
 //!
 //! **Which certified table.** Every candidate the search visits carries both
 //! certificates, so the choice among them is a pure cost question. A batch
-//! pays for its table twice: once to build it (three bitonic sorts and two
-//! compactions over every slot, then one compaction to extract the batch)
-//! and once in the scan, where each of the partition's `objects` probes
-//! `z1 + z2` slots. [`TableParams::derive`] returns the candidate with the
-//! least predicted work:
+//! pays for its table twice: once to build it (per tier, a bitonic sort
+//! and a compaction of its rows — the `n` batch rows, then the `n2_cap`
+//! spill rows — and an expansion into its slots; then one compaction to
+//! extract the batch) and once in the scan, where each of the partition's `objects`
+//! probes `z1 + z2` slots. [`TableParams::derive`] returns the candidate
+//! with the least predicted work:
 //!
 //! ```text
 //! NS_PER_SORT_EXCHANGE · Σ sort exchanges
-//!   + NS_PER_COMPACT_SWAP · Σ compaction swaps
+//!   + NS_PER_SWAP · Σ compaction and expansion swaps
 //!   + NS_PER_SCAN_SLOT · objects · (z1 + z2)
 //! ```
 //!
 //! The exchange and swap counts are exact for `snoopy-obliv`'s networks at
-//! the table's public sort and compaction lengths. The three constants were
-//! measured once with 160-byte values (see their docs) and are fixed here,
-//! with no runtime calibration, so the choice is a function of the public
-//! `(n, objects, λ)` only. When the partition is much larger than the batch
-//! the scan term dominates and the choice moves toward the lookup-minimal
-//! table; when it is not, small tier-2 tables that cost a few more lookup
-//! slots win, because the tier-2 sort and compaction no longer run over up
-//! to `8n` filler slots.
+//! the table's public lengths. The three constants were measured once with
+//! 160-byte values (see their docs) and are fixed here, with no runtime
+//! calibration, so the choice is a function of the public `(n, objects, λ)`
+//! only. No sort runs over filler slots, so a slot of either tier costs
+//! only its share of two `O(T log T)` networks (placement and extraction):
+//! when the partition is much larger than the batch the choice moves toward
+//! the lookup-minimal table, and when it is not, a small tier 2 still wins.
 
 use snoopy_binning::{batch_size, binomial_tail, chernoff_ln_tail};
 
 /// Nanoseconds per compare-exchange of two table slots in a construction
 /// sort: `osort_by` over slot-shaped elements (two `u64`s and a `Request`
-/// with a 160-byte value) at 10^3–1.6·10^4 elements, release build, on a
-/// 2-core x86-64 box (33.5–35.4 ns).
-const NS_PER_SORT_EXCHANGE: f64 = 34.0;
-/// Nanoseconds per conditional swap of a construction or extraction
-/// compaction (`ocompact` over the same elements, 31.4–33.8 ns).
-const NS_PER_COMPACT_SWAP: f64 = 33.0;
+/// with a 160-byte value, compared by two keys) at 10^3–1.6·10^4 elements,
+/// release build, on a 2-core x86-64 box (23–27 ns).
+const NS_PER_SORT_EXCHANGE: f64 = 24.0;
+/// Nanoseconds per conditional swap of the build's compactions and
+/// expansions and the extraction's compaction, measured in place: the
+/// whole build plus extraction, less its sorts at the constant above, per
+/// swap, over 27 certified tables at n = 256–2 683 (best of 21 builds
+/// each; the median table read 23–25 ns in five runs, and `ocompact` and
+/// `oexpand` alone run at 21–26 ns). Set above that median because the
+/// per-slot passes — filler values, the value slab, extraction's copies —
+/// grow with the slot count, not with the swap count, so the median
+/// underprices the largest tables: at 30 ns every pick that moved is
+/// measured no slower than the one it replaced (DESIGN §6.3); at 24 ns
+/// batch_mem's n = 1 507 pick moved to a table that was not faster.
+const NS_PER_SWAP: f64 = 30.0;
 /// Nanoseconds per slot an object probes in the scan: the slope of
 /// [`crate::OHashTable::access`] time over `z1 + z2` = 18–70 at 160-byte
-/// values and 2^14 objects, same box (13–15 ns).
-const NS_PER_SCAN_SLOT: f64 = 15.0;
+/// values and 2^14 objects, same box (12–13.5 ns).
+const NS_PER_SCAN_SLOT: f64 = 13.0;
 
 /// Tier-1 bucket sizes the search tries.
 const Z1_CHOICES: [usize; 7] = [4, 6, 8, 12, 16, 24, 32];
@@ -104,17 +113,20 @@ impl TableParams {
 
     /// Predicted nanoseconds one batch spends in this table when a
     /// partition of `objects` objects is scanned against it: construction,
-    /// the scan's `objects · (z1 + z2)` slot probes, and extraction. The
-    /// duplicate check, which every candidate pays alike, is left out.
+    /// the scan's `objects · (z1 + z2)` slot probes, and extraction.
     fn predicted_ns(&self, objects: usize) -> f64 {
         let (n, t1, cap, t2) = (self.n, self.m1 * self.z1, self.n2_cap, self.m2 * self.z2);
-        // Tier-1 placement, overflow selection, tier-2 placement.
-        let sorts =
-            sort_exchanges(n + t1) + sort_exchanges(n + t1 + cap) + sort_exchanges(cap + t2);
-        // Tier-1 and tier-2 compaction, then extraction.
-        let compactions = compact_swaps(n + t1) + compact_swaps(cap + t2) + compact_swaps(t1 + t2);
+        // Each tier sorts its rows, compacts the placed ones and expands
+        // them into its slots: the n batch rows into t1, the cap spill rows
+        // into t2. Extraction compacts the whole table.
+        let sorts = sort_exchanges(n) + sort_exchanges(cap);
+        let swaps = compact_swaps(n)
+            + expand_swaps(t1)
+            + compact_swaps(cap)
+            + expand_swaps(t2)
+            + compact_swaps(t1 + t2);
         NS_PER_SORT_EXCHANGE * sorts as f64
-            + NS_PER_COMPACT_SWAP * compactions as f64
+            + NS_PER_SWAP * swaps as f64
             + NS_PER_SCAN_SLOT * (objects as f64) * self.lookup_cost() as f64
     }
 }
@@ -213,6 +225,13 @@ fn merge_exchanges(n: usize) -> u64 {
     let m = pow2_below(n);
     // A power-of-two merge is (m/2)·log2(m) exchanges.
     (n - m) as u64 + (m / 2) as u64 * u64::from(m.trailing_zeros()) + merge_exchanges(n - m)
+}
+
+/// Conditional swaps of `snoopy_obliv::expand::oexpand` on `n` elements:
+/// `Σ (n − 2^j)` over its `⌈log2 n⌉` levels.
+fn expand_swaps(n: usize) -> u64 {
+    let levels = if n < 2 { 0 } else { usize::BITS - (n - 1).leading_zeros() };
+    u64::from(levels) * n as u64 - ((1u64 << levels) - 1)
 }
 
 /// Conditional swaps of `snoopy_obliv::compact::ocompact` on `n` elements.
@@ -339,6 +358,10 @@ mod tests {
             let mut keep: Vec<Choice> = (0..n).map(|i| Choice::from_bool(i % 3 == 0)).collect();
             let (_, t) = trace::capture(|| snoopy_obliv::compact::ocompact(&mut v, &mut keep));
             assert_eq!(t.len() as u64, 1 + compact_swaps(n), "compact n={n}");
+            let targets: Vec<u64> = (0..n as u64).collect();
+            let (_, t) =
+                trace::capture(|| snoopy_obliv::expand::oexpand(&mut v, &targets, &mut keep));
+            assert_eq!(t.len() as u64, 1 + expand_swaps(n), "expand n={n}");
         }
     }
 

@@ -1,21 +1,28 @@
 //! Oblivious construction and lookup for the two-tier table.
 //!
-//! Construction (all fixed-pattern: sorts, full scans, compactions):
+//! Construction sorts only the batch's own rows and pads them into the
+//! public layout by expansion, never by sorting fillers. One placement
+//! routine ([`place`]) runs once per tier, all of it fixed-pattern:
 //!
-//! 1. **Duplicate check** — the subORAM protocol returns ⊥ on a batch with
-//!    duplicate ids (paper Fig. 19 lines 2-4). We sort a copy of the ids and
-//!    compare neighbours obliviously, declassifying only the single bit.
-//! 2. **Tier-1 placement** — tag each entry with its `h1` bucket, append `z1`
-//!    fillers per bucket, bitonic-sort by (bucket, real-before-filler,
-//!    arrival), then a position scan marks the first `z1` entries of each
-//!    bucket as *placed* and overflowing real entries as *spill*. One
-//!    compaction yields the `m1·z1` tier-1 slots (count is public).
-//! 3. **Overflow selection** — spill entries plus `n2_cap` fresh fillers are
-//!    sorted spill-first; the length-`n2_cap` prefix is the (padded,
-//!    secret-count) tier-2 input. A scan of the suffix detects the
-//!    negligible-probability cap overflow.
-//! 4. **Tier-2 placement** — same as tier 1 with `h2`/`m2`/`z2`; any real
-//!    spill here is a (negligible-probability) construction failure.
+//! 1. **Sort** the tier's input by (bucket, id), real rows before fillers.
+//! 2. **Scan** once: each real row's rank in its bucket gives
+//!    `placed = rank < z` and its target slot `bucket·z + rank`. Equal ids
+//!    are adjacent, so the same scan finds duplicate ids — the subORAM
+//!    protocol returns ⊥ on such a batch (paper Fig. 19 lines 2-4).
+//! 3. **Compact**: an order-preserving compaction moves the placed rows to
+//!    the front, in target order. A spill count above `cap` is the
+//!    negligible-probability overflow. Otherwise at most `cap` rows were not
+//!    placed, so the last `cap` rows hold every spill: a copy of them is the
+//!    (padded, secret-count) input of the next tier, with the placed rows
+//!    among them turned into fillers with fresh ids, so no batch id ever
+//!    sits in both tiers.
+//! 4. **Expand**: an order-preserving expansion routes the placed rows to
+//!    their targets among the tier's `m·z` slots; every other slot becomes
+//!    a filler.
+//!
+//! Tier 1 places the `n` batch rows with `cap = n2_cap`; tier 2 places those
+//! `n2_cap` rows with `cap = 0`, where any spill is a construction failure.
+//! Only two bits are declassified: "duplicate ids" and "overflow".
 //!
 //! Lookups touch exactly one tier-1 and one tier-2 bucket, determined by the
 //! fresh per-batch keys, and must be performed at most once per distinct id —
@@ -26,8 +33,9 @@ use snoopy_crypto::{Key256, SipHash24};
 use snoopy_enclave::wire::{Request, FILLER_BASE};
 use snoopy_obliv::compact::ocompact;
 use snoopy_obliv::ct::{ct_bytes_eq, ct_eq_u64, ct_lt_u64, Choice, Cmov};
+use snoopy_obliv::expand::oexpand;
 use snoopy_obliv::impl_cmov_struct;
-use snoopy_obliv::sort::{osort, osort_by};
+use snoopy_obliv::sort::osort_by;
 use snoopy_obliv::trace::{self, TraceEvent};
 
 /// Errors from table construction.
@@ -56,7 +64,9 @@ impl std::error::Error for OHashError {}
 /// One table slot: a request plus oblivious bookkeeping.
 #[derive(Clone, Debug)]
 struct Slot {
-    /// Sort key (layout-internal, secret value).
+    /// Placement key (layout-internal, secret value): during a tier's sort
+    /// the row's bucket, with bit 32 set for fillers; after its rank scan,
+    /// the row's target slot in the tier.
     key: u64,
     /// 1 if this slot holds a batch entry, 0 for construction fillers
     /// (secret value).
@@ -149,104 +159,24 @@ impl OHashTable {
         let value_len = batch[0].value.len();
         trace::record(TraceEvent::Phase(0x4f48)); // "OH" construction marker
 
-        // 1. Oblivious duplicate detection.
-        let mut ids: Vec<u64> = batch.iter().map(|r| r.id).collect();
-        osort(&mut ids);
-        let mut dup = Choice::FALSE;
-        for i in 1..n {
-            dup = dup.or(ct_eq_u64(ids[i - 1], ids[i]));
-        }
-        if dup.declassify() {
-            return Err(OHashError::DuplicateIds);
-        }
-
         let h1 = SipHash24::from_key256(&key.derive(b"ohash-tier1"));
         let h2 = SipHash24::from_key256(&key.derive(b"ohash-tier2"));
-
-        // 2. Tier-1 placement.
-        let mut slots: Vec<Slot> = Vec::with_capacity(n + params.m1 * params.z1);
-        for (i, req) in batch.into_iter().enumerate() {
-            let b = h1.bin_u64(req.id, params.m1) as u64;
-            slots.push(Slot { key: (b << 33) | i as u64, real_flag: 1, req });
+        let mut fillers = Fillers { next: FILLER_BASE, value_len };
+        let rows = batch.into_iter().map(|req| Slot { key: 0, real_flag: 1, req }).collect();
+        let tier1 = place(rows, &h1, params.m1, params.z1, params.n2_cap, &mut fillers);
+        if tier1.duplicate.declassify() {
+            return Err(OHashError::DuplicateIds);
         }
-        let mut arrival = n as u64;
-        for b in 0..params.m1 as u64 {
-            for _ in 0..params.z1 {
-                slots.push(Slot {
-                    key: (b << 33) | (1 << 32) | arrival,
-                    real_flag: 0,
-                    req: filler(FILLER_BASE + arrival, value_len),
-                });
-                arrival += 1;
-            }
+        if tier1.overflow.declassify() {
+            return Err(OHashError::TableOverflow);
         }
-        osort_by(&mut slots, &|a: &Slot, b: &Slot| ct_lt_u64(b.key, a.key));
-        let (keep1, spill) = position_scan(&slots, params.z1);
-
-        let mut tier1 = slots.clone();
-        let mut keep1_bits = keep1;
-        ocompact(&mut tier1, &mut keep1_bits);
-        tier1.truncate(params.m1 * params.z1);
-
-        // 3. Overflow selection: spill-first stable sort, prefix of n2_cap.
-        let total = slots.len();
-        for (i, s) in slots.iter_mut().enumerate() {
-            // key = (not-spill bit << 40) | arrival; spill entries first.
-            let not_spill_key = (1u64 << 40) | i as u64;
-            let spill_key = i as u64;
-            let mut k = not_spill_key;
-            k.cmov(&spill_key, spill[i]);
-            s.key = k;
-        }
-        for j in 0..params.n2_cap {
-            slots.push(Slot {
-                key: (total + j) as u64,
-                real_flag: 0,
-                req: filler(FILLER_BASE + arrival + j as u64, value_len),
-            });
-        }
-        osort_by(&mut slots, &|a: &Slot, b: &Slot| ct_lt_u64(b.key, a.key));
-        let mut cap_overflow = Choice::FALSE;
-        for s in &slots[params.n2_cap..] {
-            let is_spill = ct_lt_u64(s.key, 1 << 40);
-            cap_overflow = cap_overflow.or(is_spill.and(s.is_real()));
-        }
-        slots.truncate(params.n2_cap);
-        if cap_overflow.declassify() {
+        let tier2 = place(tier1.spills, &h2, params.m2, params.z2, 0, &mut fillers);
+        if tier2.overflow.declassify() {
             return Err(OHashError::TableOverflow);
         }
 
-        // 4. Tier-2 placement.
-        for (i, s) in slots.iter_mut().enumerate() {
-            let b = h2.bin_u64(s.req.id, params.m2) as u64;
-            s.key = (b << 33) | i as u64;
-        }
-        let mut arrival2 = params.n2_cap as u64;
-        for b in 0..params.m2 as u64 {
-            for _ in 0..params.z2 {
-                slots.push(Slot {
-                    key: (b << 33) | (1 << 32) | arrival2,
-                    real_flag: 0,
-                    req: filler(FILLER_BASE + arrival + params.n2_cap as u64 + arrival2, value_len),
-                });
-                arrival2 += 1;
-            }
-        }
-        osort_by(&mut slots, &|a: &Slot, b: &Slot| ct_lt_u64(b.key, a.key));
-        let (keep2, spill2) = position_scan(&slots, params.z2);
-        let mut tier2_overflow = Choice::FALSE;
-        for s in &spill2 {
-            tier2_overflow = tier2_overflow.or(*s);
-        }
-        let mut keep2_bits = keep2;
-        ocompact(&mut slots, &mut keep2_bits);
-        slots.truncate(params.m2 * params.z2);
-        if tier2_overflow.declassify() {
-            return Err(OHashError::TableOverflow);
-        }
-
-        let mut all = tier1;
-        all.extend(slots);
+        let mut all = tier1.slots;
+        all.extend(tier2.slots);
         let probes = all.iter().map(|s| Probe::of(&s.req)).collect();
         let mut values = Vec::with_capacity(all.len() * value_len);
         for s in &mut all {
@@ -369,29 +299,114 @@ fn masked_exchange(o: &mut [u8], s: &mut [u8], wr: Choice, rd: Choice) {
     }
 }
 
-/// Position scan over bucket-sorted slots: computes, per slot, its index
-/// within its bucket, returning (`keep` = placed within the first `z`,
-/// `spill` = real entry that did not fit).
-fn position_scan(slots: &[Slot], z: usize) -> (Vec<Choice>, Vec<Choice>) {
-    let mut keep = Vec::with_capacity(slots.len());
-    let mut spill = Vec::with_capacity(slots.len());
-    // Buckets are < 2^30, so u64::MAX is a safe "no previous bucket" marker.
-    let mut prev_bucket = u64::MAX;
-    let mut pos = 0u64;
-    for (i, s) in slots.iter().enumerate() {
-        trace::record(TraceEvent::Touch { region: 0x51, index: i });
-        let b = s.key >> 33;
-        let same = ct_eq_u64(b, prev_bucket);
-        let incremented = pos.wrapping_add(1);
-        let mut new_pos = 0u64;
-        new_pos.cmov(&incremented, same);
-        pos = new_pos;
-        prev_bucket = b;
-        let placed = ct_lt_u64(pos, z as u64);
-        keep.push(placed);
-        spill.push(s.is_real().and(placed.not()));
+/// Fresh construction fillers: each gets the next id of the filler
+/// namespace, which no stored object or batch entry uses.
+struct Fillers {
+    next: u64,
+    value_len: usize,
+}
+
+impl Fillers {
+    /// The next fresh filler id. How many are drawn is public.
+    fn id(&mut self) -> u64 {
+        self.next += 1;
+        self.next - 1
     }
-    (keep, spill)
+
+    /// Resizes `rows` (tagged by `bits`) to `len`, padding with fillers,
+    /// then turns every row whose bit is clear into a filler: one masked
+    /// move of its real flag and of a fresh id, so the row's request can
+    /// never be found — nor extracted — from this tier.
+    fn pad(&mut self, rows: &mut Vec<Slot>, bits: &mut Vec<Choice>, len: usize) {
+        rows.truncate(len);
+        bits.truncate(len);
+        while rows.len() < len {
+            let id = self.id();
+            rows.push(Slot { key: 0, real_flag: 0, req: filler(id, self.value_len) });
+            bits.push(Choice::FALSE);
+        }
+        for (row, bit) in rows.iter_mut().zip(bits.iter()) {
+            let off = bit.not();
+            row.real_flag.cmov(&0, off);
+            row.req.id.cmov(&self.id(), off);
+        }
+    }
+}
+
+/// One tier's placement.
+struct Placed {
+    /// The tier's `m·z` slots, bucket by bucket.
+    slots: Vec<Slot>,
+    /// `cap` rows: every real row that did not fit, then fillers.
+    spills: Vec<Slot>,
+    /// More than `cap` rows did not fit (secret until declassified).
+    overflow: Choice,
+    /// Two real rows share an id (secret until declassified).
+    duplicate: Choice,
+}
+
+/// Places `rows` into `m` buckets of `z` slots under `h` (see the module
+/// docs): sort the rows, rank each real row in its bucket, expand the rows
+/// that fit to their slots, and copy the rows that did not into a `cap`-row
+/// spill list. A spill list needs an all-real input (`cap > 0` only for
+/// tier 1): fillers would crowd spills out of the copied tail. The access
+/// pattern depends only on `rows.len()`, `m`, `z` and `cap`.
+fn place(
+    mut rows: Vec<Slot>,
+    h: &SipHash24,
+    m: usize,
+    z: usize,
+    cap: usize,
+    fillers: &mut Fillers,
+) -> Placed {
+    for row in &mut rows {
+        let filler_bit = (1 - row.real_flag) << 32;
+        row.key = h.bin_u64(row.req.id, m) as u64 | filler_bit;
+    }
+    // (bucket, id), fillers last: a bucket's real rows are contiguous, and
+    // a duplicate id sits next to its twin.
+    osort_by(&mut rows, &|a: &Slot, b: &Slot| {
+        let key_gt = ct_lt_u64(b.key, a.key);
+        let key_eq = ct_eq_u64(a.key, b.key);
+        key_gt.or(key_eq.and(ct_lt_u64(b.req.id, a.req.id)))
+    });
+
+    let mut placed = Vec::with_capacity(rows.len());
+    let mut unplaced = 0u64;
+    let mut duplicate = Choice::FALSE;
+    // Keys are < 2^33, so u64::MAX is a safe "no previous row" marker.
+    let (mut prev_key, mut prev_id, mut rank) = (u64::MAX, u64::MAX, 0u64);
+    for (i, row) in rows.iter_mut().enumerate() {
+        trace::record(TraceEvent::Touch { region: 0x51, index: i });
+        let same = ct_eq_u64(row.key, prev_key);
+        let mut next_rank = 0u64;
+        next_rank.cmov(&rank.wrapping_add(1), same);
+        rank = next_rank;
+        let real = row.is_real();
+        duplicate = duplicate.or(real.and(same).and(ct_eq_u64(row.req.id, prev_id)));
+        let fits = ct_lt_u64(rank, z as u64);
+        placed.push(real.and(fits));
+        unplaced += real.and(fits.not()).as_bit();
+        (prev_key, prev_id) = (row.key, row.req.id);
+        // Fillers' targets are never read: expansion ignores unplaced rows.
+        row.key = (row.key & 0xFFFF_FFFF) * z as u64 + rank;
+    }
+
+    let overflow = ct_lt_u64(cap as u64, unplaced);
+
+    // Unless the tier overflows, the last `cap` rows after the compaction
+    // hold every row that was not placed.
+    ocompact(&mut rows, &mut placed);
+    let from = rows.len().saturating_sub(cap);
+    let mut spills = rows[from..].to_vec();
+    let mut spill: Vec<Choice> =
+        spills.iter().zip(&placed[from..]).map(|(r, p)| r.is_real().and(p.not())).collect();
+    fillers.pad(&mut spills, &mut spill, cap);
+
+    fillers.pad(&mut rows, &mut placed, m * z);
+    let targets: Vec<u64> = rows.iter().map(|r| r.key).collect();
+    oexpand(&mut rows, &targets, &mut placed);
+    Placed { slots: rows, spills, overflow, duplicate }
 }
 
 #[cfg(test)]
@@ -522,6 +537,58 @@ mod tests {
             a != b
         });
         assert!(differs);
+    }
+
+    /// `count` ids whose tier-1 bucket under [`key`] among 2 is `bucket`.
+    fn ids_in_bucket(bucket: usize, count: usize) -> Vec<u64> {
+        let h1 = SipHash24::from_key256(&key().derive(b"ohash-tier1"));
+        (0..).filter(|&id| h1.bin_u64(id, 2) == bucket).take(count).collect()
+    }
+
+    /// A hand-built table: two tier-1 buckets of two slots, a tier-1
+    /// overflow cap of `n2_cap`, and one tier-2 bucket of `z2` slots.
+    fn forced(ids: &[u64], n2_cap: usize, z2: usize) -> Result<OHashTable, OHashError> {
+        let params = TableParams { n: ids.len(), m1: 2, z1: 2, n2_cap, m2: 1, z2, lambda: 128 };
+        OHashTable::construct_with_params(batch_of(ids), &key(), params)
+    }
+
+    #[test]
+    fn forced_spills_up_to_the_cap_are_found_exactly_once() {
+        // Five ids in bucket 0 and two in bucket 1: three spill. With the
+        // cap exactly at three, and with room to spare (the spare prefix
+        // rows are tier-1 rows and must not be copied into tier 2).
+        let mut ids = ids_in_bucket(0, 5);
+        ids.extend(ids_in_bucket(1, 2));
+        for n2_cap in [3, 5] {
+            let mut table = forced(&ids, n2_cap, n2_cap).unwrap();
+            assert_eq!(table.len(), 4 + n2_cap);
+            for &id in &ids {
+                assert_eq!(copies(&table, id), 1, "cap {n2_cap}: id {id}");
+                assert!(write_found(&mut table, id), "cap {n2_cap}: write to {id} applied once");
+            }
+            let mut out: Vec<u64> = table.into_batch_requests().iter().map(|r| r.id).collect();
+            out.sort_unstable();
+            let mut want = ids.clone();
+            want.sort_unstable();
+            assert_eq!(out, want);
+        }
+    }
+
+    #[test]
+    fn forced_spills_past_the_cap_overflow() {
+        // Six ids in one bucket of two: four spill, one more than the cap.
+        let ids = ids_in_bucket(0, 6);
+        assert_eq!(forced(&ids, 3, 8).unwrap_err(), OHashError::TableOverflow);
+        assert!(forced(&ids, 4, 4).is_ok());
+        // Within the cap but past tier 2's one bucket of three slots.
+        assert_eq!(forced(&ids, 4, 3).unwrap_err(), OHashError::TableOverflow);
+    }
+
+    #[test]
+    fn duplicate_in_an_overflowing_bucket_is_reported_as_duplicate() {
+        let mut ids = ids_in_bucket(0, 6);
+        ids.push(ids[2]);
+        assert_eq!(forced(&ids, 1, 8).unwrap_err(), OHashError::DuplicateIds);
     }
 
     #[test]

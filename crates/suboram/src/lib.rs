@@ -1071,7 +1071,7 @@ mod tests {
         assert_eq!(values, vec![val(4), vec![0; VLEN], val(250), vec![0; VLEN], vec![0; VLEN]]);
         assert_eq!(s.peek(4).unwrap(), val(0xA4));
         assert_eq!(s.peek(250).unwrap(), val(0x5A));
-        assert_eq!((tr.len(), tr.fingerprint()), (808, 18_095_120_036_910_692_420));
+        assert_eq!((tr.len(), tr.fingerprint()), (653, 15_754_192_445_845_025_286));
     }
 
     #[test]
