@@ -46,7 +46,7 @@ fn allowed_provenances(kind: EventKind) -> &'static [Provenance] {
         // A stale-layout refusal names the wire-visible batch (epoch, lb)
         // plus the configured generation it was stamped with.
         EventKind::StaleLayoutBatch => &[Provenance::Config, Provenance::WireObservable],
-        EventKind::Shutdown => &[],
+        EventKind::Shutdown | EventKind::ClientRefused => &[],
     }
 }
 

@@ -791,6 +791,34 @@ mod tests {
     }
 
     #[test]
+    fn batch_overflow_fails_the_epoch_and_the_balancer_keeps_serving() {
+        // λ = 0 sizes each batch at exactly ⌈R/S⌉: two distinct ids on one
+        // subORAM overflow its single slot with certainty.
+        let cfg = SnoopyConfig::with_machines(1, 2).value_len(VLEN).lambda(0);
+        let mut cluster = InProcessCluster::start(cfg, objects(100), 6);
+        let balancer = LoadBalancer::new(&cluster.shared_key, 2, VLEN, 0);
+        let a = 0u64;
+        let b = (1..100).find(|&id| balancer.suboram_of(id) == balancer.suboram_of(a)).unwrap();
+        let client = cluster.client();
+        let rxs = [client.read_async(a), client.read_async(b)];
+        cluster.tick();
+        for rx in rxs {
+            let err = rx
+                .recv_timeout(Duration::from_secs(30))
+                .expect("an overflowing epoch must answer, not hang")
+                .expect_err("every request in an overflowing epoch fails");
+            assert!(err.failed_suborams.is_empty(), "no subORAM was at fault");
+            assert!(!err.to_string().contains("deadline"), "{err}");
+        }
+        // The next epoch fits (one request, one slot) and commits.
+        let rx = client.read_async(b);
+        cluster.tick();
+        let resp = rx.recv_timeout(Duration::from_secs(30)).unwrap().unwrap();
+        assert_eq!(resp.value, payload(&b.to_le_bytes()));
+        cluster.shutdown();
+    }
+
+    #[test]
     fn partitioned_suboram_degrades_epoch_with_typed_error() {
         let cfg = SnoopyConfig::with_machines(1, 2).value_len(VLEN);
         let policy = EpochFaultPolicy::with_deadline(Duration::from_millis(50), 1);

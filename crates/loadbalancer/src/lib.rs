@@ -16,10 +16,12 @@
 //!   the kept entries and expand them into their slots, and turn every
 //!   empty slot into a dummy — yielding exactly `S·B` requests grouped by
 //!   subORAM. The padding never passes through the sort.
-//! * **Response matching** ([`LoadBalancer::match_responses`], Fig. 6): merge
-//!   subORAM responses with the original (pre-dedup) client requests, sort by
-//!   (id, responses-first), propagate each response's value to the requests
-//!   behind it in one scan, and compact the responses away.
+//! * **Response matching** ([`LoadBalancer::match_responses`], Fig. 6):
+//!   sort the `S·B` responses as slim `(id, value)` rows and the original
+//!   (pre-dedup) requests as payload-free tags, route the g-th real response
+//!   to where the g-th id group of requests starts with an oblivious
+//!   expansion, and carry each value to the requests behind it in one scan.
+//!   Nothing is sorted together, and no request payload moves.
 //!
 //! Load balancers share only the static partition hash key; they never
 //! coordinate (§4.3), which is what lets Snoopy scale them horizontally.
@@ -29,7 +31,9 @@
 
 use snoopy_binning::batch_size;
 use snoopy_crypto::{Key256, SipHash24};
-use snoopy_enclave::wire::{Request, Response, StoredObject, LB_DUMMY_BASE, REAL_ID_LIMIT};
+use snoopy_enclave::wire::{
+    Request, Response, StoredObject, DUMMY_ID, LB_DUMMY_BASE, REAL_ID_LIMIT,
+};
 use snoopy_obliv::compact::ocompact_adaptive;
 use snoopy_obliv::ct::{ct_eq_u64, ct_lt_u64, Choice, Cmov};
 use snoopy_obliv::expand::oexpand;
@@ -87,25 +91,38 @@ fn work_gt(a: &WorkReq, b: &WorkReq) -> Choice {
     sub_gt.or(sub_eq.and(id_gt.or(id_eq.and(arr_gt))))
 }
 
-/// Item flowing through the response-matching pipeline.
+/// A subORAM response reduced to what matching needs.
 #[derive(Clone, Debug)]
-struct MatchSlot {
-    /// 0 = subORAM response, 1 = original client request (responses sort
-    /// first within an id group so one forward scan propagates values).
-    is_request: u64,
-    arrival: u64,
-    req: Request,
+struct RespRow {
+    id: u64,
+    value: Vec<u8>,
 }
 
-impl_cmov_struct!(MatchSlot { is_request, arrival, req });
+impl_cmov_struct!(RespRow { id, value });
 
-fn match_gt(a: &MatchSlot, b: &MatchSlot) -> Choice {
-    let id_gt = ct_lt_u64(b.req.id, a.req.id);
-    let id_eq = ct_eq_u64(a.req.id, b.req.id);
-    let bit_gt = ct_lt_u64(b.is_request, a.is_request);
-    let bit_eq = ct_eq_u64(a.is_request, b.is_request);
+fn resp_gt(a: &RespRow, b: &RespRow) -> Choice {
+    ct_lt_u64(b.id, a.id)
+}
+
+/// A client request without its payload: every request's value is
+/// overwritten by its response, so matching never moves it.
+#[derive(Clone, Debug)]
+struct ReqTag {
+    id: u64,
+    arrival: u64,
+    client: u64,
+    seq: u64,
+    permitted: Choice,
+}
+
+impl_cmov_struct!(ReqTag { id, arrival, client, seq, permitted });
+
+/// Lexicographic branch-free "greater-than" over (id, arrival).
+fn tag_gt(a: &ReqTag, b: &ReqTag) -> Choice {
+    let id_gt = ct_lt_u64(b.id, a.id);
+    let id_eq = ct_eq_u64(a.id, b.id);
     let arr_gt = ct_lt_u64(b.arrival, a.arrival);
-    id_gt.or(id_eq.and(bit_gt.or(bit_eq.and(arr_gt))))
+    id_gt.or(id_eq.and(arr_gt))
 }
 
 /// An oblivious load balancer. Stateless across epochs except for the shared
@@ -318,8 +335,19 @@ impl LoadBalancer {
     }
 
     /// Fig. 6: matches subORAM responses to the original client requests,
-    /// returning one [`Response`] per original request (order unspecified;
-    /// each carries its client handle and sequence number).
+    /// returning one [`Response`] per original request, in (id, arrival)
+    /// order; each carries its client handle and sequence number.
+    ///
+    /// The responses are routed to their requests rather than sorted in
+    /// with them. `make_batches` keeps one row per distinct request id, so
+    /// the g-th real response (in id order) answers the g-th id group of
+    /// the sorted requests: the responses are sorted as slim `(id, value)`
+    /// rows, the requests as payload-free tags, and an order-preserving
+    /// expansion moves response g to where group g starts. A request takes
+    /// the value that reaches it only if the ids agree, so a malformed
+    /// response set (one missing, extra or duplicated) yields zeros, never
+    /// another object's value. The access pattern depends only on `R` and
+    /// the number of response rows.
     pub fn match_responses(
         &self,
         original_requests: &[Request],
@@ -330,53 +358,84 @@ impl LoadBalancer {
             return Vec::new();
         }
         trace::record(TraceEvent::Phase(0x4d52)); // "MR" match marker
-                                                  // ➊ Merge responses (is_request=0) and client requests (is_request=1).
-        let mut slots: Vec<MatchSlot> = Vec::new();
-        let mut arrival = 0u64;
-        for batch in suboram_responses {
-            for resp in batch {
-                slots.push(MatchSlot { is_request: 0, arrival, req: resp });
-                arrival += 1;
-            }
-        }
-        for q in original_requests {
-            slots.push(MatchSlot { is_request: 1, arrival, req: q.clone() });
-            arrival += 1;
-        }
-
-        // ➋ Sort by (id, responses-first).
-        {
-            let _span = telem::span("epoch/lb_match/osort");
-            osort_adaptive(&mut slots, &match_gt, self.threads);
-        }
-
-        // ➌ Propagate response values forward onto the requests behind them.
         let zeros = vec![0u8; self.value_len];
-        let mut prev = zeros.clone();
-        for (i, slot) in slots.iter_mut().enumerate() {
-            trace::record(TraceEvent::Touch { region: 0x4d, index: i });
-            let is_resp = ct_eq_u64(slot.is_request, 0);
-            // prev ← value (if response); value ← prev (if request).
-            prev.cmov(&slot.req.value, is_resp);
-            slot.req.value.cmov(&prev, is_resp.not());
+
+        // ➊ The responses as (id, value) rows, sorted by id. Real ids sit
+        // below every dummy id, so the real responses form a prefix in
+        // ascending id order.
+        let mut resps: Vec<RespRow> = suboram_responses
+            .into_iter()
+            .flatten()
+            .map(|q| RespRow { id: q.id, value: q.value })
+            .collect();
+        {
+            let _span = telem::span("epoch/lb_match/route/osort_resp");
+            osort_adaptive(&mut resps, &resp_gt, self.threads);
         }
 
-        // ➍ Compact out the responses; exactly R requests remain.
-        let mut keep: Vec<Choice> = slots.iter().map(|s| ct_eq_u64(s.is_request, 1)).collect();
+        // ➋ The requests as tags, sorted by (id, arrival).
+        let mut tags: Vec<ReqTag> = original_requests
+            .iter()
+            .enumerate()
+            .map(|(i, q)| ReqTag {
+                id: q.id,
+                arrival: i as u64,
+                client: q.client,
+                seq: q.seq,
+                permitted: q.is_permitted(),
+            })
+            .collect();
         {
-            let _span = telem::span("epoch/lb_match/ocompact");
-            ocompact_adaptive(&mut slots, &mut keep, self.threads);
+            let _span = telem::span("epoch/lb_match/route/osort_tags");
+            osort_adaptive(&mut tags, &tag_gt, self.threads);
         }
-        slots.truncate(r);
-        // Access control (Appendix D): a client without permission for its
-        // operation receives a null value instead of the object value. The
-        // zeroing is a compare-and-set, so nothing about which responses were
-        // suppressed is observable.
-        slots
-            .into_iter()
-            .map(|mut s| {
-                s.req.value.cmov(&zeros, s.req.is_permitted().not());
-                Response { id: s.req.id, value: s.req.value, client: s.req.client, seq: s.req.seq }
+
+        // ➌ One scan marks where each id group starts; compacting the
+        // positions by that bit lists the starts in order: `starts[g]` is
+        // where group g begins, and afterwards `first` marks one slot per
+        // group, the first G.
+        let mut first: Vec<Choice> = Vec::with_capacity(r);
+        for i in 0..r {
+            trace::record(TraceEvent::Touch { region: 0x4d, index: i });
+            first.push(if i == 0 {
+                Choice::TRUE
+            } else {
+                ct_eq_u64(tags[i].id, tags[i - 1].id).not()
+            });
+        }
+        let mut starts: Vec<u64> = (0..r as u64).collect();
+        {
+            let _span = telem::span("epoch/lb_match/route/ocompact");
+            ocompact_adaptive(&mut starts, &mut first, self.threads);
+        }
+
+        // ➍ Cut or pad the sorted responses to R rows and expand the g-th
+        // real one to `starts[g]`. Capping the real prefix at the group
+        // count keeps the targets strictly increasing even when a malformed
+        // response set holds more real rows than there are groups.
+        resps.resize_with(r, || RespRow { id: DUMMY_ID, value: zeros.clone() });
+        let mut landed: Vec<Choice> =
+            resps.iter().zip(&first).map(|(q, &g)| ct_lt_u64(q.id, REAL_ID_LIMIT).and(g)).collect();
+        {
+            let _span = telem::span("epoch/lb_match/route/oexpand");
+            oexpand(&mut resps, &starts, &mut landed);
+        }
+
+        // ➎ One forward scan carries each group's response to the requests
+        // behind it. A request gets the carried value iff the carried id is
+        // its own and its operation was permitted (Appendix D), and zeros
+        // otherwise — by masked moves, so nothing about which requests were
+        // refused is observable.
+        let mut carry = RespRow { id: DUMMY_ID, value: zeros.clone() };
+        tags.into_iter()
+            .zip(resps.iter().zip(landed))
+            .enumerate()
+            .map(|(i, (t, (q, l)))| {
+                trace::record(TraceEvent::Touch { region: 0x4d, index: i });
+                carry.cmov(q, l);
+                let mut value = zeros.clone();
+                value.cmov(&carry.value, ct_eq_u64(carry.id, t.id).and(t.permitted));
+                Response { id: t.id, value, client: t.client, seq: t.seq }
             })
             .collect()
     }
@@ -586,6 +645,124 @@ mod tests {
         assert_eq!(run(0).fingerprint(), run(777).fingerprint());
     }
 
+    /// Stands in for the subORAMs: answers every row of every batch with
+    /// `value_of(id)` (a dummy row's value is never delivered).
+    fn answer(batches: &[Vec<Request>]) -> Vec<Vec<Request>> {
+        batches
+            .iter()
+            .map(|batch| {
+                batch
+                    .iter()
+                    .map(|q| {
+                        let mut a = q.clone();
+                        a.value = value_of(q.id);
+                        a
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// A distinct value per object id.
+    fn value_of(id: u64) -> Vec<u8> {
+        let mut v = vec![0xa5u8; VLEN];
+        v[..8].copy_from_slice(&id.to_le_bytes());
+        v
+    }
+
+    #[test]
+    fn malformed_responses_fail_closed() {
+        let balancer = lb(2);
+        let ids: Vec<u64> = (0..40u64).map(|i| i % 9).collect();
+        let requests = reads(&ids);
+        let batches = balancer.make_batches(&requests).unwrap();
+        let good = answer(&batches);
+        // The first (subORAM, row) whose row is a dummy or not, as asked.
+        let find = |responses: &[Vec<Request>], dummy: bool| {
+            (0..responses.len())
+                .flat_map(|b| (0..responses[b].len()).map(move |i| (b, i)))
+                .find(|&(b, i)| responses[b][i].is_dummy().declassify() == dummy)
+                .unwrap()
+        };
+        // One real response replaced by a dummy row: its id goes missing.
+        let mut missing = good.clone();
+        let (b, i) = find(&missing, false);
+        let lost = missing[b][i].id;
+        missing[b][i] = Request::dummy(VLEN);
+        missing[b][i].id = LB_DUMMY_BASE + 1_000;
+        // One dummy row replaced by a response for an id nobody asked for.
+        let mut extra = good.clone();
+        let (b, i) = find(&extra, true);
+        extra[b][i] = Request::read(3_000, VLEN, 0, 0);
+        extra[b][i].value = value_of(3_000);
+        // An id answered twice.
+        let mut twice = good.clone();
+        let (b, i) = find(&twice, true);
+        twice[b][i] = Request::read(4, VLEN, 0, 0);
+        twice[b][i].value = value_of(4);
+        for (name, responses) in [("missing", missing), ("extra", extra), ("twice", twice)] {
+            let out = balancer.match_responses(&requests, responses);
+            assert_eq!(out.len(), requests.len(), "{name}");
+            for resp in &out {
+                assert_eq!(resp.id, ids[resp.client as usize], "{name}: id echoed");
+                assert!(
+                    resp.value == value_of(resp.id) || resp.value == vec![0u8; VLEN],
+                    "{name}: request for {} got another object's value",
+                    resp.id
+                );
+            }
+            if name == "missing" {
+                assert!(out.iter().filter(|r| r.id == lost).all(|r| r.value == vec![0u8; VLEN]));
+            }
+        }
+    }
+
+    #[test]
+    fn match_trace_is_a_function_of_request_and_response_counts() {
+        let balancer = lb(2);
+        // `responses` rows per subORAM; the first `distinct.len()` rows of
+        // subORAM 0 answer the distinct ids, the rest are dummies.
+        let run = |ids: &[u64], rows: usize, drop_one: bool| {
+            let requests = reads(ids);
+            let mut distinct: Vec<u64> = ids.to_vec();
+            distinct.sort_unstable();
+            distinct.dedup();
+            let mut batches: Vec<Vec<Request>> = (0..2)
+                .map(|b| {
+                    (0..rows)
+                        .map(|i| {
+                            let mut q = Request::dummy(VLEN);
+                            q.id = LB_DUMMY_BASE + (b * rows + i) as u64;
+                            q
+                        })
+                        .collect()
+                })
+                .collect();
+            for (i, &id) in distinct.iter().enumerate().skip(usize::from(drop_one)) {
+                batches[i % 2][i / 2] = Request::read(id, VLEN, 0, 0);
+            }
+            let (out, tr) =
+                trace::capture(|| balancer.match_responses(&requests, answer(&batches)));
+            assert_eq!(out.len(), ids.len());
+            tr.fingerprint()
+        };
+        // S·B < R: 40 requests over a handful of ids, 2 × 10 response rows.
+        let few: Vec<u64> = (0..40).map(|i| i % 7).collect();
+        let one = vec![5u64; 40];
+        let spread: Vec<u64> = (0..40).map(|i| 1_000 + i % 20).collect();
+        let t = run(&few, 10, false);
+        assert_eq!(t, run(&one, 10, false));
+        assert_eq!(t, run(&spread, 10, false));
+        assert_eq!(t, run(&few, 10, true), "a malformed response set runs the same pattern");
+        // S·B > R: 20 requests, 2 × 16 response rows.
+        let distinct: Vec<u64> = (500..520).collect();
+        let dup: Vec<u64> = (0..20).map(|i| i % 3).collect();
+        let t = run(&distinct, 16, false);
+        assert_eq!(t, run(&dup, 16, false));
+        assert_eq!(t, run(&[9; 20], 16, true));
+        assert_ne!(t, run(&distinct, 17, false), "the response count is public");
+    }
+
     #[test]
     fn epoch_trace_identical_across_thread_counts() {
         // Large enough that the work vector (R + S·B entries) crosses the
@@ -771,6 +948,36 @@ mod model {
         batches.iter().all(|batch| batch.len() <= b).then_some(batches)
     }
 
+    /// One case's requests: mode 0 has few repeats, 1 many duplicates, 2
+    /// one id, 3 every request on subORAM 0 with repeats. About one request
+    /// in four is denied. Request `i` has client handle `i`.
+    fn requests(lb: &LoadBalancer, r: usize, mode: u8, seed: u64) -> Vec<Request> {
+        let mut x = seed;
+        let hot: Vec<u64> = (0..).filter(|&id| lb.suboram_of(id) == 0).take(r / 2 + 1).collect();
+        (0..r as u64)
+            .map(|i| {
+                let id = match mode {
+                    0 => next(&mut x) % (1 << 40),
+                    1 => next(&mut x) % (r as u64 / 4 + 1),
+                    2 => 77,
+                    _ => hot[next(&mut x) as usize % hot.len()],
+                };
+                let mut q = if next(&mut x).is_multiple_of(2) {
+                    Request::read(id, VLEN, i, next(&mut x))
+                } else {
+                    Request::write(id, &next(&mut x).to_le_bytes(), VLEN, i, next(&mut x))
+                };
+                q.permit = u64::from(!next(&mut x).is_multiple_of(4));
+                q
+            })
+            .collect()
+    }
+
+    /// The value a subORAM returns for object `id` in these cases.
+    fn stored(id: u64) -> Vec<u8> {
+        (!id).to_le_bytes().to_vec()
+    }
+
     proptest! {
         #[test]
         fn make_batches_matches_the_plain_model(
@@ -781,27 +988,7 @@ mod model {
             seed in any::<u64>(),
         ) {
             let lb = LoadBalancer::new(&Key256([seed as u8; 32]), s, VLEN, lambda);
-            let mut x = seed;
-            // Mode 0: few repeats; 1: many duplicates; 2: one id;
-            // 3: every request on subORAM 0, with repeats.
-            let hot: Vec<u64> = (0..).filter(|&id| lb.suboram_of(id) == 0).take(r / 2 + 1).collect();
-            let requests: Vec<Request> = (0..r as u64)
-                .map(|i| {
-                    let id = match mode {
-                        0 => next(&mut x) % (1 << 40),
-                        1 => next(&mut x) % (r as u64 / 4 + 1),
-                        2 => 77,
-                        _ => hot[next(&mut x) as usize % hot.len()],
-                    };
-                    let mut q = if next(&mut x).is_multiple_of(2) {
-                        Request::read(id, VLEN, i, next(&mut x))
-                    } else {
-                        Request::write(id, &next(&mut x).to_le_bytes(), VLEN, i, next(&mut x))
-                    };
-                    q.permit = u64::from(!next(&mut x).is_multiple_of(4));
-                    q
-                })
-                .collect();
+            let requests = requests(&lb, r, mode, seed);
             let b = lb.epoch_batch_size(r);
             let want = model(&lb, &requests);
             let got = lb.make_batches(&requests);
@@ -827,6 +1014,50 @@ mod model {
                     prop_assert!(d.id >= LB_DUMMY_BASE && d.id < FILLER_BASE, "dummy id {}", d.id);
                     prop_assert_eq!((d.kind, d.permit, &d.value), (0, 1, &vec![0u8; VLEN]));
                     prop_assert!(dummy_ids.insert(d.id), "dummy id {} reused", d.id);
+                }
+            }
+        }
+
+        #[test]
+        fn match_responses_matches_the_plain_model(
+            r in 1usize..600,
+            s in 1usize..6,
+            lambda in prop::sample::select(vec![0u32, 16, 128]),
+            mode in 0u8..4,
+            seed in any::<u64>(),
+        ) {
+            let lb = LoadBalancer::new(&Key256([seed as u8; 32]), s, VLEN, lambda);
+            let requests = requests(&lb, r, mode, seed);
+            let Ok(batches) = lb.make_batches(&requests) else {
+                return Ok(()); // overflow: make_batches_matches_the_plain_model covers it
+            };
+            // The subORAMs answer every row with its object's value, in an
+            // unspecified order.
+            let mut x = seed ^ 0x5eed;
+            let responses: Vec<Vec<Request>> = batches
+                .into_iter()
+                .map(|mut batch| {
+                    for q in batch.iter_mut() {
+                        q.value = stored(q.id);
+                    }
+                    for i in (1..batch.len()).rev() {
+                        batch.swap(i, (next(&mut x) % (i as u64 + 1)) as usize);
+                    }
+                    batch
+                })
+                .collect();
+            let out = lb.match_responses(&requests, responses);
+            prop_assert_eq!(out.len(), r);
+            let mut seen = vec![false; r];
+            for (k, resp) in out.iter().enumerate() {
+                let q = &requests[resp.client as usize];
+                prop_assert!(!std::mem::replace(&mut seen[resp.client as usize], true), "request answered twice");
+                prop_assert_eq!((resp.id, resp.seq), (q.id, q.seq));
+                let want = if q.permit == 1 { stored(q.id) } else { vec![0u8; VLEN] };
+                prop_assert_eq!(&resp.value, &want);
+                // Output order: (id, arrival).
+                if k > 0 {
+                    prop_assert!((out[k - 1].id, out[k - 1].client) < (resp.id, resp.client));
                 }
             }
         }

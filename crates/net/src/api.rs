@@ -17,7 +17,7 @@ use crate::proto::{self, tag, Hello, Role};
 use snoopy_core::link::Link;
 use snoopy_core::{ClientHandle, RetryPolicy};
 use snoopy_crypto::Key256;
-use snoopy_enclave::wire::{Request, Response};
+use snoopy_enclave::wire::{Request, Response, REAL_ID_LIMIT};
 use snoopy_telemetry::{metrics, Public};
 use std::io;
 use std::net::TcpStream;
@@ -225,6 +225,10 @@ impl SnoopyClient {
     /// domains. Single-endpoint transports never fail over, so their fatal
     /// semantics are unchanged.
     fn call(&mut self, op: Op<'_>) -> Result<Response, NetError> {
+        let (Op::Read { id } | Op::Write { id, .. }) = op;
+        if id >= REAL_ID_LIMIT {
+            return Err(NetError::ReservedId { id });
+        }
         let seq = self.next_seq();
         let policy = self.retry.clone();
         let mut attempt = 0u32;

@@ -34,6 +34,14 @@ pub enum NetError {
     Protocol(String),
     /// Any other transport failure (peer hung up, reset, broken pipe...).
     Io(io::Error),
+    /// The operation names an object id at or above
+    /// [`snoopy_enclave::wire::REAL_ID_LIMIT`], the namespace reserved for
+    /// dummies and fillers. Refused before anything is sent: a balancer
+    /// closes any session that sends one.
+    ReservedId {
+        /// The refused id.
+        id: u64,
+    },
 }
 
 /// How an error should be handled by a retry loop.
@@ -56,9 +64,10 @@ impl NetError {
         match self {
             NetError::Timeout(_) => ErrorClass::Timeout,
             NetError::Refused(_) => ErrorClass::Disconnected,
-            NetError::Unavailable(_) | NetError::Evicted { .. } | NetError::Protocol(_) => {
-                ErrorClass::Fatal
-            }
+            NetError::Unavailable(_)
+            | NetError::Evicted { .. }
+            | NetError::Protocol(_)
+            | NetError::ReservedId { .. } => ErrorClass::Fatal,
             NetError::Io(e) => classify_io_error(e),
         }
     }
@@ -111,6 +120,7 @@ impl fmt::Display for NetError {
             NetError::Timeout(e) => write!(f, "timed out: {e}"),
             NetError::Protocol(msg) => write!(f, "protocol violation: {msg}"),
             NetError::Io(e) => write!(f, "transport: {e}"),
+            NetError::ReservedId { id } => write!(f, "object id {id} is in the reserved namespace"),
         }
     }
 }
@@ -151,6 +161,7 @@ mod tests {
             2 => NetError::Evicted { epoch: 9 },
             3 => NetError::Timeout(io::ErrorKind::WouldBlock.into()),
             4 => NetError::protocol("bad frame"),
+            5 => NetError::ReservedId { id: u64::MAX },
             _ => NetError::Io(io::ErrorKind::BrokenPipe.into()),
         }
     }
@@ -159,7 +170,7 @@ mod tests {
     fn every_variant_has_a_class_and_a_display() {
         // Exhaustive: one arm per variant, no wildcard, so adding a variant
         // forces this test (and every retry loop) to decide its class.
-        for v in 0..6 {
+        for v in 0..7 {
             let err = sample(v);
             let class = match &err {
                 NetError::Unavailable(_) => ErrorClass::Fatal,
@@ -167,6 +178,7 @@ mod tests {
                 NetError::Evicted { .. } => ErrorClass::Fatal,
                 NetError::Timeout(_) => ErrorClass::Timeout,
                 NetError::Protocol(_) => ErrorClass::Fatal,
+                NetError::ReservedId { .. } => ErrorClass::Fatal,
                 NetError::Io(_) => ErrorClass::Disconnected, // broken pipe
             };
             assert_eq!(err.class(), class, "variant {v}");

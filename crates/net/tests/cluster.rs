@@ -16,7 +16,7 @@
 use snoopy_core::link::Link;
 use snoopy_core::{Snoopy, SnoopyConfig};
 use snoopy_crypto::Key256;
-use snoopy_enclave::wire::Request;
+use snoopy_enclave::wire::{Request, Response, LB_DUMMY_BASE};
 use snoopy_net::frame::{read_frame, write_frame};
 use snoopy_net::manifest::Manifest;
 use snoopy_net::proto::{tag, Hello, Role};
@@ -347,15 +347,26 @@ impl RawSession {
     }
 
     fn send(&mut self, req: Request) {
-        let sealed = self.req_link.seal(&[req]).unwrap();
+        self.send_all(&[req]);
+    }
+
+    /// Sends `reqs` in one sealed `CLIENT_REQ` frame.
+    fn send_all(&mut self, reqs: &[Request]) {
+        let sealed = self.req_link.seal(reqs).unwrap();
         write_frame(&mut self.stream, tag::CLIENT_REQ, &sealed.bytes).expect("request");
     }
 
-    fn recv(&mut self) -> Vec<u8> {
+    /// Reads one `CLIENT_RESP` frame: its commit epoch and the responses in
+    /// its box, opened as the next message on the response link.
+    fn recv_frame(&mut self) -> (u64, Vec<Response>) {
         let (t, body) = read_frame(&mut self.stream).expect("response");
         assert_eq!(t, tag::CLIENT_RESP, "expected a response frame");
-        let (_, sealed) = proto::decode_epoch_sealed(&body).expect("epoch-sealed body");
-        let mut batch = self.resp_link.open_responses(&sealed, VLEN).expect("response link");
+        let (epoch, sealed) = proto::decode_epoch_sealed(&body).expect("epoch-sealed body");
+        (epoch, self.resp_link.open_responses(&sealed, VLEN).expect("response link"))
+    }
+
+    fn recv(&mut self) -> Vec<u8> {
+        let (_, mut batch) = self.recv_frame();
         assert_eq!(batch.len(), 1, "one request in flight, one response");
         batch.pop().unwrap().value
     }
@@ -504,4 +515,146 @@ fn hundreds_of_concurrent_sessions_are_served_and_released() {
         d.wait_graceful();
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A 1×2 cluster for the reply-plane tests, under its own directory.
+struct SmallCluster {
+    dir: PathBuf,
+    manifest: Manifest,
+    daemons: Vec<Daemon>,
+}
+
+impl SmallCluster {
+    fn boot(name: &str, epoch_ms: u64) -> SmallCluster {
+        let dir = std::env::temp_dir().join(format!("snoopy-{name}-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let addrs = free_addrs(3);
+        let manifest = Manifest {
+            value_len: VLEN,
+            lambda: 128,
+            seed: SEED,
+            num_objects: NUM_OBJECTS,
+            epoch_ms,
+            sub_deadline_ms: 10_000,
+            max_replays: 3,
+            retain_epochs: 8,
+            active_suborams: 0,
+            lb_threads: env_threads(),
+            sub_threads: env_threads(),
+            storage: env_storage(),
+            store_dir: Some(dir.join("store").to_string_lossy().into_owned()),
+            block_bytes: 256,
+            buffer_blocks: 4,
+            load_balancers: vec![addrs[0].clone()],
+            suborams: addrs[1..].to_vec(),
+        };
+        let path = dir.join("cluster.manifest");
+        std::fs::write(&path, manifest.render()).unwrap();
+        let daemons = vec![
+            Daemon::spawn("suboram", 0, &path, None, "suboram 0"),
+            Daemon::spawn("suboram", 1, &path, None, "suboram 1"),
+            Daemon::spawn("loadbalancer", 0, &path, None, "loadbalancer 0"),
+        ];
+        // One served read proves the balancer's subORAM links are up.
+        let lb = &manifest.load_balancers[0];
+        wait_for_stats(lb);
+        let deploy = proto::deployment_key(SEED);
+        let mut client = loop {
+            match SnoopyClient::builder(VLEN).connect_tcp(lb, 0, &deploy) {
+                Ok(c) => break c,
+                Err(_) => std::thread::sleep(Duration::from_millis(50)),
+            }
+        };
+        client.read(0).expect("warm-up read");
+        SmallCluster { dir, manifest, daemons }
+    }
+
+    fn lb(&self) -> &str {
+        &self.manifest.load_balancers[0]
+    }
+
+    fn shutdown(self) {
+        for addr in self.manifest.load_balancers.iter().chain(&self.manifest.suborams) {
+            shutdown_daemon(addr).expect("shutdown");
+        }
+        for d in self.daemons {
+            d.wait_graceful();
+        }
+        let _ = std::fs::remove_dir_all(&self.dir);
+    }
+}
+
+/// The balancer seals each session's replies once per epoch: k requests
+/// committed in one epoch come back as one `CLIENT_RESP` frame holding k
+/// responses, and the next epoch's frame opens as the link's next message.
+#[test]
+fn each_session_gets_one_response_frame_per_epoch() {
+    let cluster = SmallCluster::boot("one-box", 100);
+    let deploy = proto::deployment_key(SEED);
+    let initial = cluster.manifest.initial_objects();
+    let mut session = RawSession::open(cluster.lb(), 0, &deploy);
+    for (round, ids) in [vec![3u64, 9, 3, 40, 77], vec![5, 6, 7]].into_iter().enumerate() {
+        let reqs: Vec<Request> = ids
+            .iter()
+            .enumerate()
+            .map(|(i, &id)| Request::read(id, VLEN, 0, (round * 10 + i) as u64))
+            .collect();
+        session.send_all(&reqs);
+        // One frame per commit epoch; the requests of one frame almost
+        // always share an epoch, but a tick may land between them.
+        let mut got: Vec<Response> = Vec::new();
+        let mut epochs: Vec<u64> = Vec::new();
+        while got.len() < reqs.len() {
+            let (epoch, batch) = session.recv_frame();
+            assert!(!batch.is_empty(), "round {round}: an empty response box");
+            assert!(
+                epochs.last().is_none_or(|&e| e < epoch),
+                "round {round}: two frames for epoch {epoch}"
+            );
+            epochs.push(epoch);
+            got.extend(batch);
+        }
+        assert_eq!(got.len(), reqs.len(), "round {round}: one response per request");
+        for req in &reqs {
+            let resp = got.iter().find(|r| r.seq == req.seq).expect("every request answered");
+            assert_eq!((resp.id, &resp.value), (req.id, &initial[req.id as usize].value));
+        }
+    }
+    drop(session);
+    cluster.shutdown();
+}
+
+/// A request in the reserved id namespace would collide with a dummy slot
+/// and get every client's epoch refused. The balancer closes that session
+/// before the request reaches an epoch, and an honest client sending in
+/// the same window still commits; `SnoopyClient` refuses such an id
+/// without sending it.
+#[test]
+fn reserved_ids_close_the_session_and_spare_the_epoch() {
+    let cluster = SmallCluster::boot("reserved-id", 50);
+    let deploy = proto::deployment_key(SEED);
+    let initial = cluster.manifest.initial_objects();
+    let mut honest = RawSession::open(cluster.lb(), 0, &deploy);
+    let mut hostile = RawSession::open(cluster.lb(), 0, &deploy);
+    for round in 0..3u64 {
+        honest.send(Request::read(round, VLEN, 0, round));
+        if round == 0 {
+            // An id in the balancer's dummy namespace.
+            hostile.send(Request::read(LB_DUMMY_BASE + 1, VLEN, 0, 1));
+        }
+        assert_eq!(honest.recv(), initial[round as usize].value, "round {round}");
+    }
+    let closed = read_frame(&mut hostile.stream);
+    assert!(closed.is_err(), "the hostile session must be closed, got {closed:?}");
+    let metrics = fetch_metrics(cluster.lb()).expect("metrics");
+    assert_eq!(prom_value(&metrics, "snoopy_refused_client_sessions_total"), 1.0);
+
+    let mut client = SnoopyClient::builder(VLEN).connect_tcp(cluster.lb(), 0, &deploy).unwrap();
+    match client.read(LB_DUMMY_BASE + 5) {
+        Err(snoopy_net::NetError::ReservedId { id }) => assert_eq!(id, LB_DUMMY_BASE + 5),
+        other => panic!("expected a ReservedId refusal, got {other:?}"),
+    }
+    assert_eq!(client.read(7).expect("the client still works"), initial[7].value);
+    drop((honest, hostile, client));
+    cluster.shutdown();
 }

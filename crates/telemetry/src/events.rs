@@ -77,6 +77,9 @@ pub enum EventKind {
     /// A subORAM refused a batch whose layout-generation stamp did not match
     /// its committed generation (mixed-layout fence).
     StaleLayoutBatch,
+    /// A balancer closed a client session for sending a request id in the
+    /// reserved namespace (a protocol violation; the close is on the wire).
+    ClientRefused,
 }
 
 impl EventKind {
@@ -98,6 +101,7 @@ impl EventKind {
             EventKind::ReshardCommit => "reshard_commit",
             EventKind::ReshardAbort => "reshard_abort",
             EventKind::StaleLayoutBatch => "stale_layout_batch",
+            EventKind::ClientRefused => "client_refused",
         }
     }
 
@@ -107,7 +111,7 @@ impl EventKind {
     }
 
     /// Every kind (for exhaustive audits).
-    pub fn all() -> [EventKind; 15] {
+    pub fn all() -> [EventKind; 16] {
         [
             EventKind::EpochStart,
             EventKind::BatchSealed,
@@ -124,6 +128,7 @@ impl EventKind {
             EventKind::ReshardCommit,
             EventKind::ReshardAbort,
             EventKind::StaleLayoutBatch,
+            EventKind::ClientRefused,
         ]
     }
 

@@ -406,6 +406,10 @@ pub mod names {
     /// match the node's committed generation (mixed-layout fence). The refusal
     /// is an explicit NACK frame — observable.
     pub const STALE_LAYOUT_BATCHES_TOTAL: &str = "snoopy_stale_layout_batches_total";
+    /// Client sessions a balancer closed for sending a request id in the
+    /// reserved (dummy / filler) namespace — a protocol violation honest
+    /// clients never commit. Each close is observable on the wire.
+    pub const REFUSED_CLIENT_SESSIONS_TOTAL: &str = "snoopy_refused_client_sessions_total";
     /// Bytes the disk storage tier read from segment files. Block I/O is a
     /// function of public geometry (every scan reads every block in order).
     pub const STORE_BYTES_READ_TOTAL: &str = "snoopy_store_bytes_read_total";
