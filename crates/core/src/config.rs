@@ -55,14 +55,22 @@ impl Default for SnoopyConfig {
     }
 }
 
-/// Reads `SNOOPY_THREADS` (>= 1) or falls back to 1. Unparseable values fall
-/// back to 1 rather than erroring — the knob is best-effort tooling surface.
-fn env_threads() -> usize {
-    std::env::var("SNOOPY_THREADS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&t| t >= 1)
-        .unwrap_or(1)
+/// Reads `SNOOPY_THREADS`; unset means 1.
+///
+/// # Panics
+///
+/// When the variable is set to anything but a whole number ≥ 1: a suite
+/// re-run under a mistyped value must fail, not quietly run serial again.
+pub fn env_threads() -> usize {
+    let Some(value) = std::env::var_os("SNOOPY_THREADS") else { return 1 };
+    let value = value.to_string_lossy();
+    parse_threads(&value)
+        .unwrap_or_else(|| panic!("SNOOPY_THREADS={value:?}: expected a whole number >= 1"))
+}
+
+/// Parses a thread count: a whole number ≥ 1, surrounding blanks allowed.
+pub fn parse_threads(value: &str) -> Option<usize> {
+    value.trim().parse().ok().filter(|&t| t >= 1)
 }
 
 impl SnoopyConfig {
@@ -133,6 +141,15 @@ mod tests {
         assert_eq!(c.machines(), 2);
         assert!(c.lb_threads >= 1);
         assert!(c.sub_threads >= 1);
+    }
+
+    #[test]
+    fn thread_counts_parse_strictly() {
+        assert_eq!(parse_threads("4"), Some(4));
+        assert_eq!(parse_threads(" 2\n"), Some(2));
+        for bad in ["0", "-1", "four", "", "2.5"] {
+            assert_eq!(parse_threads(bad), None, "{bad:?}");
+        }
     }
 
     #[test]

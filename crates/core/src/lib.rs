@@ -39,7 +39,6 @@ pub mod config;
 pub mod deploy;
 pub mod history;
 pub mod link;
-pub mod planned;
 pub mod reshard;
 pub mod retry;
 pub mod stats;
@@ -49,7 +48,6 @@ pub mod transport;
 pub use config::{SnoopyConfig, StorageKind};
 pub use deploy::{ClientHandle, InProcessCluster};
 pub use link::{Link, LinkError};
-pub use planned::PlannedDeployment;
 pub use retry::RetryPolicy;
 pub use system::{Snoopy, SnoopyError};
 pub use transport::{EpochFaultPolicy, FaultAction, FaultInjector, Unavailable};

@@ -13,22 +13,19 @@
 //!   with branch-free [`snoopy_obliv::Cmov`] implementations so they can flow
 //!   through oblivious sorts and compactions;
 //! * [`epc`] — a cost model of SGX's limited Enclave Page Cache, reproducing
-//!   the paging cliffs visible in the paper's Figure 12;
-//! * [`external`] — integrity-protected external memory (§2, §7): AEAD-sealed
-//!   blocks outside the "enclave" with digests held inside, and the host
-//!   loader-thread streaming optimization.
+//!   the paging cliffs visible in the paper's Figure 12.
+//!
+//! Integrity-protected external memory (§2, §7) — sealed blocks outside the
+//! enclave, their tags inside — is `snoopy_suboram::sealed`, shared by the
+//! subORAM's external and disk tiers.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod epc;
-pub mod external;
-pub mod merkle;
 pub mod program;
 pub mod wire;
 
 pub use epc::{CostMeter, EpcModel};
-pub use external::ExternalStore;
-pub use merkle::{EpochStamp, InMemoryCounter, MerkleTree, TrustedCounter};
 pub use program::{AttestationReport, Enclave, EnclaveProgram};
 pub use wire::{Request, RequestKind, Response, StoredObject, DUMMY_ID};

@@ -25,7 +25,7 @@ use snoopy_store::{DiskConfig, StorageKind};
 use snoopy_suboram::{ObjectSlab, SnapshotError, StorageGeneration, SubOram, SubOramError};
 use std::collections::BTreeMap;
 use std::fmt;
-use std::io;
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
 // Format v6: a mode byte distinguishes checkpoints that carry the partition
@@ -336,10 +336,17 @@ fn write_sealed(plain: &[u8], key: &Key256, path: &Path) -> io::Result<()> {
     let mut file = Vec::with_capacity(8 + sealed.bytes.len());
     file.extend_from_slice(&seq.to_le_bytes());
     file.extend_from_slice(&sealed.bytes);
+    // Durable before it is published: the storage commit this checkpoint
+    // names is already on disk, so a crash must never keep the commit and
+    // lose the checkpoint. Write and fsync the temp file, rename it over the
+    // checkpoint, then fsync the directory that holds the rename.
     let tmp = path.with_extension("tmp");
-    std::fs::write(&tmp, &file)?;
+    let mut f = std::fs::File::create(&tmp)?;
+    f.write_all(&file)?;
+    f.sync_all()?;
     std::fs::rename(&tmp, path)?;
-    Ok(())
+    let dir = path.parent().filter(|d| !d.as_os_str().is_empty()).unwrap_or(Path::new("."));
+    snoopy_store::fsync_dir(dir)
 }
 
 /// Loads and unseals a checkpoint, rebuilding the node over the storage
@@ -613,6 +620,37 @@ mod tests {
             BatchOutcome::Evicted { lb: 0, epoch: 0 }
         ));
         std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn torn_tmp_beside_a_good_checkpoint_is_ignored_and_replaced() {
+        let dir = snoopy_store::TempDir::new("snoopy-ckpt-torn").unwrap();
+        let path = dir.path().join("sub0.ckpt");
+        let tmp = path.with_extension("tmp");
+        let key = checkpoint_key(&Key256([6u8; 32]), 0);
+        let load_peek = |id: u64| {
+            let n = load(&key, &path, Key256([9u8; 32]), 80, &StorageSpec::Memory).unwrap();
+            n.unwrap().oram().peek(id).unwrap()[..4].to_vec()
+        };
+        let mut n = node();
+        save(&n, &key, &path).unwrap();
+        let good = std::fs::read(&path).unwrap();
+        assert!(!tmp.exists());
+
+        // A crash mid-write of the next checkpoint leaves the first half of
+        // a sealed file beside the good one.
+        let write = vec![Request::write(3, &[0xEE; 4], VLEN, 0, 0)];
+        assert!(matches!(n.handle_batch(0, 0, write), BatchOutcome::Completed(_)));
+        let torn = || std::fs::write(&tmp, &good[..good.len() / 2]).unwrap();
+        torn();
+        assert_eq!(load_peek(3), 3u64.to_le_bytes()[..4]);
+        assert_eq!(std::fs::read(&path).unwrap(), good, "load leaves the checkpoint alone");
+
+        // The next save writes over the torn file and publishes it.
+        torn();
+        save(&n, &key, &path).unwrap();
+        assert!(!tmp.exists());
+        assert_eq!(load_peek(3), [0xEE; 4]);
     }
 
     #[test]

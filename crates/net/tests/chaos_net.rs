@@ -13,6 +13,7 @@
 //! snoopy-net --test chaos_net`.
 
 use snoopy_chaos::{chaos_seed, DirectionFaults, FaultPlan, FaultPlanConfig, FaultProxy};
+use snoopy_core::config::env_threads;
 use snoopy_core::{RetryPolicy, Snoopy, SnoopyConfig};
 use snoopy_enclave::wire::Request;
 use snoopy_net::manifest::Manifest;
@@ -85,14 +86,6 @@ impl Drop for Daemon {
     }
 }
 
-fn env_threads() -> u32 {
-    std::env::var("SNOOPY_THREADS")
-        .ok()
-        .and_then(|v| v.trim().parse::<u32>().ok())
-        .filter(|&t| t >= 1)
-        .unwrap_or(1)
-}
-
 fn free_addrs(n: usize) -> Vec<String> {
     let listeners: Vec<TcpListener> =
         (0..n).map(|_| TcpListener::bind("127.0.0.1:0").unwrap()).collect();
@@ -150,8 +143,8 @@ fn proxied_cluster_survives_faults_and_double_kill() {
         active_suborams: 0,
         // Honor SNOOPY_THREADS so the verify script's `parallel` suite runs
         // this chaos scenario with the parallel kernels engaged.
-        lb_threads: env_threads(),
-        sub_threads: env_threads(),
+        lb_threads: env_threads() as u32,
+        sub_threads: env_threads() as u32,
         // And SNOOPY_STORAGE: the storage suite re-runs this chaos scenario
         // against real sealed segment files with a streaming-sized buffer.
         storage: snoopy_core::StorageKind::from_env(),

@@ -13,6 +13,7 @@
 //! against a 2×2 cluster: every session must be served, and every session
 //! must be released by the balancers' reactors once the client hangs up.
 
+use snoopy_core::config::env_threads;
 use snoopy_core::link::Link;
 use snoopy_core::{Snoopy, SnoopyConfig};
 use snoopy_crypto::Key256;
@@ -91,14 +92,6 @@ impl Drop for Daemon {
     }
 }
 
-fn env_threads() -> u32 {
-    std::env::var("SNOOPY_THREADS")
-        .ok()
-        .and_then(|v| v.trim().parse::<u32>().ok())
-        .filter(|&t| t >= 1)
-        .unwrap_or(1)
-}
-
 /// Storage tier for the daemons under test, from `SNOOPY_STORAGE` — the
 /// verify script re-runs this whole cluster with `disk` so the streaming
 /// tier faces the same byte-compare against the memory-tier reference.
@@ -167,8 +160,8 @@ fn multi_process_cluster_matches_reference_and_survives_kill() {
         // Honor SNOOPY_THREADS so the verify script's `parallel` suite can
         // re-run this whole cluster with the parallel kernels engaged; the
         // responses must stay byte-identical to the serial reference.
-        lb_threads: env_threads(),
-        sub_threads: env_threads(),
+        lb_threads: env_threads() as u32,
+        sub_threads: env_threads() as u32,
         // Same idea for SNOOPY_STORAGE: the storage suite re-runs this
         // cluster with real disk I/O. Small blocks/buffer so even this
         // test-sized partition streams rather than sitting resident.
@@ -430,8 +423,8 @@ fn hundreds_of_concurrent_sessions_are_served_and_released() {
         max_replays: 3,
         retain_epochs: 8,
         active_suborams: 0,
-        lb_threads: env_threads(),
-        sub_threads: env_threads(),
+        lb_threads: env_threads() as u32,
+        sub_threads: env_threads() as u32,
         storage: env_storage(),
         store_dir: Some(dir.join("store").to_string_lossy().into_owned()),
         block_bytes: 256,
@@ -539,8 +532,8 @@ impl SmallCluster {
             max_replays: 3,
             retain_epochs: 8,
             active_suborams: 0,
-            lb_threads: env_threads(),
-            sub_threads: env_threads(),
+            lb_threads: env_threads() as u32,
+            sub_threads: env_threads() as u32,
             storage: env_storage(),
             store_dir: Some(dir.join("store").to_string_lossy().into_owned()),
             block_bytes: 256,

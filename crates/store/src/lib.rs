@@ -5,17 +5,14 @@
 //! AEAD-sealed **segment file** of fixed-size blocks, laid out for exactly
 //! the access pattern the subORAM has: a full sequential scan with
 //! unconditional write-back (Goodrich–Mitzenmacher, "Oblivious Storage with
-//! Low I/O Overhead"). Every sealing pass (create, each streaming scan,
-//! each resident commit) draws a random 128-bit pass id (from a PRG seeded
-//! with OS entropy) and seals under its own key, derived from that id;
-//! block `i` uses nonce `i` and AAD `i`. So, while pass ids do not repeat,
-//! each (key, nonce) pair seals exactly once and a block moved from another
-//! index or another pass fails to open. The enclave keeps every block's
-//! 16-byte AEAD tag and compares it before opening the block, so a block
-//! replayed from an earlier pass is refused even if that pass drew the same
-//! id. A root digest over (pass id, count, tags) rides in the sealed
-//! checkpoint, so the host can neither forge, swap, nor roll back blocks or
-//! whole segments.
+//! Low I/O Overhead"). Blocks are sealed in the format and under the
+//! sealing discipline of [`snoopy_suboram::sealed`], which the external tier
+//! shares: every sealing pass (create, each streaming scan, each resident
+//! commit) seals under its own key, and the enclave keeps every block's
+//! 16-byte AEAD tag and compares it before opening the block. The segment
+//! header carries the pass id. A root digest over (pass id, count, tags)
+//! rides in the sealed checkpoint, so the host can neither forge, swap, nor
+//! roll back blocks or whole segments.
 //!
 //! The scan streams blocks through a bounded read-ahead/write-behind buffer
 //! — resident memory is O(`buffer_blocks`), not O(partition) — writing the
@@ -42,15 +39,11 @@ use std::io::{self, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use snoopy_crypto::aead::{AeadKey, Nonce, TAG_LEN};
-use snoopy_crypto::hmac::hmac_sha256;
-use snoopy_crypto::poly1305::tags_equal;
-use snoopy_crypto::rng::Rng;
 use snoopy_crypto::{Key256, Prg};
-use snoopy_enclave::external::IntegrityError;
 use snoopy_enclave::wire::{StoredObject, REAL_ID_LIMIT};
+use snoopy_suboram::sealed::{self, Geometry, Pass, Tag};
 use snoopy_suboram::{
-    visit_records, ObjectSlab, SnapshotError, StorageBackend, StorageGeneration, SubOram,
+    IntegrityError, ObjectSlab, SnapshotError, StorageBackend, StorageGeneration, SubOram,
     SubOramError,
 };
 use snoopy_telemetry::events::{self, Event, EventKind};
@@ -70,7 +63,7 @@ const HEADER_LEN: usize = 48;
 pub enum StorageKind {
     /// Plaintext objects in (modeled) enclave memory.
     Memory,
-    /// AEAD-sealed blocks in untrusted memory, digests in-enclave.
+    /// AEAD-sealed blocks in untrusted memory, their tags in-enclave.
     External,
     /// AEAD-sealed segment files on disk ([`DiskBackend`]).
     Disk,
@@ -96,14 +89,20 @@ impl StorageKind {
         }
     }
 
-    /// Reads `SNOOPY_STORAGE` (memory|external|disk), defaulting to memory —
+    /// Reads `SNOOPY_STORAGE` (memory|external|disk); unset means memory —
     /// the storage analogue of `SNOOPY_THREADS`, so whole test suites can be
     /// re-run against another tier.
+    ///
+    /// # Panics
+    ///
+    /// When the variable is set to anything else: a suite re-run under a
+    /// mistyped tier must fail, not quietly run the memory tier again.
     pub fn from_env() -> StorageKind {
-        std::env::var("SNOOPY_STORAGE")
-            .ok()
-            .and_then(|s| StorageKind::parse(s.trim()))
-            .unwrap_or(StorageKind::Memory)
+        let Some(value) = std::env::var_os("SNOOPY_STORAGE") else { return StorageKind::Memory };
+        let value = value.to_string_lossy();
+        StorageKind::parse(value.trim()).unwrap_or_else(|| {
+            panic!("SNOOPY_STORAGE={value:?}: expected memory, external or disk")
+        })
     }
 }
 
@@ -184,56 +183,6 @@ impl Drop for TempDir {
     }
 }
 
-/// One sealing pass: a random 128-bit id (in the segment header and the
-/// root digest) and the key derived from it. Block `i` of the pass is sealed
-/// under nonce `i`, AAD `i`.
-struct Pass {
-    id: u128,
-    key: AeadKey,
-}
-
-impl Pass {
-    /// The pass with id `id`: its key is `root.derive("disk-pass" ‖ id)`, so
-    /// distinct passes never share a (key, nonce) pair.
-    fn derive(root: &Key256, id: u128) -> Pass {
-        let mut label = b"disk-pass".to_vec();
-        label.extend_from_slice(&id.to_le_bytes());
-        Pass { id, key: AeadKey::new(root.derive(&label)) }
-    }
-
-    /// Seals the plaintext at the front of `block` in place and writes its
-    /// tag into the last [`TAG_LEN`] bytes; returns the tag.
-    fn seal(&self, index: usize, block: &mut [u8]) -> [u8; TAG_LEN] {
-        let (plain, tag_bytes) = block.split_at_mut(block.len() - TAG_LEN);
-        let tag = self.key.seal_in_place(block_nonce(index), &block_aad(index), plain);
-        tag_bytes.copy_from_slice(&tag);
-        tag
-    }
-
-    /// Authenticates the sealed `block` as this pass's block `index` and
-    /// decrypts it in place; the plaintext is `block[..len - TAG_LEN]`.
-    fn open(&self, index: usize, block: &mut [u8]) -> Result<(), IntegrityError> {
-        let (ct, tag) = block.split_at_mut(block.len() - TAG_LEN);
-        let tag: &[u8; TAG_LEN] = (&*tag).try_into().expect("TAG_LEN bytes");
-        self.key
-            .open_in_place(block_nonce(index), &block_aad(index), ct, tag)
-            .map_err(|_| IntegrityError::Corrupted { index })
-    }
-
-    /// Authenticates the sealed `block` without decrypting it.
-    fn verify(&self, index: usize, block: &[u8]) -> Result<(), IntegrityError> {
-        let (ct, tag) = block.split_at(block.len() - TAG_LEN);
-        self.key
-            .verify(
-                block_nonce(index),
-                &block_aad(index),
-                ct,
-                tag.try_into().expect("TAG_LEN bytes"),
-            )
-            .map_err(|_| IntegrityError::Corrupted { index })
-    }
-}
-
 /// The file-backed [`StorageBackend`]: AEAD-sealed fixed-size blocks in a
 /// sequential-scan-friendly segment file under a fresh key per sealing pass,
 /// per-block tags in-enclave, bounded-buffer streaming scan, crash-safe
@@ -243,15 +192,13 @@ pub struct DiskBackend {
     /// The key every pass key is derived from.
     pass_root: Key256,
     mac_key: Key256,
-    count: usize,
-    value_len: usize,
-    objs_per_block: usize,
+    geom: Geometry,
     buffer_blocks: usize,
     /// The pass the active sealed state was sealed under.
     pass: Pass,
     generation: u64,
     /// In-enclave per-block AEAD tags of the active sealed state.
-    tags: Vec<[u8; TAG_LEN]>,
+    tags: Vec<Tag>,
     /// Resident mode: the whole partition as a plaintext slab in enclave
     /// memory (only when it fits the buffer budget); sealed at commit.
     resident: Option<ObjectSlab>,
@@ -277,9 +224,9 @@ impl DiskBackend {
     ) -> io::Result<DiskBackend> {
         fs::create_dir_all(dir)?;
         clear_segments(dir)?;
-        let (count, value_len) = (part.len(), part.value_len());
+        let geom = Geometry::new(part.len(), part.value_len(), cfg.block_bytes);
         // A fresh backend already holds a fresh pass: the create pass.
-        let mut b = DiskBackend::empty(dir.to_path_buf(), count, value_len, cfg, root_key);
+        let mut b = DiskBackend::empty(dir.to_path_buf(), geom, cfg, root_key);
         let path = b.gen_path(0);
         b.tags = b.write_sealed_segment(&path, &b.pass, |i| part.get(i))?;
         fsync_dir(&b.dir)?;
@@ -339,8 +286,9 @@ impl DiskBackend {
         let id = u128::from_le_bytes(header[..16].try_into().expect("16 bytes"));
         let count = word(16) as usize;
         let (hdr_value_len, hdr_opb) = (word(24) as usize, word(32) as usize);
-        let mut b = DiskBackend::empty(dir.to_path_buf(), count, value_len, cfg, root_key);
-        if hdr_value_len != value_len || hdr_opb != b.objs_per_block {
+        let geom = Geometry::new(count, value_len, cfg.block_bytes);
+        let mut b = DiskBackend::empty(dir.to_path_buf(), geom, cfg, root_key);
+        if hdr_value_len != value_len || hdr_opb != geom.objs_per_block {
             return Err(bad_data("segment geometry does not match configuration"));
         }
         b.pass = Pass::derive(&b.pass_root, id);
@@ -349,8 +297,8 @@ impl DiskBackend {
         // Stream the segment once, authenticating every block and rebuilding
         // the in-enclave tags (and the resident cache when the partition
         // fits the buffer).
-        let plain_len = b.plain_len();
-        let mut block = vec![0u8; b.sealed_len()];
+        let plain_len = geom.plain_len();
+        let mut block = vec![0u8; geom.sealed_len()];
         let mut resident =
             (b.nblocks() <= b.buffer_blocks).then(|| ObjectSlab::with_capacity(count, value_len));
         let refuse = |e: IntegrityError| bad_data(&format!("segment block: {e}"));
@@ -358,12 +306,7 @@ impl DiskBackend {
             f.read_exact(&mut block)?;
             if let Some(slab) = resident.as_mut() {
                 b.pass.open(i, &mut block).map_err(refuse)?;
-                visit_records(
-                    &mut block[..plain_len],
-                    b.objs_in_block(i),
-                    value_len,
-                    &mut |id, v| slab.push(id, v),
-                );
+                geom.visit(i, &mut block[..plain_len], &mut |id, v| slab.push(id, v));
             } else {
                 b.pass.verify(i, &block).map_err(refuse)?;
             }
@@ -387,25 +330,15 @@ impl DiskBackend {
         Ok(b)
     }
 
-    fn empty(
-        dir: PathBuf,
-        count: usize,
-        value_len: usize,
-        cfg: DiskConfig,
-        root_key: &Key256,
-    ) -> DiskBackend {
-        let obj_len = 8 + value_len;
-        let objs_per_block = (cfg.block_bytes / obj_len).max(1);
+    fn empty(dir: PathBuf, geom: Geometry, cfg: DiskConfig, root_key: &Key256) -> DiskBackend {
         let pass_root = root_key.derive(b"disk-store-aead");
         let mut prg = Prg::from_entropy();
-        let pass = Pass::derive(&pass_root, prg.gen());
+        let pass = Pass::fresh(&pass_root, &mut prg);
         DiskBackend {
             dir,
             pass_root,
             mac_key: root_key.derive(b"disk-store-mac"),
-            count,
-            value_len,
-            objs_per_block,
+            geom,
             buffer_blocks: cfg.buffer_blocks.max(1),
             pass,
             generation: 0,
@@ -452,7 +385,7 @@ impl DiskBackend {
 
     /// Number of sealed blocks in the segment.
     pub fn nblocks(&self) -> usize {
-        self.count.div_ceil(self.objs_per_block.max(1)).max(1)
+        self.geom.nblocks()
     }
 
     fn log(&mut self, ev: IoEvent) {
@@ -462,11 +395,7 @@ impl DiskBackend {
     }
 
     fn sealed_len(&self) -> usize {
-        self.objs_per_block * (8 + self.value_len) + TAG_LEN
-    }
-
-    fn plain_len(&self) -> usize {
-        self.objs_per_block * (8 + self.value_len)
+        self.geom.sealed_len()
     }
 
     fn gen_path(&self, generation: u64) -> PathBuf {
@@ -475,7 +404,7 @@ impl DiskBackend {
 
     /// A pass with a fresh random id.
     fn new_pass(&mut self) -> Pass {
-        Pass::derive(&self.pass_root, self.prg.gen())
+        Pass::fresh(&self.pass_root, &mut self.prg)
     }
 
     /// Where a pass writes its segment before a commit publishes it.
@@ -483,34 +412,9 @@ impl DiskBackend {
         self.dir.join(format!("scan-{:032x}.tmp", pass.id))
     }
 
-    /// HMAC over (pass id, count, every block's tag): the whole-segment
-    /// identity carried in the sealed checkpoint.
+    /// The whole-segment identity carried in the sealed checkpoint.
     fn root_digest(&self) -> [u8; 32] {
-        let mut buf = Vec::with_capacity(24 + self.tags.len() * TAG_LEN);
-        buf.extend_from_slice(&self.pass.id.to_le_bytes());
-        buf.extend_from_slice(&(self.count as u64).to_le_bytes());
-        for tag in &self.tags {
-            buf.extend_from_slice(tag);
-        }
-        hmac_sha256(&self.mac_key.0, &buf)
-    }
-
-    /// Opens block `index` of the active sealed state in place. Its tag must
-    /// be the one the enclave kept for that index before it is authenticated
-    /// under the active pass, so integrity does not rest on pass ids never
-    /// repeating: a block sealed by another pass that drew the same id (and
-    /// so the same key) carries a different tag.
-    fn open_active(&self, index: usize, block: &mut [u8]) -> Result<(), IntegrityError> {
-        let tag: &[u8; TAG_LEN] = block[block.len() - TAG_LEN..].try_into().expect("TAG_LEN bytes");
-        if !tags_equal(tag, &self.tags[index]) {
-            return Err(IntegrityError::Corrupted { index });
-        }
-        self.pass.open(index, block)
-    }
-
-    fn objs_in_block(&self, index: usize) -> usize {
-        let start = index * self.objs_per_block;
-        self.count.saturating_sub(start).min(self.objs_per_block)
+        sealed::root_digest(&self.mac_key, self.pass.id, self.geom.count, &self.tags)
     }
 
     /// Seals the partition whose object `i` is `record(i)` as `(id, value)`
@@ -521,20 +425,13 @@ impl DiskBackend {
         path: &Path,
         pass: &Pass,
         record: impl Fn(usize) -> (u64, &'a [u8]),
-    ) -> io::Result<Vec<[u8; TAG_LEN]>> {
-        let obj_len = 8 + self.value_len;
+    ) -> io::Result<Vec<Tag>> {
         let mut out = BufWriter::with_capacity(64 * 1024, File::create(path)?);
-        out.write_all(&segment_header(pass.id, self.count, self.value_len, self.objs_per_block))?;
+        out.write_all(&segment_header(pass.id, &self.geom))?;
         let mut block = vec![0u8; self.sealed_len()];
         let mut tags = Vec::with_capacity(self.nblocks());
         for i in 0..self.nblocks() {
-            let objs = self.objs_in_block(i);
-            for (j, rec) in block.chunks_exact_mut(obj_len).take(objs).enumerate() {
-                let (id, value) = record(i * self.objs_per_block + j);
-                rec[..8].copy_from_slice(&id.to_le_bytes());
-                rec[8..].copy_from_slice(value);
-            }
-            block[objs * obj_len..self.plain_len()].fill(0);
+            self.geom.pack(i, &mut block, &record);
             tags.push(pass.seal(i, &mut block));
             out.write_all(&block)?;
         }
@@ -566,7 +463,7 @@ impl DiskBackend {
         tmp_path: &Path,
     ) -> Result<(), SubOramError> {
         let sealed_len = self.sealed_len();
-        let plain_len = self.plain_len();
+        let plain_len = self.geom.plain_len();
         let nblocks = self.nblocks();
         // Split the block budget between read-ahead and write-behind.
         let read_chunk = (self.buffer_blocks / 2).max(1);
@@ -575,7 +472,7 @@ impl DiskBackend {
         let mut src = File::open(&self.active_path)?;
         src.seek(SeekFrom::Start(HEADER_LEN as u64))?;
         let mut dst = File::create(tmp_path)?;
-        dst.write_all(&segment_header(pass.id, self.count, self.value_len, self.objs_per_block))?;
+        dst.write_all(&segment_header(pass.id, &self.geom))?;
         self.log(IoEvent::Write { offset: 0, len: HEADER_LEN as u64 });
 
         let reg = metrics::global();
@@ -603,9 +500,9 @@ impl DiskBackend {
                 // Open in place in the read buffer, visit, then re-seal in
                 // place at the tail of the write buffer.
                 let index = i + j;
-                self.open_active(index, block)?;
+                self.pass.open_active(&self.tags, index, block)?;
                 let plain = &mut block[..plain_len];
-                visit_records(plain, self.objs_in_block(index), self.value_len, visit);
+                self.geom.visit(index, plain, visit);
                 let out = &mut write_buf[pending * sealed_len..(pending + 1) * sealed_len];
                 out[..plain_len].copy_from_slice(plain);
                 new_tags.push(pass.seal(index, out));
@@ -654,22 +551,14 @@ impl DiskBackend {
     }
 }
 
-fn segment_header(pass_id: u128, count: usize, value_len: usize, objs_per_block: usize) -> Vec<u8> {
+fn segment_header(pass_id: u128, geom: &Geometry) -> Vec<u8> {
     let mut h = Vec::with_capacity(HEADER_LEN);
     h.extend_from_slice(MAGIC);
     h.extend_from_slice(&pass_id.to_le_bytes());
-    h.extend_from_slice(&(count as u64).to_le_bytes());
-    h.extend_from_slice(&(value_len as u64).to_le_bytes());
-    h.extend_from_slice(&(objs_per_block as u64).to_le_bytes());
+    for word in [geom.count, geom.value_len, geom.objs_per_block] {
+        h.extend_from_slice(&(word as u64).to_le_bytes());
+    }
     h
-}
-
-fn block_nonce(index: usize) -> Nonce {
-    Nonce::from_parts(0, index as u64)
-}
-
-fn block_aad(index: usize) -> [u8; 8] {
-    (index as u64).to_le_bytes()
 }
 
 fn bad_data(msg: &str) -> io::Error {
@@ -690,14 +579,15 @@ fn clear_segments(dir: &Path) -> io::Result<()> {
     Ok(())
 }
 
-fn fsync_dir(dir: &Path) -> io::Result<()> {
+/// Fsyncs the directory `dir`, which makes a rename inside it durable.
+pub fn fsync_dir(dir: &Path) -> io::Result<()> {
     // Durability of the rename itself: fsync the directory entry.
     File::open(dir)?.sync_all()
 }
 
 impl StorageBackend for DiskBackend {
     fn len(&self) -> usize {
-        self.count
+        self.geom.count
     }
 
     fn scan(&mut self, visit: &mut dyn FnMut(u64, &mut [u8])) -> Result<(), SubOramError> {
@@ -717,19 +607,14 @@ impl StorageBackend for DiskBackend {
             slab.for_each(visit);
             return Ok(());
         }
-        let plain_len = self.plain_len();
+        let plain_len = self.geom.plain_len();
         let mut f = File::open(&self.active_path)?;
         f.seek(SeekFrom::Start(HEADER_LEN as u64))?;
         let mut block = vec![0u8; self.sealed_len()];
         for i in 0..self.nblocks() {
             f.read_exact(&mut block)?;
-            self.open_active(i, &mut block)?;
-            visit_records(
-                &mut block[..plain_len],
-                self.objs_in_block(i),
-                self.value_len,
-                &mut |id, value| visit(id, value),
-            );
+            self.pass.open_active(&self.tags, i, &mut block)?;
+            self.geom.visit(i, &mut block[..plain_len], &mut |id, value| visit(id, value));
         }
         Ok(())
     }
@@ -737,10 +622,8 @@ impl StorageBackend for DiskBackend {
     fn snapshot(&self) -> Result<Vec<StoredObject>, SnapshotError> {
         // Size-aware refusal: checkpoints must record the committed
         // generation, never materialize a larger-than-RAM partition.
-        Err(SnapshotError::Streaming {
-            objects: self.count,
-            bytes: (self.count * (8 + self.value_len)) as u64,
-        })
+        let Geometry { count, value_len, .. } = self.geom;
+        Err(SnapshotError::Streaming { objects: count, bytes: (count * (8 + value_len)) as u64 })
     }
 
     fn commit(&mut self, _epoch: u64) -> Result<Option<StorageGeneration>, SubOramError> {
@@ -973,6 +856,16 @@ mod tests {
         let mut out = Vec::new();
         b.for_each(&mut |id, value| out.push(StoredObject { id, value: value.to_vec() })).unwrap();
         out
+    }
+
+    #[test]
+    fn storage_kind_parses_exactly_the_three_tiers() {
+        for kind in [StorageKind::Memory, StorageKind::External, StorageKind::Disk] {
+            assert_eq!(StorageKind::parse(kind.as_str()), Some(kind));
+        }
+        for bad in ["dsk", "Disk", "", " disk"] {
+            assert_eq!(StorageKind::parse(bad), None, "{bad:?}");
+        }
     }
 
     #[test]

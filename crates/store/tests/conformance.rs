@@ -10,7 +10,10 @@ use snoopy_crypto::Key256;
 use snoopy_enclave::wire::{Request, StoredObject};
 use snoopy_obliv::trace;
 use snoopy_store::{build_suboram, DiskBackend, DiskConfig, StorageKind};
-use snoopy_suboram::{ObjectSlab, StorageBackend, SubOram, SubOramError};
+use snoopy_suboram::sealed::Geometry;
+use snoopy_suboram::{
+    ExternalBackend, IntegrityError, ObjectSlab, StorageBackend, SubOram, SubOramError,
+};
 
 const VLEN: usize = 24;
 const TIERS: [StorageKind; 3] = [StorageKind::Memory, StorageKind::External, StorageKind::Disk];
@@ -117,6 +120,61 @@ fn rollback_is_refused_on_every_untrusted_tier() {
             matches!(err, SubOramError::Integrity(_) | SubOramError::Storage(_)),
             "tier {kind}: {err:?}"
         );
+    }
+}
+
+/// The two untrusted tiers as bare backends over `n` objects, with the
+/// geometry of their sealed blocks (the disk tier streams: 4 objects a
+/// block, a 2-block buffer). The blocks are the image's last
+/// `nblocks × sealed_len` bytes.
+fn untrusted_backends(n: u64) -> Vec<(StorageKind, Geometry, Box<dyn StorageBackend>)> {
+    let key = Key256([7u8; 32]);
+    let cfg = DiskConfig { block_bytes: 128, buffer_blocks: 2 };
+    let part = ObjectSlab::from_objects(&objects(n), VLEN);
+    let disk = DiskBackend::create_temp(part, cfg, &key).expect("create");
+    let external = ExternalBackend::new(&objects(n), VLEN, &key);
+    vec![
+        (StorageKind::External, Geometry::new(n as usize, VLEN, 0), Box::new(external)),
+        (StorageKind::Disk, Geometry::new(n as usize, VLEN, cfg.block_bytes), Box::new(disk)),
+    ]
+}
+
+/// The sealed blocks of an untrusted image.
+fn blocks(image: &[u8], geom: &Geometry) -> Vec<Vec<u8>> {
+    let at = image.len() - geom.nblocks() * geom.sealed_len();
+    image[at..].chunks(geom.sealed_len()).map(<[u8]>::to_vec).collect()
+}
+
+/// Every scan reseals the whole untrusted image under a fresh pass, so two
+/// scans that change nothing still leave every block different: the host
+/// cannot tell which objects a batch wrote.
+#[test]
+fn every_scan_reseals_every_block() {
+    for (kind, geom, mut b) in untrusted_backends(64) {
+        b.scan(&mut |_, _| {}).unwrap();
+        let first = blocks(&b.untrusted_image().unwrap(), &geom);
+        b.scan(&mut |_, _| {}).unwrap();
+        let second = blocks(&b.untrusted_image().unwrap(), &geom);
+        assert_eq!(first.len(), geom.nblocks(), "tier {kind}");
+        for (i, (x, y)) in first.iter().zip(&second).enumerate() {
+            assert_ne!(x, y, "tier {kind}: block {i} resealed identically");
+        }
+    }
+}
+
+/// A validly sealed block copied to another index of the same image is
+/// refused at that index.
+#[test]
+fn block_copied_to_another_index_is_refused() {
+    for (kind, geom, mut b) in untrusted_backends(64) {
+        let mut image = b.untrusted_image().unwrap();
+        let len = geom.sealed_len();
+        let at = image.len() - geom.nblocks() * len;
+        image.copy_within(at + len..at + 2 * len, at + 3 * len);
+        assert!(b.restore_untrusted_image(&image), "tier {kind}");
+        let refused = SubOramError::Integrity(IntegrityError::Corrupted { index: 3 });
+        assert_eq!(b.for_each(&mut |_, _| {}), Err(refused), "tier {kind}");
+        assert_eq!(b.scan(&mut |_, _| {}), Err(refused), "tier {kind}");
     }
 }
 

@@ -33,12 +33,13 @@
 //!
 //! Storage lives behind the [`StorageBackend`] trait: [`MemoryBackend`] keeps
 //! the partition in (modeled) enclave memory; [`ExternalBackend`] keeps it
-//! AEAD-sealed outside the enclave with per-block digests inside, mirroring
+//! AEAD-sealed in untrusted memory with every block's tag inside, mirroring
 //! the paper's deployment where partitions exceed the EPC (§7) — every object
-//! is re-sealed on every scan regardless of whether it changed, so writes are
-//! invisible to the host. The file-backed tier (`snoopy-store`'s
-//! `DiskBackend`) implements the same trait for larger-than-RAM partitions
-//! without touching the scan kernel.
+//! is re-sealed under a fresh pass on every scan regardless of whether it
+//! changed, so writes are invisible to the host. The file-backed tier
+//! (`snoopy-store`'s `DiskBackend`) implements the same trait for
+//! larger-than-RAM partitions without touching the scan kernel. Both sealed
+//! tiers share one block format and sealing discipline, [`sealed`].
 //!
 //! Failure discipline: the first integrity or storage failure **poisons** the
 //! subORAM — every later batch returns the same typed error, so the node
@@ -51,7 +52,6 @@
 
 use snoopy_crypto::Key256;
 use snoopy_enclave::epc::{CostMeter, EpcModel};
-use snoopy_enclave::external::IntegrityError;
 use snoopy_enclave::wire::{Request, StoredObject, REAL_ID_LIMIT};
 use snoopy_obliv::trace::{self, TraceEvent};
 use snoopy_ohash::{OHashError, OHashTable, TableParams};
@@ -59,7 +59,32 @@ use std::collections::HashMap;
 // Memory-touch trace vs. wall-clock spans: see the note in `snoopy-lb`.
 use snoopy_telemetry::trace as telem;
 
-pub use snoopy_enclave::external::ExternalStore;
+mod external;
+pub mod sealed;
+
+pub use external::ExternalBackend;
+
+/// A sealed block failed its integrity check: the host tampered with it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum IntegrityError {
+    /// The untrusted block failed its tag compare or AEAD verification.
+    Corrupted {
+        /// Index of the offending block.
+        index: usize,
+    },
+}
+
+impl std::fmt::Display for IntegrityError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            IntegrityError::Corrupted { index } => {
+                write!(f, "block {index} failed integrity check")
+            }
+        }
+    }
+}
+
+impl std::error::Error for IntegrityError {}
 
 /// Errors from batch processing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -156,7 +181,7 @@ pub struct StorageGeneration {
 /// pattern a disk tier wants (Goodrich–Mitzenmacher's low-I/O oblivious
 /// storage). Implementations: [`MemoryBackend`] (plaintext objects in modeled
 /// enclave memory), [`ExternalBackend`] (AEAD-sealed blocks in untrusted
-/// memory with in-enclave digests), and `snoopy-store`'s `DiskBackend`
+/// memory with in-enclave tags), and `snoopy-store`'s `DiskBackend`
 /// (AEAD-sealed segment files with crash-safe generation commit).
 pub trait StorageBackend: Send {
     /// Number of stored objects.
@@ -368,97 +393,6 @@ impl StorageBackend for MemoryBackend {
 
     fn snapshot(&self) -> Result<Vec<StoredObject>, SnapshotError> {
         Ok(self.slab.to_objects())
-    }
-}
-
-/// Objects AEAD-sealed in untrusted memory with in-enclave digests,
-/// mirroring the paper's deployment where partitions exceed the EPC (§7).
-/// Blocks stream through the enclave one at a time: decrypt, visit, re-seal
-/// unconditionally, so writes are invisible to the host.
-pub struct ExternalBackend {
-    store: ExternalStore,
-    count: usize,
-    value_len: usize,
-}
-
-impl ExternalBackend {
-    /// Seals `objects` into a fresh untrusted store.
-    pub fn new(objects: &[StoredObject], value_len: usize, key: &Key256) -> ExternalBackend {
-        let count = objects.len();
-        let block_len = 8 + value_len;
-        let mut store = ExternalStore::new(key, count, block_len);
-        for (i, o) in objects.iter().enumerate() {
-            store.put(i, &[&o.id.to_le_bytes()[..], &o.value].concat()).expect("in-range");
-        }
-        ExternalBackend { store, count, value_len }
-    }
-
-    /// The untrusted half — the adversary hook for integrity tests.
-    pub fn untrusted_store_mut(&mut self) -> &mut ExternalStore {
-        &mut self.store
-    }
-}
-
-impl StorageBackend for ExternalBackend {
-    fn len(&self) -> usize {
-        self.count
-    }
-
-    fn scan(&mut self, visit: &mut dyn FnMut(u64, &mut [u8])) -> Result<(), SubOramError> {
-        for i in 0..self.count {
-            let mut plain = self.store.get(i)?;
-            visit_records(&mut plain, 1, self.value_len, visit);
-            self.store.put(i, &plain)?;
-        }
-        Ok(())
-    }
-
-    fn for_each(&self, visit: &mut dyn FnMut(u64, &[u8])) -> Result<(), SubOramError> {
-        for i in 0..self.count {
-            let mut plain = self.store.get(i)?;
-            visit_records(&mut plain, 1, self.value_len, &mut |id, value| visit(id, value));
-        }
-        Ok(())
-    }
-
-    fn snapshot(&self) -> Result<Vec<StoredObject>, SnapshotError> {
-        let mut out = Vec::with_capacity(self.count);
-        self.for_each(&mut |id, value| out.push(StoredObject { id, value: value.to_vec() }))
-            .map_err(SnapshotError::Failed)?;
-        Ok(out)
-    }
-
-    fn untrusted_image(&mut self) -> Option<Vec<u8>> {
-        let mut out = Vec::new();
-        for b in self.store.untrusted_blocks_mut().iter() {
-            out.extend_from_slice(&b.bytes);
-        }
-        Some(out)
-    }
-
-    fn restore_untrusted_image(&mut self, image: &[u8]) -> bool {
-        let blocks = self.store.untrusted_blocks_mut();
-        if blocks.is_empty() {
-            return image.is_empty();
-        }
-        let sealed_len = blocks[0].bytes.len();
-        if image.len() != sealed_len * blocks.len() {
-            return false;
-        }
-        for (i, b) in blocks.iter_mut().enumerate() {
-            b.bytes.copy_from_slice(&image[i * sealed_len..(i + 1) * sealed_len]);
-        }
-        true
-    }
-
-    fn corrupt_block(&mut self, index: usize) -> bool {
-        match self.store.untrusted_blocks_mut().get_mut(index) {
-            Some(b) if !b.bytes.is_empty() => {
-                b.bytes[0] ^= 1;
-                true
-            }
-            _ => false,
-        }
     }
 }
 
@@ -781,21 +715,6 @@ fn validate_objects(objects: &[StoredObject], value_len: usize) {
     for o in objects {
         assert!(o.id < REAL_ID_LIMIT, "object id {} in reserved namespace", o.id);
         assert_eq!(o.value.len(), value_len, "object sizes are public and fixed");
-    }
-}
-
-/// Visits the first `count` records of a plaintext block in place. A record
-/// is the sealed tiers' fixed object layout: an 8-byte little-endian id,
-/// then the (fixed public length) value.
-pub fn visit_records(
-    block: &mut [u8],
-    count: usize,
-    value_len: usize,
-    visit: &mut dyn FnMut(u64, &mut [u8]),
-) {
-    for record in block.chunks_exact_mut(8 + value_len).take(count) {
-        let (id, value) = record.split_at_mut(8);
-        visit(u64::from_le_bytes((&*id).try_into().unwrap()), value);
     }
 }
 
