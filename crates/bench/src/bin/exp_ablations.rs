@@ -7,7 +7,7 @@
 //!    per-lookup scan width (§5's central argument).
 //! 3. **Sorting network**: bitonic vs. Batcher's odd-even merge.
 //! 4. **SubORAM storage**: in-enclave vs. AEAD-sealed external (the §7
-//!    integrity/streaming tax).
+//!    integrity/streaming tax), each the median of 5 warm batches.
 
 use snoopy_bench::{fmt, print_table, time_ms, write_csv};
 use snoopy_crypto::Key256;
@@ -129,9 +129,9 @@ fn storage_backends() {
             (0..n).map(|i| StoredObject::new(i, &i.to_le_bytes(), 160)).collect();
         let batch: Vec<Request> = (0..256u64).map(|i| Request::read(i * 7, 160, 0, i)).collect();
         let mut inenc = SubOram::new_in_enclave(objects.clone(), 160, key.clone(), 128);
-        let (_, in_ms) = time_ms(|| inenc.batch_access(batch.clone()).unwrap());
+        let in_ms = warm_median_ms(|| inenc.batch_access(batch.clone()).unwrap());
         let mut ext = SubOram::new_external(objects, 160, key.clone(), 128);
-        let (_, ext_ms) = time_ms(|| ext.batch_access(batch.clone()).unwrap());
+        let ext_ms = warm_median_ms(|| ext.batch_access(batch.clone()).unwrap());
         rows.push(vec![n.to_string(), fmt(in_ms), fmt(ext_ms), fmt(ext_ms / in_ms)]);
     }
     print_table(
@@ -140,6 +140,14 @@ fn storage_backends() {
         &rows,
     );
     write_csv("exp_ablation_storage", &["objects", "in_ms", "ext_ms", "ratio"], &rows);
+}
+
+/// Median of 5 timed calls of `f`, after one untimed warm-up call.
+fn warm_median_ms<T>(mut f: impl FnMut() -> T) -> f64 {
+    f();
+    let mut runs: Vec<f64> = (0..5).map(|_| time_ms(&mut f).1).collect();
+    runs.sort_by(f64::total_cmp);
+    runs[2]
 }
 
 /// Batcher's odd-even merge sort on `u64`s: the other `O(n log² n)`

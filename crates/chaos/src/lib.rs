@@ -24,6 +24,9 @@
 //!   desynchronizes the AEAD link's strict nonce sequence, which kills the
 //!   session and forces the full re-dial + replay recovery path — exactly
 //!   the machinery a real lossy network exercises.
+//! * [`harness`] — the multi-process plumbing the TCP-plane suites share:
+//!   spawn, SIGKILL and reap `snoopyd` daemons, pick loopback ports, and
+//!   wait for a daemon's admin RPCs to come up.
 //!
 //! Everything the plan acts on is public (wire-observable message
 //! coordinates), and every injected fault is counted through
@@ -36,6 +39,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod harness;
 pub mod plan;
 pub mod proxy;
 

@@ -119,14 +119,12 @@ impl ChannelLbTransport {
 }
 
 impl LbTransport for ChannelLbTransport {
-    fn recv(&mut self) -> Option<LbEvent> {
-        let msg = self.rx.recv().ok()?;
-        Some(self.event(msg))
-    }
-
-    fn recv_deadline(&mut self, deadline: Instant) -> RecvOutcome {
-        let wait = deadline.saturating_duration_since(Instant::now());
-        match self.rx.recv_timeout(wait) {
+    fn recv(&mut self, deadline: Option<Instant>) -> RecvOutcome {
+        let msg = match deadline {
+            None => self.rx.recv().map_err(|_| RecvTimeoutError::Disconnected),
+            Some(at) => self.rx.recv_timeout(at.saturating_duration_since(Instant::now())),
+        };
+        match msg {
             Ok(msg) => RecvOutcome::Event(self.event(msg)),
             Err(RecvTimeoutError::Timeout) => RecvOutcome::TimedOut,
             Err(RecvTimeoutError::Disconnected) => RecvOutcome::Closed,

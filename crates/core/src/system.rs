@@ -9,12 +9,12 @@
 //! same components concurrently and must produce identical results.
 
 use crate::config::SnoopyConfig;
-use crate::stats::{EpochStats, SystemStats};
+use crate::stats::{record_epoch_metrics, EpochStats};
 use snoopy_crypto::{Key256, Prg};
 use snoopy_enclave::wire::{Request, Response, StoredObject};
 use snoopy_lb::{partition_objects, LbError, LoadBalancer};
 use snoopy_suboram::{SubOram, SubOramError};
-use snoopy_telemetry::{metrics, trace, Public};
+use snoopy_telemetry::trace;
 
 /// Top-level errors.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -84,7 +84,6 @@ pub struct Snoopy {
     suborams: Vec<SubOram>,
     epoch: u64,
     last_stats: EpochStats,
-    stats: SystemStats,
 }
 
 impl Snoopy {
@@ -115,24 +114,12 @@ impl Snoopy {
                 LoadBalancer::new(&shared_key, config.num_suborams, config.value_len, config.lambda)
             })
             .collect();
-        Snoopy {
-            config,
-            balancers,
-            suborams,
-            epoch: 0,
-            last_stats: EpochStats::default(),
-            stats: SystemStats::default(),
-        }
+        Snoopy { config, balancers, suborams, epoch: 0, last_stats: EpochStats::default() }
     }
 
     /// Telemetry for the most recent epoch.
     pub fn last_epoch_stats(&self) -> &EpochStats {
         &self.last_stats
-    }
-
-    /// Rolling telemetry over the deployment's lifetime.
-    pub fn stats(&self) -> &SystemStats {
-        &self.stats
     }
 
     /// The deployment configuration.
@@ -205,8 +192,15 @@ impl Snoopy {
         }
         epoch_stats.lb_match_time = match_span.finish();
 
-        record_epoch_metrics(&epoch_stats);
-        self.stats.absorb(&epoch_stats);
+        record_epoch_metrics(
+            epoch_stats.requests,
+            epoch_stats.batch_entries_sent,
+            [
+                ("lb_make", epoch_stats.lb_make_time),
+                ("suboram_scan", epoch_stats.suboram_time),
+                ("lb_match", epoch_stats.lb_match_time),
+            ],
+        );
         self.last_stats = epoch_stats;
         self.epoch += 1;
         drop(epoch_span);
@@ -229,36 +223,6 @@ impl Snoopy {
         let s = self.balancers[0].suboram_of(id);
         self.suborams[s].peek(id)
     }
-
-    /// Accumulated modeled cost over all subORAMs.
-    pub fn total_meter(&self) -> snoopy_enclave::epc::CostMeter {
-        let mut m = snoopy_enclave::epc::CostMeter::default();
-        for s in &self.suborams {
-            m.absorb(&s.meter);
-        }
-        m
-    }
-}
-
-/// Publishes one epoch's public statistics into the process-wide metrics
-/// registry ([`snoopy_telemetry::metrics::global`]): epoch/request/batch
-/// counters and per-stage latency histograms. Every deployment plane (the
-/// reference engine here, and the transport loops both the in-process and
-/// TCP clusters share) calls this, so scrapes expose identical series
-/// everywhere. All inputs are public — see [`crate::stats`].
-pub fn record_epoch_metrics(e: &EpochStats) {
-    let reg = metrics::global();
-    reg.counter(metrics::names::EPOCHS_TOTAL, "epochs executed").inc(Public::wire_observable(()));
-    reg.counter(metrics::names::REQUESTS_TOTAL, "client requests admitted into epochs")
-        .add(Public::request_volume(e.requests as u64));
-    reg.counter(
-        metrics::names::BATCH_ENTRIES_TOTAL,
-        "batch entries sent to subORAMs (real + padding)",
-    )
-    .add(Public::wire_observable(e.batch_entries_sent as u64));
-    metrics::stage_histogram("lb_make").observe(Public::timing(e.lb_make_time));
-    metrics::stage_histogram("suboram_scan").observe(Public::timing(e.suboram_time));
-    metrics::stage_histogram("lb_match").observe(Public::timing(e.lb_match_time));
 }
 
 #[cfg(test)]

@@ -14,6 +14,12 @@
 //! engine ([`crate::system::Snoopy`]): a balancer's epoch commits only after
 //! all `S` response batches for that epoch arrived.
 //!
+//! [`run_load_balancer`] is one loop around one deadline-aware receive
+//! ([`LbTransport::recv`]), always in one of three phases: *Idle* between
+//! epochs, *Paused* holding a tick at a reshard boundary, or *Waiting* for
+//! the responses of the epoch in flight. Every plane — channels, TCP, and
+//! the chaos harness on both — drives that same function.
+//!
 //! # Epoch-id namespace (multi-balancer clusters)
 //!
 //! With `L` balancers, epoch ids form a *composite namespace*: every id `e`
@@ -47,6 +53,7 @@ use crate::reshard::{
     record_abort, record_flip, ReshardCmd, ReshardPhase, ReshardPlan, ReshardStatus, SubReshardCmd,
     SubReshardReply, SubStaging,
 };
+use crate::stats::record_epoch_metrics;
 use snoopy_enclave::wire::{Request, Response};
 use snoopy_lb::LoadBalancer;
 use snoopy_suboram::SubOram;
@@ -164,7 +171,7 @@ pub enum LbEvent {
     Shutdown,
 }
 
-/// Result of a deadline-bounded receive on an [`LbTransport`].
+/// Result of a receive on an [`LbTransport`].
 pub enum RecvOutcome {
     /// An event arrived before the deadline.
     Event(LbEvent),
@@ -176,18 +183,15 @@ pub enum RecvOutcome {
 
 /// Transport endpoint for a load balancer.
 pub trait LbTransport {
-    /// Blocks for the next event; `None` means the transport is gone and the
-    /// loop should exit.
-    fn recv(&mut self) -> Option<LbEvent>;
-
-    /// Blocks for the next event until `deadline`, returning
-    /// [`RecvOutcome::TimedOut`] once the deadline passes with no event.
+    /// Blocks for the next event, until `deadline` if one is given:
+    /// [`RecvOutcome::TimedOut`] once it passes with no event, and
+    /// [`RecvOutcome::Closed`] once the transport is gone. Without a
+    /// deadline it blocks until an event arrives or the transport closes.
     ///
-    /// Required (no default): an earlier default body delegated to the
-    /// blocking [`LbTransport::recv`], which silently turned every
-    /// [`EpochFaultPolicy`] deadline into an infinite hang on any transport
-    /// that forgot to override it.
-    fn recv_deadline(&mut self, deadline: Instant) -> RecvOutcome;
+    /// Required (no default): a default that ignored the deadline would
+    /// silently turn every [`EpochFaultPolicy`] deadline into an infinite
+    /// hang on any transport that forgot to override it.
+    fn recv(&mut self, deadline: Option<Instant>) -> RecvOutcome;
 
     /// Seals and sends this balancer's `epoch` batch to subORAM `suboram`,
     /// stamped with the layout `generation` the balancer routed it under
@@ -404,26 +408,86 @@ fn on_reshard(
     flipped
 }
 
-/// Drives one load balancer until shutdown.
+/// Where a balancer's epoch loop stands (see [`run_load_balancer`]).
+enum Phase {
+    Idle,
+    /// Tick `epoch` held at a reshard boundary until the driver's verdict,
+    /// or until `until` (the plan's TTL).
+    Paused {
+        epoch: u64,
+        until: Instant,
+    },
+    Waiting(Box<InFlight>),
+}
+
+impl Phase {
+    /// How long the loop's receive may block.
+    fn deadline(&self) -> Option<Instant> {
+        match self {
+            Phase::Idle => None,
+            Phase::Paused { until, .. } => Some(*until),
+            Phase::Waiting(flight) => flight.deadline,
+        }
+    }
+}
+
+/// An epoch whose batches are out.
+struct InFlight {
+    epoch: u64,
+    requests: Vec<Request>,
+    sinks: Vec<Box<dyn ReplySink>>,
+    /// The batches as sent, kept for replays.
+    batches: Vec<Vec<Request>>,
+    /// Per-subORAM response batch; `None` while still owed.
+    responses: Vec<Option<Vec<Request>>>,
+    replays: u32,
+    /// When the current wave times out; `None` waits forever.
+    deadline: Option<Instant>,
+    entries_sent: usize,
+    lb_make_time: Duration,
+    epoch_span: trace::SpanGuard<'static>,
+    wait_span: trace::SpanGuard<'static>,
+}
+
+impl InFlight {
+    /// Whether `suboram` still owes this epoch a response (a warm spare,
+    /// beyond the active fleet, owes nothing).
+    fn owes(&self, suboram: usize) -> bool {
+        self.responses.get(suboram).is_some_and(Option::is_none)
+    }
+
+    fn owing(&self) -> Vec<usize> {
+        (0..self.responses.len()).filter(|&s| self.owes(s)).collect()
+    }
+}
+
+/// Drives one load balancer until shutdown: one receive, over three phases.
 ///
-/// Requests arriving while an epoch is in flight join the *next* epoch —
-/// exactly the behavior of the threaded seed implementation, where they
-/// queued behind the `Tick` message.
+/// * **Idle** — clients buffer; a tick starts an epoch (make the batches,
+///   send one to each subORAM) and moves to *Waiting*.
+/// * **Waiting** — once all `S` responses arrived the epoch commits (match,
+///   reply) and the loop is *Idle* again. Requests arriving meanwhile join
+///   the *next* epoch — exactly the behavior of the threaded seed
+///   implementation, where they queued behind the `Tick` message. A late
+///   tick is deferred until the epoch resolves, or dropped, per
+///   [`LbTransport::serves_late_ticks`].
+/// * **Paused** — a tick held at a reshard boundary (below).
 ///
-/// With a `policy` deadline, the wait phase re-sends still-owed batches
+/// With a `policy` deadline, *Waiting* re-sends still-owed batches
 /// (byte-identical shapes — batch size stays `f(R, S)` of public values)
 /// after each deadline miss, and after `max_replays` misses completes the
 /// epoch in degraded mode: every request in it fails with [`Unavailable`]
-/// (see the module docs for why the failure is wholesale).
+/// (see the module docs for why the failure is wholesale). A subORAM that
+/// refuses its batch ([`LbEvent::SubFailed`]) degrades the epoch at once.
 ///
 /// The reshard protocol, from this loop's side: a [`ReshardCmd::Plan`] arms
 /// a [`ReshardPlan`]; at the first owned tick with id `>= boundary_epoch`
-/// the loop *pauses* — the tick is held, clients keep buffering into the
-/// next epoch, and no batches are in flight (ticks resolve synchronously,
-/// so between ticks the balancer owes the subORAMs nothing). While paused
-/// it answers status probes with [`ReshardPhase::Paused`] and waits for the
-/// driver's verdict: [`ReshardCmd::Commit`] rebuilds the routing table at
-/// `new_s` via `control.rebuild` and adopts the plan's generation;
+/// the loop *pauses* — the tick is held, clients keep buffering into it,
+/// and no batches are in flight (a pause starts from *Idle*, so the
+/// balancer owes the subORAMs nothing). While paused it answers status
+/// probes with [`ReshardPhase::Paused`] and waits for the driver's verdict:
+/// [`ReshardCmd::Commit`] rebuilds the routing table at `new_s` via
+/// `control.rebuild` and adopts the plan's generation;
 /// [`ReshardCmd::Abort`] — or the plan's `ttl` expiring, the driver having
 /// died mid-migration — resumes the old layout. Either way the held tick
 /// then executes, so buffered clients commit in exactly one of the two
@@ -442,298 +506,269 @@ pub fn run_load_balancer<T: LbTransport>(
     // the layout currently being served.
     let mut plan: Option<ReshardPlan> = None;
     let mut generation = control.initial_generation;
-    'outer: loop {
-        let ev = match deferred_ticks.pop_front() {
-            Some(epoch) => LbEvent::Tick(epoch),
-            None => match transport.recv() {
-                Some(ev) => ev,
-                None => break,
+    let wait = policy.sub_deadline;
+    let mut phase = Phase::Idle;
+    loop {
+        // Deferred ticks run before the next receive, once no epoch is out.
+        let deferred = if let Phase::Idle = phase { deferred_ticks.pop_front() } else { None };
+        let event = match deferred {
+            Some(epoch) => Some(LbEvent::Tick(epoch)),
+            None => match transport.recv(phase.deadline()) {
+                RecvOutcome::Event(event) => Some(event),
+                RecvOutcome::TimedOut => None,
+                RecvOutcome::Closed => return,
             },
         };
-        match ev {
-            LbEvent::Shutdown => break,
-            LbEvent::Client(mut req, sink) => {
+        phase = match (phase, event) {
+            (_, Some(LbEvent::Shutdown)) => return,
+            (phase, Some(LbEvent::Client(mut req, sink))) => {
                 // The client handle is the pending index so the matched
                 // response routes back.
                 req.client = pending.len() as u64;
                 pending.push((req, sink));
+                phase
             }
-            // Stale between epochs: a resent response or failure notice for
-            // an epoch that already resolved, or a reconnect while idle.
-            LbEvent::SubResponse { .. }
-            | LbEvent::SubLinkRestored { .. }
-            | LbEvent::SubFailed { .. } => {}
-            LbEvent::Reshard { cmd, reply } => {
-                on_reshard(cmd, &reply, false, &mut plan, &mut generation, &mut num_suborams);
+            (phase, Some(LbEvent::Reshard { cmd, reply })) => {
+                // Outside a pause a command can only arm or report; a verdict
+                // (commit or abort) ends the pause, and the held tick runs at
+                // whichever layout won.
+                let paused = matches!(phase, Phase::Paused { .. });
+                if on_reshard(cmd, &reply, paused, &mut plan, &mut generation, &mut num_suborams) {
+                    balancer = (control.rebuild)(num_suborams);
+                }
+                match phase {
+                    Phase::Paused { epoch, .. } if plan.is_none() => {
+                        start_epoch(transport, &balancer, generation, epoch, &mut pending, wait)
+                    }
+                    phase => phase,
+                }
             }
-            LbEvent::Tick(epoch) => {
-                let mut epoch = epoch;
-                if let Some(ttl) =
-                    plan.as_ref().filter(|p| epoch >= p.boundary_epoch).map(|p| p.ttl)
-                {
-                    // Paused at the reshard boundary: hold the tick, keep
-                    // buffering clients, and wait for the driver's verdict.
-                    let deadline = Instant::now() + ttl;
-                    let mut resolved = false;
-                    while !resolved {
-                        match transport.recv_deadline(deadline) {
-                            RecvOutcome::Closed => break 'outer,
-                            RecvOutcome::TimedOut => {
-                                // The driver died mid-migration: self-abort
-                                // back to the old layout rather than holding
-                                // buffered clients hostage forever.
-                                if let Some(p) = plan.take() {
-                                    record_abort(p.generation);
-                                }
-                                resolved = true;
-                            }
-                            RecvOutcome::Event(LbEvent::Shutdown) => break 'outer,
-                            RecvOutcome::Event(LbEvent::Client(mut req, sink)) => {
-                                req.client = pending.len() as u64;
-                                pending.push((req, sink));
-                            }
-                            // Later boundary ticks supersede the held one:
-                            // the post-verdict epoch executes under the
-                            // newest id so composite ordering stays monotone.
-                            RecvOutcome::Event(LbEvent::Tick(e)) => epoch = e,
-                            RecvOutcome::Event(LbEvent::SubResponse { .. })
-                            | RecvOutcome::Event(LbEvent::SubLinkRestored { .. })
-                            | RecvOutcome::Event(LbEvent::SubFailed { .. }) => {}
-                            RecvOutcome::Event(LbEvent::Reshard { cmd, reply }) => {
-                                let (g, s) = (&mut generation, &mut num_suborams);
-                                if on_reshard(cmd, &reply, true, &mut plan, g, s) {
-                                    balancer = (control.rebuild)(num_suborams);
-                                }
-                                // A verdict (commit or abort) ends the pause.
-                                resolved = plan.is_none();
-                            }
-                        }
-                    }
-                    // Fall through: the held tick executes at whichever
-                    // layout won, so buffered clients never stall.
+            (Phase::Idle, Some(LbEvent::Tick(epoch))) => match &plan {
+                // At the reshard boundary: hold the tick, keep buffering
+                // clients, and wait for the driver's verdict.
+                Some(p) if epoch >= p.boundary_epoch => {
+                    Phase::Paused { epoch, until: Instant::now() + p.ttl }
                 }
-                let epoch_span = trace::span("epoch");
-                let (requests, sinks): (Vec<Request>, Vec<Box<dyn ReplySink>>) =
-                    std::mem::take(&mut pending).into_iter().unzip();
-                events::record(
-                    Event::new(EventKind::EpochStart)
-                        .with("epoch", Public::wire_observable(epoch))
-                        .with("requests", Public::request_volume(requests.len() as u64)),
-                );
-                let make_span = trace::span("epoch/lb_make");
-                let Ok(batches) = balancer.make_batches(&requests) else {
-                    // More distinct requests hashed to one subORAM than a
-                    // batch holds — negligible at a sound λ, but λ is an
-                    // operator setting. No batch goes out; the epoch fails
-                    // with no subORAM named, and the balancer keeps serving.
-                    drop(make_span);
-                    fail_epoch(sinks, epoch, Vec::new());
-                    drop(epoch_span);
-                    continue;
-                };
-                for (sub, batch) in batches.iter().enumerate() {
-                    transport.send_batch(sub, epoch, generation, batch);
+                _ => start_epoch(transport, &balancer, generation, epoch, &mut pending, wait),
+            },
+            // A later tick supersedes the held one, so composite ordering
+            // stays monotone.
+            (Phase::Paused { until, .. }, Some(LbEvent::Tick(epoch))) => {
+                Phase::Paused { epoch, until }
+            }
+            // A late tick: deferred until the epoch resolves, or dropped.
+            (phase @ Phase::Waiting(_), Some(LbEvent::Tick(epoch))) => {
+                deferred_ticks.extend(serves_late_ticks.then_some(epoch));
+                phase
+            }
+            (Phase::Waiting(mut flight), Some(LbEvent::SubResponse { suboram, epoch, batch }))
+                if epoch == flight.epoch =>
+            {
+                if flight.owes(suboram) {
+                    flight.responses[suboram] = Some(batch);
+                    events::record(
+                        Event::new(EventKind::SubReply)
+                            .with("epoch", Public::wire_observable(epoch))
+                            .with("suboram", Public::wire_observable(suboram as u64)),
+                    );
                 }
-                let lb_make_time = make_span.finish();
-                let entries_sent: usize = batches.iter().map(|b| b.len()).sum();
-                events::record(
-                    Event::new(EventKind::BatchSealed)
-                        .with("epoch", Public::wire_observable(epoch))
-                        .with("entries", Public::wire_observable(entries_sent as u64))
-                        .with("suborams", Public::config(num_suborams as u64)),
-                );
-                // Collect all S response batches for this epoch before
-                // committing it — or degrade once the replay budget is spent.
-                let wait_span = trace::span("epoch/sub_wait");
-                let mut responses: Vec<Option<Vec<Request>>> = vec![None; num_suborams];
-                let mut outstanding = num_suborams;
-                let mut replays_used = 0u32;
-                let mut deadline = policy.sub_deadline.map(|d| Instant::now() + d);
-                let mut degraded = false;
-                let mut refused: Vec<usize> = Vec::new();
-                while outstanding > 0 {
-                    let outcome = match deadline {
-                        Some(at) => transport.recv_deadline(at),
-                        None => match transport.recv() {
-                            Some(ev) => RecvOutcome::Event(ev),
-                            None => RecvOutcome::Closed,
-                        },
-                    };
-                    match outcome {
-                        RecvOutcome::Closed | RecvOutcome::Event(LbEvent::Shutdown) => break 'outer,
-                        RecvOutcome::Event(LbEvent::Client(mut req, sink)) => {
-                            req.client = pending.len() as u64;
-                            pending.push((req, sink));
-                        }
-                        RecvOutcome::Event(LbEvent::Tick(e)) => {
-                            if serves_late_ticks {
-                                deferred_ticks.push_back(e);
-                            }
-                        }
-                        RecvOutcome::Event(LbEvent::Reshard { cmd, reply }) => {
-                            // Mid-epoch commands can only arm or report: the
-                            // boundary check happens at the next tick.
-                            let (g, s) = (&mut generation, &mut num_suborams);
-                            on_reshard(cmd, &reply, false, &mut plan, g, s);
-                        }
-                        RecvOutcome::Event(LbEvent::SubResponse { suboram, epoch: e, batch })
-                            if e == epoch =>
-                        {
-                            if suboram < responses.len() && responses[suboram].is_none() {
-                                responses[suboram] = Some(batch);
-                                outstanding -= 1;
-                                events::record(
-                                    Event::new(EventKind::SubReply)
-                                        .with("epoch", Public::wire_observable(epoch))
-                                        .with("suboram", Public::wire_observable(suboram as u64)),
-                                );
-                            }
-                        }
-                        // Duplicate delivery of an older epoch's responses.
-                        RecvOutcome::Event(LbEvent::SubResponse { .. }) => {}
-                        RecvOutcome::Event(LbEvent::SubFailed { suboram, epoch: e })
-                            if e == epoch =>
-                        {
-                            // The subORAM refused our batch with a typed
-                            // error. Refusal is deterministic (the same batch
-                            // would fail the same way) and the link itself is
-                            // healthy, so neither replays nor fail_fast help:
-                            // degrade the epoch immediately.
-                            if !refused.contains(&suboram) {
-                                refused.push(suboram);
-                            }
-                            degraded = true;
-                            break;
-                        }
-                        // A failure notice for an epoch that already resolved.
-                        RecvOutcome::Event(LbEvent::SubFailed { .. }) => {}
-                        RecvOutcome::Event(LbEvent::SubLinkRestored { suboram }) => {
-                            // Links to warm spares (provisioned beyond the
-                            // active fleet) also heal; they owe nothing.
-                            if suboram < responses.len() && responses[suboram].is_none() {
-                                // The subORAM (re)connected while still owing
-                                // this epoch: resend our batch for it. The
-                                // reply cache on the far side makes this
-                                // idempotent.
-                                record_replay(epoch, suboram);
-                                transport.send_batch(suboram, epoch, generation, &batches[suboram]);
-                            }
-                        }
-                        RecvOutcome::TimedOut => {
-                            if replays_used >= policy.max_replays {
-                                degraded = true;
-                                // Tear down the links of the owing subORAMs
-                                // anyway so they heal for the next epoch.
-                                for (sub, resp) in responses.iter().enumerate() {
-                                    if resp.is_none() {
-                                        transport.fail_fast(sub);
-                                    }
-                                }
-                                break;
-                            }
-                            replays_used += 1;
-                            let wait = policy.sub_deadline.expect("timeout without a deadline");
-                            for (sub, resp) in responses.iter().enumerate() {
-                                if resp.is_none() {
-                                    // The link is strictly in-order, so a
-                                    // stalled link cannot be reused: kill it
-                                    // and re-send (same plaintext, fresh
-                                    // seal) once it heals — or immediately,
-                                    // on connectionless transports.
-                                    transport.fail_fast(sub);
-                                    record_replay(epoch, sub);
-                                    transport.send_batch(sub, epoch, generation, &batches[sub]);
-                                }
-                            }
-                            deadline = Some(Instant::now() + wait);
-                        }
+                if flight.responses.iter().all(Option::is_some) {
+                    end_epoch(transport, &balancer, flight, None)
+                } else {
+                    Phase::Waiting(flight)
+                }
+            }
+            // A typed refusal is deterministic (the same batch would fail
+            // the same way) and the link is healthy, so neither replays nor
+            // fail_fast help: degrade at once, naming the refusing subORAM.
+            (Phase::Waiting(flight), Some(LbEvent::SubFailed { suboram, epoch }))
+                if epoch == flight.epoch =>
+            {
+                end_epoch(transport, &balancer, flight, Some(suboram))
+            }
+            // A subORAM that still owes this epoch (re)connected: resend its
+            // batch. The reply cache on the far side makes this idempotent.
+            (Phase::Waiting(flight), Some(LbEvent::SubLinkRestored { suboram }))
+                if flight.owes(suboram) =>
+            {
+                record_replay(flight.epoch, suboram);
+                transport.send_batch(suboram, flight.epoch, generation, &flight.batches[suboram]);
+                Phase::Waiting(flight)
+            }
+            // Stale: a resent response or failure notice for an epoch that
+            // already resolved, or a reconnect of a link that owes nothing.
+            (
+                phase,
+                Some(
+                    LbEvent::SubResponse { .. }
+                    | LbEvent::SubFailed { .. }
+                    | LbEvent::SubLinkRestored { .. },
+                ),
+            ) => phase,
+            // The reshard driver died mid-migration: self-abort back to the
+            // old layout rather than hold buffered clients hostage.
+            (Phase::Paused { epoch, .. }, None) => {
+                if let Some(p) = plan.take() {
+                    record_abort(p.generation);
+                }
+                start_epoch(transport, &balancer, generation, epoch, &mut pending, wait)
+            }
+            // A deadline miss. The link is strictly in-order, so a stalled
+            // link cannot be reused: kill it, and re-send (same plaintext,
+            // fresh seal) once it heals — or at once, on connectionless
+            // transports. With the replay budget spent, the epoch degrades;
+            // the owing links are still torn down, to heal for the next one.
+            (Phase::Waiting(mut flight), None) => {
+                let replay = flight.replays < policy.max_replays;
+                for sub in flight.owing() {
+                    transport.fail_fast(sub);
+                    if replay {
+                        record_replay(flight.epoch, sub);
+                        transport.send_batch(sub, flight.epoch, generation, &flight.batches[sub]);
                     }
                 }
-                let sub_wait_time = wait_span.finish();
-                if degraded {
-                    // An explicit refusal names the failed subORAM precisely;
-                    // otherwise every subORAM still owing a response when the
-                    // replay budget ran out is reported.
-                    let failed: Vec<usize> = if refused.is_empty() {
-                        responses
-                            .iter()
-                            .enumerate()
-                            .filter_map(|(i, r)| r.is_none().then_some(i))
-                            .collect()
-                    } else {
-                        refused
-                    };
-                    fail_epoch(sinks, epoch, failed);
-                    drop(epoch_span);
-                    continue;
+                if replay {
+                    flight.replays += 1;
+                    flight.deadline = wait.map(|d| Instant::now() + d);
+                    Phase::Waiting(flight)
+                } else {
+                    end_epoch(transport, &balancer, flight, None)
                 }
-                let match_span = trace::span("epoch/lb_match");
-                if !requests.is_empty() {
-                    let route_span = trace::span("epoch/lb_match/route");
-                    let responses: Vec<Vec<Request>> =
-                        responses.into_iter().map(|r| r.expect("missing response")).collect();
-                    let matched = balancer.match_responses(&requests, responses);
-                    drop(route_span);
-                    let _reply_span = trace::span("epoch/lb_match/reply");
-                    let mut sinks: Vec<Option<Box<dyn ReplySink>>> =
-                        sinks.into_iter().map(Some).collect();
-                    for resp in matched {
-                        if let Some(sink) = sinks[resp.client as usize].take() {
-                            sink.deliver(resp, epoch);
-                        }
-                    }
-                    transport.flush_replies();
-                }
-                let lb_match_time = match_span.finish();
-                drop(epoch_span);
-                record_lb_epoch_metrics(
-                    requests.len(),
-                    entries_sent,
-                    lb_make_time,
-                    sub_wait_time,
-                    lb_match_time,
-                );
+            }
+            (Phase::Idle, None) => Phase::Idle,
+        };
+    }
+}
+
+/// Starts `epoch` over the buffered requests: makes the batches and sends
+/// one to each subORAM, each owed a response within `wait`. When the
+/// batches cannot be formed, the epoch fails and the loop stays idle.
+fn start_epoch<T: LbTransport>(
+    transport: &mut T,
+    balancer: &LoadBalancer,
+    generation: u64,
+    epoch: u64,
+    pending: &mut Vec<(Request, Box<dyn ReplySink>)>,
+    wait: Option<Duration>,
+) -> Phase {
+    let epoch_span = trace::span("epoch");
+    let (requests, sinks): (Vec<Request>, Vec<Box<dyn ReplySink>>) =
+        std::mem::take(pending).into_iter().unzip();
+    events::record(
+        Event::new(EventKind::EpochStart)
+            .with("epoch", Public::wire_observable(epoch))
+            .with("requests", Public::request_volume(requests.len() as u64)),
+    );
+    let make_span = trace::span("epoch/lb_make");
+    let Ok(batches) = balancer.make_batches(&requests) else {
+        // More distinct requests hashed to one subORAM than a batch holds —
+        // negligible at a sound λ, but λ is an operator setting. No batch
+        // goes out; the epoch fails with no subORAM named.
+        drop(make_span);
+        fail_epoch(sinks, epoch, Vec::new());
+        return Phase::Idle;
+    };
+    for (sub, batch) in batches.iter().enumerate() {
+        transport.send_batch(sub, epoch, generation, batch);
+    }
+    let lb_make_time = make_span.finish();
+    let entries_sent = batches.iter().map(Vec::len).sum::<usize>();
+    events::record(
+        Event::new(EventKind::BatchSealed)
+            .with("epoch", Public::wire_observable(epoch))
+            .with("entries", Public::wire_observable(entries_sent as u64))
+            .with("suborams", Public::config(batches.len() as u64)),
+    );
+    Phase::Waiting(Box::new(InFlight {
+        epoch,
+        requests,
+        sinks,
+        responses: vec![None; batches.len()],
+        batches,
+        replays: 0,
+        deadline: wait.map(|d| Instant::now() + d),
+        entries_sent,
+        lb_make_time,
+        epoch_span,
+        wait_span: trace::span("epoch/sub_wait"),
+    }))
+}
+
+/// Resolves an epoch in flight: it commits (match, reply, flush) once every
+/// response arrived, and otherwise degrades, naming the `refused` subORAM
+/// if one refused its batch and every subORAM still owing one if not.
+fn end_epoch<T: LbTransport>(
+    transport: &mut T,
+    balancer: &LoadBalancer,
+    flight: Box<InFlight>,
+    refused: Option<usize>,
+) -> Phase {
+    let flight = *flight;
+    let failed = refused.map_or_else(|| flight.owing(), |sub| vec![sub]);
+    let sub_wait_time = flight.wait_span.finish();
+    if !failed.is_empty() {
+        fail_epoch(flight.sinks, flight.epoch, failed);
+        return Phase::Idle;
+    }
+    let match_span = trace::span("epoch/lb_match");
+    if !flight.requests.is_empty() {
+        let route_span = trace::span("epoch/lb_match/route");
+        let responses = flight.responses.into_iter().flatten().collect();
+        let matched = balancer.match_responses(&flight.requests, responses);
+        drop(route_span);
+        let _reply_span = trace::span("epoch/lb_match/reply");
+        let mut sinks: Vec<_> = flight.sinks.into_iter().map(Some).collect();
+        for resp in matched {
+            if let Some(sink) = sinks[resp.client as usize].take() {
+                sink.deliver(resp, flight.epoch);
             }
         }
+        transport.flush_replies();
     }
+    let lb_match_time = match_span.finish();
+    drop(flight.epoch_span);
+    record_epoch_metrics(
+        flight.requests.len(),
+        flight.entries_sent,
+        [
+            ("lb_make", flight.lb_make_time),
+            ("sub_wait", sub_wait_time),
+            ("lb_match", lb_match_time),
+        ],
+    );
+    Phase::Idle
 }
 
 /// Completes an epoch degraded: every request in it fails with
-/// [`Unavailable`] naming `failed` (empty when no batch was sent), and the
-/// epoch is counted and flight-recorded.
+/// [`Unavailable`] naming `failed` (empty when no batch was sent). Then it
+/// publishes the epoch-failure counter, how many client requests received
+/// `Unavailable`, and a flight-recorder event naming the failed subORAMs (as
+/// a bitmask — bit *i* set means subORAM *i* still owed a response or
+/// refused). Degradation is triggered purely by wire-observable deadline
+/// misses or NACK frames; the affected-request count is the epoch's request
+/// volume, public by assumption.
 fn fail_epoch(sinks: Vec<Box<dyn ReplySink>>, epoch: u64, failed: Vec<usize>) {
-    let affected = sinks.len();
+    let affected = sinks.len() as u64;
     for sink in sinks {
         sink.fail(Unavailable { epoch, failed_suborams: failed.clone() });
     }
-    record_degraded_epoch_metrics(affected, epoch, &failed);
-}
-
-/// Publishes one committed balancer epoch's public metrics into the
-/// process-wide registry: counters for epochs/requests/entries, plus the
-/// balancer-side stage histograms (`lb_make`, `sub_wait` — which includes
-/// network and queueing, unlike the subORAM's own `suboram_scan` — and
-/// `lb_match`). All arguments are public quantities (§2.1): request volume,
-/// wire-observable entry counts, and timings of data-independent code.
-fn record_lb_epoch_metrics(
-    requests: usize,
-    entries_sent: usize,
-    lb_make: std::time::Duration,
-    sub_wait: std::time::Duration,
-    lb_match: std::time::Duration,
-) {
     let reg = metrics::global();
+    // A degraded epoch still *executed* (its clients got typed failures), so
+    // it counts toward the epoch total — keeping the SLO plane's
+    // degraded-epoch ratio in [0, 1] even when every epoch degrades.
     reg.counter(metrics::names::EPOCHS_TOTAL, "epochs executed").inc(Public::wire_observable(()));
-    reg.counter(metrics::names::REQUESTS_TOTAL, "client requests admitted into epochs")
-        .add(Public::request_volume(requests as u64));
-    reg.counter(
-        metrics::names::BATCH_ENTRIES_TOTAL,
-        "batch entries sent to subORAMs (real + padding)",
-    )
-    .add(Public::wire_observable(entries_sent as u64));
-    metrics::stage_histogram("lb_make").observe(Public::timing(lb_make));
-    metrics::stage_histogram("sub_wait").observe(Public::timing(sub_wait));
-    metrics::stage_histogram("lb_match").observe(Public::timing(lb_match));
+    reg.counter(metrics::names::DEGRADED_EPOCHS_TOTAL, "epochs completed in degraded mode")
+        .inc(Public::wire_observable(()));
+    reg.counter(metrics::names::UNAVAILABLE_TOTAL, "client requests failed with Unavailable")
+        .add(Public::request_volume(affected));
+    let mask = failed.iter().filter(|&&s| s < 64).fold(0u64, |m, &s| m | (1 << s));
+    events::record(
+        Event::new(EventKind::EpochDegraded)
+            .with("epoch", Public::wire_observable(epoch))
+            .with("requests", Public::request_volume(affected))
+            .with("failed", Public::wire_observable(failed.len() as u64))
+            .with("subs_mask", Public::wire_observable(mask)),
+    );
 }
 
 /// Counts one batch re-send (deadline-miss wave or post-reconnect replay)
@@ -750,32 +785,6 @@ fn record_replay(epoch: u64, suboram: usize) {
         Event::new(EventKind::ReplayWave)
             .with("epoch", Public::wire_observable(epoch))
             .with("suboram", Public::wire_observable(suboram as u64)),
-    );
-}
-
-/// Publishes a degraded epoch: the epoch-failure counter, how many client
-/// requests received `Unavailable`, and a flight-recorder event naming the
-/// failed subORAMs (as a bitmask — bit *i* set means subORAM *i* still owed
-/// a response or refused). Degradation is triggered purely by
-/// wire-observable deadline misses or NACK frames; the affected-request
-/// count is the epoch's request volume, public by assumption.
-fn record_degraded_epoch_metrics(affected_requests: usize, epoch: u64, failed: &[usize]) {
-    let reg = metrics::global();
-    // A degraded epoch still *executed* (its clients got typed failures), so
-    // it counts toward the epoch total — keeping the SLO plane's
-    // degraded-epoch ratio in [0, 1] even when every epoch degrades.
-    reg.counter(metrics::names::EPOCHS_TOTAL, "epochs executed").inc(Public::wire_observable(()));
-    reg.counter(metrics::names::DEGRADED_EPOCHS_TOTAL, "epochs completed in degraded mode")
-        .inc(Public::wire_observable(()));
-    reg.counter(metrics::names::UNAVAILABLE_TOTAL, "client requests failed with Unavailable")
-        .add(Public::request_volume(affected_requests as u64));
-    let mask = failed.iter().filter(|&&s| s < 64).fold(0u64, |m, &s| m | (1 << s));
-    events::record(
-        Event::new(EventKind::EpochDegraded)
-            .with("epoch", Public::wire_observable(epoch))
-            .with("requests", Public::request_volume(affected_requests as u64))
-            .with("failed", Public::wire_observable(failed.len() as u64))
-            .with("subs_mask", Public::wire_observable(mask)),
     );
 }
 
@@ -1340,18 +1349,12 @@ mod tests {
     }
 
     impl LbTransport for NeverDelivering {
-        fn recv(&mut self) -> Option<LbEvent> {
-            self.queue.pop_front()
-        }
-
-        fn recv_deadline(&mut self, deadline: Instant) -> RecvOutcome {
-            match self.queue.pop_front() {
-                Some(ev) => RecvOutcome::Event(ev),
-                None => {
-                    let now = Instant::now();
-                    if deadline > now {
-                        std::thread::sleep(deadline - now);
-                    }
+        fn recv(&mut self, deadline: Option<Instant>) -> RecvOutcome {
+            match (self.queue.pop_front(), deadline) {
+                (Some(ev), _) => RecvOutcome::Event(ev),
+                (None, None) => RecvOutcome::Closed,
+                (None, Some(at)) => {
+                    std::thread::sleep(at.saturating_duration_since(Instant::now()));
                     RecvOutcome::TimedOut
                 }
             }
@@ -1459,6 +1462,93 @@ mod tests {
         assert_eq!(reply, Err(Unavailable { epoch: 3, failed_suborams: vec![1] }));
         // No replay waves: refusal is deterministic.
         assert_eq!(transport.batches_sent, 2, "one batch per subORAM, no replays");
+    }
+
+    /// Runs a balancer over `s` subORAMs through the scripted `events`,
+    /// with a 5 ms deadline and no replays, until the script runs out.
+    fn run_scripted(events: Vec<LbEvent>, s: usize) -> NeverDelivering {
+        let mut transport =
+            NeverDelivering { queue: events.into(), batches_sent: 0, serves_late_ticks: true };
+        let policy = EpochFaultPolicy::with_deadline(Duration::from_millis(5), 0);
+        run_load_balancer(&mut transport, policy, control(s));
+        transport
+    }
+
+    fn client(id: u64) -> (LbEvent, std::sync::mpsc::Receiver<ClientReply>) {
+        let (tx, rx) = std::sync::mpsc::channel();
+        (LbEvent::Client(Request::read(id, 8, 0, 0), Box::new(tx)), rx)
+    }
+
+    /// A plan pausing the balancer at its first tick, and its verdict.
+    fn plan_and_abort() -> (LbEvent, LbEvent) {
+        let (plan_tx, _) = std::sync::mpsc::channel();
+        let (abort_tx, _) = std::sync::mpsc::channel();
+        let ttl = Duration::from_secs(5);
+        let plan = ReshardPlan { generation: 1, new_s: 2, boundary_epoch: 0, ttl };
+        let abort = ReshardCmd::Abort { generation: 1 };
+        (
+            LbEvent::Reshard { cmd: ReshardCmd::Plan(plan), reply: plan_tx },
+            LbEvent::Reshard { cmd: abort, reply: abort_tx },
+        )
+    }
+
+    #[test]
+    fn link_restored_resends_only_to_a_suboram_that_still_owes() {
+        // SubORAM 0 answers epoch 3; then link 0 (answered), 5 (a warm spare
+        // beyond the active fleet) or 1 (still owing) comes back.
+        for (restored, resends) in [(0, 0), (5, 0), (1, 1)] {
+            let (req, rx) = client(1);
+            let transport = run_scripted(
+                vec![
+                    req,
+                    LbEvent::Tick(3),
+                    LbEvent::SubResponse { suboram: 0, epoch: 3, batch: Vec::new() },
+                    LbEvent::SubLinkRestored { suboram: restored },
+                ],
+                2,
+            );
+            assert_eq!(transport.batches_sent, 2 + resends, "link {restored} restored");
+            let reply = rx.try_recv().expect("the epoch must resolve");
+            assert_eq!(reply, Err(Unavailable { epoch: 3, failed_suborams: vec![1] }));
+        }
+    }
+
+    #[test]
+    fn client_arriving_during_the_pause_is_served_in_the_held_epoch() {
+        let ((req1, rx1), (req2, rx2)) = (client(1), client(2));
+        let (plan, abort) = plan_and_abort();
+        let transport = run_scripted(vec![req1, plan, LbEvent::Tick(0), req2, abort], 1);
+        assert_eq!(transport.batches_sent, 1, "one epoch, at the old layout");
+        let held = Err(Unavailable { epoch: 0, failed_suborams: vec![0] });
+        assert_eq!(rx1.try_recv(), Ok(held.clone()));
+        assert_eq!(rx2.try_recv(), Ok(held), "the late client joined the held epoch");
+    }
+
+    #[test]
+    fn later_tick_during_the_pause_becomes_the_held_epoch() {
+        let (req, rx) = client(1);
+        let (plan, abort) = plan_and_abort();
+        let transport = run_scripted(vec![req, plan, LbEvent::Tick(0), LbEvent::Tick(2), abort], 1);
+        assert_eq!(transport.batches_sent, 1, "the superseded tick runs no epoch");
+        let reply = rx.try_recv().expect("the held epoch must resolve");
+        assert_eq!(reply, Err(Unavailable { epoch: 2, failed_suborams: vec![0] }));
+    }
+
+    #[test]
+    fn responses_and_refusals_for_an_older_epoch_are_ignored() {
+        let (req, rx) = client(1);
+        run_scripted(
+            vec![
+                req,
+                LbEvent::Tick(3),
+                LbEvent::SubResponse { suboram: 0, epoch: 1, batch: Vec::new() },
+                LbEvent::SubFailed { suboram: 1, epoch: 2 },
+            ],
+            2,
+        );
+        // Neither stale event counted: epoch 3 timed out owing both.
+        let reply = rx.try_recv().expect("the epoch must resolve");
+        assert_eq!(reply, Err(Unavailable { epoch: 3, failed_suborams: vec![0, 1] }));
     }
 
     /// Regression: the reply-cache bound is per residue class. Composite

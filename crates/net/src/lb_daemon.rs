@@ -72,14 +72,13 @@ struct TcpLbTransport {
 }
 
 impl LbTransport for TcpLbTransport {
-    fn recv(&mut self) -> Option<LbEvent> {
-        self.events.recv().ok()
-    }
-
-    fn recv_deadline(&mut self, deadline: Instant) -> RecvOutcome {
-        let wait = deadline.saturating_duration_since(Instant::now());
-        match self.events.recv_timeout(wait) {
-            Ok(ev) => RecvOutcome::Event(ev),
+    fn recv(&mut self, deadline: Option<Instant>) -> RecvOutcome {
+        let msg = match deadline {
+            None => self.events.recv().map_err(|_| RecvTimeoutError::Disconnected),
+            Some(at) => self.events.recv_timeout(at.saturating_duration_since(Instant::now())),
+        };
+        match msg {
+            Ok(msg) => RecvOutcome::Event(msg),
             Err(RecvTimeoutError::Timeout) => RecvOutcome::TimedOut,
             Err(RecvTimeoutError::Disconnected) => RecvOutcome::Closed,
         }

@@ -290,7 +290,7 @@ impl StagingBackend for DaemonStaging {
 /// Publishes the session-handshake clock-offset estimate for a peer: the
 /// hello carries the dialer's wall clock (`wall_ns`), so `theirs − ours` at
 /// accept time bounds the skew to within the (one-way) connect latency.
-/// Legacy 17-byte hellos carry no stamp (`wall_ns == 0`) and are skipped.
+/// A stamp of 0 means the dialer's clock is unknown, and is skipped.
 /// Both the stamp and accept timing are wire-observable.
 pub(crate) fn record_peer_clock_offset(peer: &str, wall_ns: u64) {
     if wall_ns == 0 {

@@ -12,97 +12,21 @@
 //! Reproduce a failure with `CHAOS_SEED=<printed seed> cargo test -p
 //! snoopy-net --test chaos_net`.
 
+use snoopy_chaos::harness::{free_addrs, wait_for_health, Daemon};
 use snoopy_chaos::{chaos_seed, DirectionFaults, FaultPlan, FaultPlanConfig, FaultProxy};
 use snoopy_core::config::env_threads;
 use snoopy_core::{RetryPolicy, Snoopy, SnoopyConfig};
 use snoopy_enclave::wire::Request;
 use snoopy_net::manifest::Manifest;
 use snoopy_net::{fetch_health, fetch_stats, proto, shutdown_daemon, SnoopyClient};
-use std::net::TcpListener;
-use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Stdio};
+use std::path::PathBuf;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 const VLEN: usize = 32;
 const NUM_OBJECTS: u64 = 128;
 const SEED: u64 = 17;
-
-/// Kills the child on drop so a failed test leaves no strays.
-struct Daemon {
-    child: Child,
-    name: &'static str,
-}
-
-impl Daemon {
-    fn spawn(
-        role: &str,
-        index: usize,
-        manifest: &Path,
-        ckpt: Option<&Path>,
-        name: &'static str,
-    ) -> Daemon {
-        let mut cmd = Command::new(env!("CARGO_BIN_EXE_snoopyd"));
-        cmd.arg("--role")
-            .arg(role)
-            .arg("--index")
-            .arg(index.to_string())
-            .arg("--manifest")
-            .arg(manifest)
-            .stdin(Stdio::null());
-        if let Some(path) = ckpt {
-            cmd.arg("--checkpoint").arg(path);
-        }
-        Daemon { child: cmd.spawn().expect("spawn snoopyd"), name }
-    }
-
-    fn kill9(&mut self) {
-        self.child.kill().expect("kill");
-        self.child.wait().expect("reap");
-    }
-
-    fn wait_graceful(mut self) {
-        let deadline = Instant::now() + Duration::from_secs(20);
-        loop {
-            match self.child.try_wait().expect("try_wait") {
-                Some(status) => {
-                    assert!(status.success(), "{} exited with {status}", self.name);
-                    std::mem::forget(self);
-                    return;
-                }
-                None if Instant::now() > deadline => {
-                    panic!("{} did not exit after shutdown RPC", self.name)
-                }
-                None => std::thread::sleep(Duration::from_millis(50)),
-            }
-        }
-    }
-}
-
-impl Drop for Daemon {
-    fn drop(&mut self) {
-        let _ = self.child.kill();
-        let _ = self.child.wait();
-    }
-}
-
-fn free_addrs(n: usize) -> Vec<String> {
-    let listeners: Vec<TcpListener> =
-        (0..n).map(|_| TcpListener::bind("127.0.0.1:0").unwrap()).collect();
-    listeners.iter().map(|l| l.local_addr().unwrap().to_string()).collect()
-}
-
-fn wait_for_health(addr: &str, role: &str) {
-    let deadline = Instant::now() + Duration::from_secs(20);
-    loop {
-        match fetch_health(addr) {
-            Ok(h) if h.role == role => return,
-            Ok(h) => panic!("{addr} reports role {}, expected {role}", h.role),
-            Err(_) if Instant::now() < deadline => std::thread::sleep(Duration::from_millis(50)),
-            Err(e) => panic!("health RPC to {addr} never came up: {e}"),
-        }
-    }
-}
+const SNOOPYD: &str = env!("CARGO_BIN_EXE_snoopyd");
 
 /// A retry policy patient enough to ride out a balancer kill + restart.
 fn patient_client() -> RetryPolicy {
@@ -168,9 +92,9 @@ fn proxied_cluster_survives_faults_and_double_kill() {
     let _ = std::fs::remove_file(&ckpt[0]);
     let _ = std::fs::remove_file(&ckpt[1]);
 
-    let sub0 = Daemon::spawn("suboram", 0, &daemon_path, Some(&ckpt[0]), "suboram 0");
-    let mut sub1 = Some(Daemon::spawn("suboram", 1, &daemon_path, Some(&ckpt[1]), "suboram 1"));
-    let mut lb = Some(Daemon::spawn("loadbalancer", 0, &lb_path, None, "loadbalancer 0"));
+    let sub0 = Daemon::spawn(SNOOPYD, "suboram", 0, &daemon_path, Some(&ckpt[0]));
+    let mut sub1 = Some(Daemon::spawn(SNOOPYD, "suboram", 1, &daemon_path, Some(&ckpt[1])));
+    let mut lb = Some(Daemon::spawn(SNOOPYD, "loadbalancer", 0, &lb_path, None));
 
     // Reference pinned to memory: under SNOOPY_STORAGE=disk the daemons
     // serve from segment files and must still match it byte for byte.
@@ -201,7 +125,7 @@ fn proxied_cluster_survives_faults_and_double_kill() {
             let mut d = sub1.take().unwrap();
             d.kill9();
             drop(d);
-            sub1 = Some(Daemon::spawn("suboram", 1, &daemon_path, Some(&ckpt[1]), "suboram 1*"));
+            sub1 = Some(Daemon::spawn(SNOOPYD, "suboram", 1, &daemon_path, Some(&ckpt[1])));
         }
         if i == kill_lb_at {
             // SIGKILL the balancer between client operations (writes are
@@ -211,7 +135,7 @@ fn proxied_cluster_survives_faults_and_double_kill() {
             let mut d = lb.take().unwrap();
             d.kill9();
             drop(d);
-            lb = Some(Daemon::spawn("loadbalancer", 0, &lb_path, None, "loadbalancer 0*"));
+            lb = Some(Daemon::spawn(SNOOPYD, "loadbalancer", 0, &lb_path, None));
         }
         let id = (i * 7 + 3) % NUM_OBJECTS;
         let (got, req) = if i % 3 == 0 {

@@ -13,6 +13,7 @@
 //! against a 2×2 cluster: every session must be served, and every session
 //! must be released by the balancers' reactors once the client hangs up.
 
+use snoopy_chaos::harness::{free_addrs, prom_value, wait_for_health, Daemon};
 use snoopy_core::config::env_threads;
 use snoopy_core::link::Link;
 use snoopy_core::{Snoopy, SnoopyConfig};
@@ -25,106 +26,21 @@ use snoopy_net::{
     fetch_metrics, fetch_stats, parse_stats, parse_stats_header, proto, shutdown_daemon,
     SnoopyClient,
 };
-use std::net::{TcpListener, TcpStream};
-use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Stdio};
+use std::net::TcpStream;
+use std::path::PathBuf;
+use std::process::Command;
 use std::time::{Duration, Instant};
 
 const VLEN: usize = 32;
 const NUM_OBJECTS: u64 = 128;
 const SEED: u64 = 11;
-
-/// Kills the child on drop so a failed test leaves no strays.
-struct Daemon {
-    child: Child,
-    name: &'static str,
-}
-
-impl Daemon {
-    fn spawn(
-        role: &str,
-        index: usize,
-        manifest: &Path,
-        ckpt: Option<&Path>,
-        name: &'static str,
-    ) -> Daemon {
-        let mut cmd = Command::new(env!("CARGO_BIN_EXE_snoopyd"));
-        cmd.arg("--role")
-            .arg(role)
-            .arg("--index")
-            .arg(index.to_string())
-            .arg("--manifest")
-            .arg(manifest)
-            .stdin(Stdio::null());
-        if let Some(path) = ckpt {
-            cmd.arg("--checkpoint").arg(path);
-        }
-        Daemon { child: cmd.spawn().expect("spawn snoopyd"), name }
-    }
-
-    fn kill9(&mut self) {
-        self.child.kill().expect("kill");
-        self.child.wait().expect("reap");
-    }
-
-    fn wait_graceful(mut self) {
-        let deadline = Instant::now() + Duration::from_secs(20);
-        loop {
-            match self.child.try_wait().expect("try_wait") {
-                Some(status) => {
-                    assert!(status.success(), "{} exited with {status}", self.name);
-                    std::mem::forget(self);
-                    return;
-                }
-                None if Instant::now() > deadline => {
-                    panic!("{} did not exit after shutdown RPC", self.name)
-                }
-                None => std::thread::sleep(Duration::from_millis(50)),
-            }
-        }
-    }
-}
-
-impl Drop for Daemon {
-    fn drop(&mut self) {
-        let _ = self.child.kill();
-        let _ = self.child.wait();
-    }
-}
+const SNOOPYD: &str = env!("CARGO_BIN_EXE_snoopyd");
 
 /// Storage tier for the daemons under test, from `SNOOPY_STORAGE` — the
 /// verify script re-runs this whole cluster with `disk` so the streaming
 /// tier faces the same byte-compare against the memory-tier reference.
 fn env_storage() -> snoopy_core::StorageKind {
     snoopy_core::StorageKind::from_env()
-}
-
-fn free_addrs(n: usize) -> Vec<String> {
-    // Bind ephemeral ports, record them, then release all at once so no two
-    // picks collide.
-    let listeners: Vec<TcpListener> =
-        (0..n).map(|_| TcpListener::bind("127.0.0.1:0").unwrap()).collect();
-    listeners.iter().map(|l| l.local_addr().unwrap().to_string()).collect()
-}
-
-fn wait_for_stats(addr: &str) -> String {
-    let deadline = Instant::now() + Duration::from_secs(20);
-    loop {
-        match fetch_stats(addr) {
-            Ok(text) => return text,
-            Err(_) if Instant::now() < deadline => std::thread::sleep(Duration::from_millis(50)),
-            Err(e) => panic!("stats RPC to {addr} never came up: {e}"),
-        }
-    }
-}
-
-/// Reads an unlabeled series' value out of a Prometheus exposition.
-fn prom_value(text: &str, name: &str) -> f64 {
-    text.lines()
-        .find(|l| l.split_whitespace().next() == Some(name))
-        .and_then(|l| l.split_whitespace().last())
-        .and_then(|v| v.parse().ok())
-        .unwrap_or_else(|| panic!("series {name} not found in exposition"))
 }
 
 /// The operation sequence both the cluster and the reference engine run:
@@ -178,9 +94,9 @@ fn multi_process_cluster_matches_reference_and_survives_kill() {
     let _ = std::fs::remove_file(&ckpt[0]);
     let _ = std::fs::remove_file(&ckpt[1]);
 
-    let sub0 = Daemon::spawn("suboram", 0, &manifest_path, Some(&ckpt[0]), "suboram 0");
-    let mut sub1 = Some(Daemon::spawn("suboram", 1, &manifest_path, Some(&ckpt[1]), "suboram 1"));
-    let lb = Daemon::spawn("loadbalancer", 0, &manifest_path, None, "loadbalancer 0");
+    let sub0 = Daemon::spawn(SNOOPYD, "suboram", 0, &manifest_path, Some(&ckpt[0]));
+    let mut sub1 = Some(Daemon::spawn(SNOOPYD, "suboram", 1, &manifest_path, Some(&ckpt[1])));
+    let lb = Daemon::spawn(SNOOPYD, "loadbalancer", 0, &manifest_path, None);
 
     // The reference engine: same objects, same seed, one epoch per op (the
     // grouping of sequential ops into epochs cannot change their results).
@@ -192,7 +108,7 @@ fn multi_process_cluster_matches_reference_and_survives_kill() {
     let mut reference = Snoopy::init(cfg, manifest.initial_objects(), SEED);
 
     // Wait for the balancer to come up, then connect a client.
-    wait_for_stats(&addrs[0]);
+    wait_for_health(&addrs[0], "loadbalancer");
     let deploy = proto::deployment_key(SEED);
     let mut client = loop {
         match SnoopyClient::builder(VLEN).connect_tcp(&addrs[0], 0, &deploy) {
@@ -218,7 +134,7 @@ fn multi_process_cluster_matches_reference_and_survives_kill() {
             let mut d = sub1.take().unwrap();
             d.kill9();
             drop(d);
-            sub1 = Some(Daemon::spawn("suboram", 1, &manifest_path, Some(&ckpt[1]), "suboram 1*"));
+            sub1 = Some(Daemon::spawn(SNOOPYD, "suboram", 1, &manifest_path, Some(&ckpt[1])));
         }
         let got = if *is_write {
             client.write(*id, payload).expect("cluster write")
@@ -253,14 +169,14 @@ fn multi_process_cluster_matches_reference_and_survives_kill() {
         );
     }
     for name in ["snoopy_epochs_total", "snoopy_requests_total", "snoopy_batch_entries_total"] {
-        let first = prom_value(&first_scrape, name);
-        let second = prom_value(&second_scrape, name);
+        let first = prom_value(&first_scrape, name).expect("series in first scrape");
+        let second = prom_value(&second_scrape, name).expect("series in second scrape");
         assert!(first > 0.0, "{name} zero at first scrape");
         assert!(second >= first, "{name} went backwards: {first} -> {second}");
     }
     assert!(
-        prom_value(&second_scrape, "snoopy_requests_total")
-            > prom_value(&first_scrape, "snoopy_requests_total"),
+        prom_value(&second_scrape, "snoopy_requests_total").expect("requests series")
+            > prom_value(&first_scrape, "snoopy_requests_total").expect("requests series"),
         "request counter did not advance between scrapes"
     );
     // The subORAM daemon exposes its own registry: scan and checkpoint
@@ -388,6 +304,7 @@ impl SessionGauge {
         let (t, body) = read_frame(&mut self.stream).expect("metrics response");
         assert_eq!(t, tag::METRICS_RESP);
         prom_value(&String::from_utf8(body).unwrap(), "snoopy_net_open_sessions")
+            .expect("open-sessions series")
     }
 
     /// Polls every 100 ms until `done` accepts the readings so far (newest
@@ -435,12 +352,12 @@ fn hundreds_of_concurrent_sessions_are_served_and_released() {
     let manifest_path = dir.join("cluster.manifest");
     std::fs::write(&manifest_path, manifest.render()).unwrap();
     let subs = [
-        Daemon::spawn("suboram", 0, &manifest_path, None, "suboram 0"),
-        Daemon::spawn("suboram", 1, &manifest_path, None, "suboram 1"),
+        Daemon::spawn(SNOOPYD, "suboram", 0, &manifest_path, None),
+        Daemon::spawn(SNOOPYD, "suboram", 1, &manifest_path, None),
     ];
     let lbs = [
-        Daemon::spawn("loadbalancer", 0, &manifest_path, None, "loadbalancer 0"),
-        Daemon::spawn("loadbalancer", 1, &manifest_path, None, "loadbalancer 1"),
+        Daemon::spawn(SNOOPYD, "loadbalancer", 0, &manifest_path, None),
+        Daemon::spawn(SNOOPYD, "loadbalancer", 1, &manifest_path, None),
     ];
     let lb_addrs = &manifest.load_balancers;
     let deploy = proto::deployment_key(SEED);
@@ -448,7 +365,7 @@ fn hundreds_of_concurrent_sessions_are_served_and_released() {
     // One served read per balancer proves its subORAM links are up, so the
     // baseline below already counts them.
     for (lb, addr) in lb_addrs.iter().enumerate() {
-        wait_for_stats(addr);
+        wait_for_health(addr, "loadbalancer");
         let mut client = loop {
             match SnoopyClient::builder(VLEN).connect_tcp(addr, lb, &deploy) {
                 Ok(c) => break c,
@@ -544,13 +461,13 @@ impl SmallCluster {
         let path = dir.join("cluster.manifest");
         std::fs::write(&path, manifest.render()).unwrap();
         let daemons = vec![
-            Daemon::spawn("suboram", 0, &path, None, "suboram 0"),
-            Daemon::spawn("suboram", 1, &path, None, "suboram 1"),
-            Daemon::spawn("loadbalancer", 0, &path, None, "loadbalancer 0"),
+            Daemon::spawn(SNOOPYD, "suboram", 0, &path, None),
+            Daemon::spawn(SNOOPYD, "suboram", 1, &path, None),
+            Daemon::spawn(SNOOPYD, "loadbalancer", 0, &path, None),
         ];
         // One served read proves the balancer's subORAM links are up.
         let lb = &manifest.load_balancers[0];
-        wait_for_stats(lb);
+        wait_for_health(lb, "loadbalancer");
         let deploy = proto::deployment_key(SEED);
         let mut client = loop {
             match SnoopyClient::builder(VLEN).connect_tcp(lb, 0, &deploy) {
@@ -640,7 +557,10 @@ fn reserved_ids_close_the_session_and_spare_the_epoch() {
     let closed = read_frame(&mut hostile.stream);
     assert!(closed.is_err(), "the hostile session must be closed, got {closed:?}");
     let metrics = fetch_metrics(cluster.lb()).expect("metrics");
-    assert_eq!(prom_value(&metrics, "snoopy_refused_client_sessions_total"), 1.0);
+    assert_eq!(
+        prom_value(&metrics, "snoopy_refused_client_sessions_total").expect("refused series"),
+        1.0
+    );
 
     let mut client = SnoopyClient::builder(VLEN).connect_tcp(cluster.lb(), 0, &deploy).unwrap();
     match client.read(LB_DUMMY_BASE + 5) {

@@ -6,93 +6,18 @@
 //! checkpoint — with the partition an order of magnitude larger than the
 //! checkpoint file that restores it.
 
+use snoopy_chaos::harness::{free_addrs, wait_for_health, Daemon};
 use snoopy_core::{Snoopy, SnoopyConfig, StorageKind};
 use snoopy_enclave::wire::Request;
 use snoopy_net::manifest::Manifest;
-use snoopy_net::{fetch_metrics, fetch_stats, proto, shutdown_daemon, SnoopyClient};
-use std::net::TcpListener;
-use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Stdio};
-use std::time::{Duration, Instant};
+use snoopy_net::{fetch_metrics, proto, shutdown_daemon, SnoopyClient};
+use std::path::PathBuf;
+use std::time::Duration;
 
 const VLEN: usize = 32;
 const NUM_OBJECTS: u64 = 128;
 const SEED: u64 = 23;
-
-/// Kills the child on drop so a failed test leaves no strays.
-struct Daemon {
-    child: Child,
-    name: &'static str,
-}
-
-impl Daemon {
-    fn spawn(
-        role: &str,
-        index: usize,
-        manifest: &Path,
-        ckpt: Option<&Path>,
-        name: &'static str,
-    ) -> Daemon {
-        let mut cmd = Command::new(env!("CARGO_BIN_EXE_snoopyd"));
-        cmd.arg("--role")
-            .arg(role)
-            .arg("--index")
-            .arg(index.to_string())
-            .arg("--manifest")
-            .arg(manifest)
-            .stdin(Stdio::null());
-        if let Some(path) = ckpt {
-            cmd.arg("--checkpoint").arg(path);
-        }
-        Daemon { child: cmd.spawn().expect("spawn snoopyd"), name }
-    }
-
-    fn kill9(&mut self) {
-        self.child.kill().expect("kill");
-        self.child.wait().expect("reap");
-    }
-
-    fn wait_graceful(mut self) {
-        let deadline = Instant::now() + Duration::from_secs(20);
-        loop {
-            match self.child.try_wait().expect("try_wait") {
-                Some(status) => {
-                    assert!(status.success(), "{} exited with {status}", self.name);
-                    std::mem::forget(self);
-                    return;
-                }
-                None if Instant::now() > deadline => {
-                    panic!("{} did not exit after shutdown RPC", self.name)
-                }
-                None => std::thread::sleep(Duration::from_millis(50)),
-            }
-        }
-    }
-}
-
-impl Drop for Daemon {
-    fn drop(&mut self) {
-        let _ = self.child.kill();
-        let _ = self.child.wait();
-    }
-}
-
-fn free_addrs(n: usize) -> Vec<String> {
-    let listeners: Vec<TcpListener> =
-        (0..n).map(|_| TcpListener::bind("127.0.0.1:0").unwrap()).collect();
-    listeners.iter().map(|l| l.local_addr().unwrap().to_string()).collect()
-}
-
-fn wait_for_stats(addr: &str) -> String {
-    let deadline = Instant::now() + Duration::from_secs(20);
-    loop {
-        match fetch_stats(addr) {
-            Ok(text) => return text,
-            Err(_) if Instant::now() < deadline => std::thread::sleep(Duration::from_millis(50)),
-            Err(e) => panic!("stats RPC to {addr} never came up: {e}"),
-        }
-    }
-}
+const SNOOPYD: &str = env!("CARGO_BIN_EXE_snoopyd");
 
 #[test]
 fn disk_cluster_matches_memory_reference_and_recovers_from_kill9() {
@@ -126,16 +51,16 @@ fn disk_cluster_matches_memory_reference_and_recovers_from_kill9() {
     std::fs::write(&manifest_path, manifest.render()).unwrap();
     let ckpt: Vec<PathBuf> = (0..2).map(|i| dir.join(format!("sub{i}.ckpt"))).collect();
 
-    let sub0 = Daemon::spawn("suboram", 0, &manifest_path, Some(&ckpt[0]), "suboram 0");
-    let mut sub1 = Some(Daemon::spawn("suboram", 1, &manifest_path, Some(&ckpt[1]), "suboram 1"));
-    let lb = Daemon::spawn("loadbalancer", 0, &manifest_path, None, "loadbalancer 0");
+    let sub0 = Daemon::spawn(SNOOPYD, "suboram", 0, &manifest_path, Some(&ckpt[0]));
+    let mut sub1 = Some(Daemon::spawn(SNOOPYD, "suboram", 1, &manifest_path, Some(&ckpt[1])));
+    let lb = Daemon::spawn(SNOOPYD, "loadbalancer", 0, &manifest_path, None);
 
     // The reference engine is pinned to in-enclave memory: the disk cluster
     // must be observationally identical to RAM, byte for byte.
     let cfg = SnoopyConfig::with_machines(1, 2).value_len(VLEN).storage(StorageKind::Memory);
     let mut reference = Snoopy::init(cfg, manifest.initial_objects(), SEED);
 
-    wait_for_stats(&addrs[0]);
+    wait_for_health(&addrs[0], "loadbalancer");
     let deploy = proto::deployment_key(SEED);
     let mut client = loop {
         match SnoopyClient::builder(VLEN).connect_tcp(&addrs[0], 0, &deploy) {
@@ -154,7 +79,7 @@ fn disk_cluster_matches_memory_reference_and_recovers_from_kill9() {
             let mut d = sub1.take().unwrap();
             d.kill9();
             drop(d);
-            sub1 = Some(Daemon::spawn("suboram", 1, &manifest_path, Some(&ckpt[1]), "suboram 1*"));
+            sub1 = Some(Daemon::spawn(SNOOPYD, "suboram", 1, &manifest_path, Some(&ckpt[1])));
         }
         let id = (i * 11 + 5) % NUM_OBJECTS;
         let (got, req) = if i % 3 == 0 {

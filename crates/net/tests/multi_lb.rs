@@ -16,6 +16,7 @@
 //!    Wing–Gong checker — concurrent cross-balancer stamps need not be
 //!    coordinate-ordered, but some real-time-respecting order must replay.
 
+use snoopy_chaos::harness::{free_addrs, wait_for_health, Daemon};
 use snoopy_core::history::{
     check_linearizable, check_linearizable_realtime, OpKind, OpRecord, TimedOp,
 };
@@ -23,82 +24,13 @@ use snoopy_core::RetryPolicy;
 use snoopy_net::manifest::Manifest;
 use snoopy_net::{fetch_health, proto, shutdown_daemon, SnoopyClient};
 use std::collections::HashMap;
-use std::net::TcpListener;
-use std::path::Path;
-use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 const VLEN: usize = 32;
 const NUM_OBJECTS: u64 = 64;
 const SEED: u64 = 29;
-
-/// Kills the child on drop so a failed test leaves no strays.
-struct Daemon {
-    child: Child,
-    name: &'static str,
-}
-
-impl Daemon {
-    fn spawn(role: &str, index: usize, manifest: &Path, name: &'static str) -> Daemon {
-        let mut cmd = Command::new(env!("CARGO_BIN_EXE_snoopyd"));
-        cmd.arg("--role")
-            .arg(role)
-            .arg("--index")
-            .arg(index.to_string())
-            .arg("--manifest")
-            .arg(manifest)
-            .stdin(Stdio::null());
-        Daemon { child: cmd.spawn().expect("spawn snoopyd"), name }
-    }
-
-    fn kill9(&mut self) {
-        self.child.kill().expect("kill");
-        self.child.wait().expect("reap");
-    }
-
-    fn wait_graceful(mut self) {
-        let deadline = Instant::now() + Duration::from_secs(20);
-        loop {
-            match self.child.try_wait().expect("try_wait") {
-                Some(status) => {
-                    assert!(status.success(), "{} exited with {status}", self.name);
-                    std::mem::forget(self);
-                    return;
-                }
-                None if Instant::now() > deadline => {
-                    panic!("{} did not exit after shutdown RPC", self.name)
-                }
-                None => std::thread::sleep(Duration::from_millis(50)),
-            }
-        }
-    }
-}
-
-impl Drop for Daemon {
-    fn drop(&mut self) {
-        let _ = self.child.kill();
-        let _ = self.child.wait();
-    }
-}
-
-fn free_addrs(n: usize) -> Vec<String> {
-    let listeners: Vec<TcpListener> =
-        (0..n).map(|_| TcpListener::bind("127.0.0.1:0").unwrap()).collect();
-    listeners.iter().map(|l| l.local_addr().unwrap().to_string()).collect()
-}
-
-fn wait_for_health(addr: &str, role: &str) {
-    let deadline = Instant::now() + Duration::from_secs(20);
-    loop {
-        match fetch_health(addr) {
-            Ok(h) if h.role == role => return,
-            Ok(h) => panic!("{addr} reports role {}, expected {role}", h.role),
-            Err(_) if Instant::now() < deadline => std::thread::sleep(Duration::from_millis(50)),
-            Err(e) => panic!("health RPC to {addr} never came up: {e}"),
-        }
-    }
-}
+const SNOOPYD: &str = env!("CARGO_BIN_EXE_snoopyd");
 
 /// Boots a `balancers × suborams` cluster; returns (manifest, daemons,
 /// tmp dir). Daemons are returned balancers-first, in index order.
@@ -133,10 +65,10 @@ fn boot_cluster(
     std::fs::write(&path, manifest.render()).unwrap();
     let mut daemons = Vec::new();
     for i in 0..suborams {
-        daemons.push(Daemon::spawn("suboram", i, &path, "suboram"));
+        daemons.push(Daemon::spawn(SNOOPYD, "suboram", i, &path, None));
     }
     for i in 0..balancers {
-        daemons.insert(i, Daemon::spawn("loadbalancer", i, &path, "loadbalancer"));
+        daemons.insert(i, Daemon::spawn(SNOOPYD, "loadbalancer", i, &path, None));
     }
     for addr in &manifest.load_balancers {
         wait_for_health(addr, "loadbalancer");

@@ -17,14 +17,14 @@
 //! * checks the handshake clock-offset gauge and the trace-ring
 //!   drop/occupancy series are exported.
 
+use snoopy_chaos::harness::{free_addrs, prom_value, wait_for_health, Daemon};
+use snoopy_net::fetch_metrics;
 use snoopy_net::manifest::Manifest;
-use snoopy_net::{fetch_metrics, fetch_stats};
 use snoopy_telemetry::chrome::{parse_chrome_trace, Json};
 use snoopy_telemetry::events::{parse_jsonl, EventKind};
 use std::collections::BTreeSet;
-use std::net::TcpListener;
 use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Output, Stdio};
+use std::process::{Command, Output};
 use std::time::{Duration, Instant};
 
 const VLEN: usize = 32;
@@ -32,93 +32,7 @@ const NUM_OBJECTS: u64 = 64;
 const SEED: u64 = 23;
 /// The subORAM the test kills; `epoch_degraded` events must name it.
 const KILLED_SUB: usize = 2;
-
-/// Kills the child on drop so a failed test leaves no strays.
-struct Daemon {
-    child: Child,
-    name: &'static str,
-}
-
-impl Daemon {
-    fn spawn(
-        role: &str,
-        index: usize,
-        manifest: &Path,
-        ckpt: Option<&Path>,
-        flight_dir: &Path,
-        name: &'static str,
-    ) -> Daemon {
-        let mut cmd = Command::new(env!("CARGO_BIN_EXE_snoopyd"));
-        cmd.arg("--role")
-            .arg(role)
-            .arg("--index")
-            .arg(index.to_string())
-            .arg("--manifest")
-            .arg(manifest)
-            .env("SNOOPY_FLIGHT_DIR", flight_dir)
-            .stdin(Stdio::null());
-        if let Some(path) = ckpt {
-            cmd.arg("--checkpoint").arg(path);
-        }
-        Daemon { child: cmd.spawn().expect("spawn snoopyd"), name }
-    }
-
-    fn kill9(&mut self) {
-        self.child.kill().expect("kill");
-        self.child.wait().expect("reap");
-    }
-
-    fn wait_graceful(mut self) {
-        let deadline = Instant::now() + Duration::from_secs(30);
-        loop {
-            match self.child.try_wait().expect("try_wait") {
-                Some(status) => {
-                    assert!(status.success(), "{} exited with {status}", self.name);
-                    std::mem::forget(self);
-                    return;
-                }
-                None if Instant::now() > deadline => {
-                    panic!("{} did not exit after shutdown RPC", self.name)
-                }
-                None => std::thread::sleep(Duration::from_millis(50)),
-            }
-        }
-    }
-}
-
-impl Drop for Daemon {
-    fn drop(&mut self) {
-        let _ = self.child.kill();
-        let _ = self.child.wait();
-    }
-}
-
-fn free_addrs(n: usize) -> Vec<String> {
-    let listeners: Vec<TcpListener> =
-        (0..n).map(|_| TcpListener::bind("127.0.0.1:0").unwrap()).collect();
-    listeners.iter().map(|l| l.local_addr().unwrap().to_string()).collect()
-}
-
-fn wait_for_stats(addr: &str) {
-    let deadline = Instant::now() + Duration::from_secs(20);
-    loop {
-        match fetch_stats(addr) {
-            Ok(_) => return,
-            Err(_) if Instant::now() < deadline => std::thread::sleep(Duration::from_millis(50)),
-            Err(e) => panic!("stats RPC to {addr} never came up: {e}"),
-        }
-    }
-}
-
-/// Reads an unlabeled series' value out of a Prometheus exposition; 0 when
-/// the series has not been created yet (counters appear on first increment).
-fn prom_value(text: &str, name: &str) -> f64 {
-    text.lines()
-        .find(|l| l.split_whitespace().next() == Some(name))
-        .and_then(|l| l.split_whitespace().last())
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0.0)
-}
+const SNOOPYD: &str = env!("CARGO_BIN_EXE_snoopyd");
 
 fn snoopy_mon(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_snoopy-mon")).args(args).output().expect("run snoopy-mon")
@@ -143,6 +57,7 @@ fn cluster_observability_plane_end_to_end() {
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     let flight_dir = dir.join("flight");
+    let flight_env = [("SNOOPY_FLIGHT_DIR", flight_dir.as_os_str())];
     let addrs = free_addrs(4);
     let manifest = Manifest {
         value_len: VLEN,
@@ -173,13 +88,15 @@ fn cluster_observability_plane_end_to_end() {
     let manifest_arg = manifest_path.to_string_lossy().into_owned();
     let ckpt: Vec<PathBuf> = (0..3).map(|i| dir.join(format!("sub{i}.ckpt"))).collect();
 
-    let sub0 = Daemon::spawn("suboram", 0, &manifest_path, Some(&ckpt[0]), &flight_dir, "sub 0");
-    let sub1 = Daemon::spawn("suboram", 1, &manifest_path, Some(&ckpt[1]), &flight_dir, "sub 1");
+    let sub0 =
+        Daemon::spawn_with_env(SNOOPYD, "suboram", 0, &manifest_path, Some(&ckpt[0]), &flight_env);
+    let sub1 =
+        Daemon::spawn_with_env(SNOOPYD, "suboram", 1, &manifest_path, Some(&ckpt[1]), &flight_env);
     let mut sub2 =
-        Daemon::spawn("suboram", 2, &manifest_path, Some(&ckpt[2]), &flight_dir, "sub 2");
-    let lb = Daemon::spawn("loadbalancer", 0, &manifest_path, None, &flight_dir, "lb 0");
+        Daemon::spawn_with_env(SNOOPYD, "suboram", 2, &manifest_path, Some(&ckpt[2]), &flight_env);
+    let lb = Daemon::spawn_with_env(SNOOPYD, "loadbalancer", 0, &manifest_path, None, &flight_env);
 
-    wait_for_stats(&addrs[0]);
+    wait_for_health(&addrs[0], "loadbalancer");
     let deploy = snoopy_net::proto::deployment_key(SEED);
     let mut client = loop {
         match snoopy_net::SnoopyClient::builder(VLEN).connect_tcp(&addrs[0], 0, &deploy) {
@@ -268,7 +185,7 @@ fn cluster_observability_plane_end_to_end() {
     let deadline = Instant::now() + Duration::from_secs(20);
     loop {
         let m = fetch_metrics(&addrs[0]).expect("lb metrics");
-        if prom_value(&m, "snoopy_degraded_epochs_total") >= 2.0 {
+        if prom_value(&m, "snoopy_degraded_epochs_total").unwrap_or(0.0) >= 2.0 {
             break;
         }
         assert!(Instant::now() < deadline, "no degraded epochs after killing a subORAM");

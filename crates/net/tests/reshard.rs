@@ -20,89 +20,20 @@
 //! 3. **Shrink 8→4.** The retired subORAMs stay up (warm spares) but the
 //!    routing table contracts; every acknowledged write survives the move.
 
+use snoopy_chaos::harness::{free_addrs, wait_for_health, Daemon};
 use snoopy_core::RetryPolicy;
 use snoopy_net::manifest::Manifest;
 use snoopy_net::{fetch_health, probe_layout, proto, shutdown_daemon, SnoopyClient};
 use std::collections::HashMap;
-use std::net::TcpListener;
-use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Stdio};
-use std::time::{Duration, Instant};
+use std::path::PathBuf;
+use std::process::Command;
+use std::time::Duration;
 
 const VLEN: usize = 32;
 const NUM_OBJECTS: u64 = 64;
 const SEED: u64 = 47;
 const PROVISIONED: usize = 8;
-
-/// Kills the child on drop so a failed test leaves no strays.
-struct Daemon {
-    child: Child,
-    name: String,
-}
-
-impl Daemon {
-    fn spawn(role: &str, index: usize, manifest: &Path, checkpoint: Option<&Path>) -> Daemon {
-        let mut cmd = Command::new(env!("CARGO_BIN_EXE_snoopyd"));
-        cmd.arg("--role")
-            .arg(role)
-            .arg("--index")
-            .arg(index.to_string())
-            .arg("--manifest")
-            .arg(manifest)
-            .stdin(Stdio::null());
-        if let Some(ckpt) = checkpoint {
-            cmd.arg("--checkpoint").arg(ckpt);
-        }
-        Daemon { child: cmd.spawn().expect("spawn snoopyd"), name: format!("{role}/{index}") }
-    }
-
-    fn kill9(&mut self) {
-        self.child.kill().expect("kill");
-        self.child.wait().expect("reap");
-    }
-
-    fn wait_graceful(mut self) {
-        let deadline = Instant::now() + Duration::from_secs(20);
-        loop {
-            match self.child.try_wait().expect("try_wait") {
-                Some(status) => {
-                    assert!(status.success(), "{} exited with {status}", self.name);
-                    std::mem::forget(self);
-                    return;
-                }
-                None if Instant::now() > deadline => {
-                    panic!("{} did not exit after shutdown RPC", self.name)
-                }
-                None => std::thread::sleep(Duration::from_millis(50)),
-            }
-        }
-    }
-}
-
-impl Drop for Daemon {
-    fn drop(&mut self) {
-        let _ = self.child.kill();
-        let _ = self.child.wait();
-    }
-}
-
-fn free_addrs(n: usize) -> Vec<String> {
-    let listeners: Vec<TcpListener> =
-        (0..n).map(|_| TcpListener::bind("127.0.0.1:0").unwrap()).collect();
-    listeners.iter().map(|l| l.local_addr().unwrap().to_string()).collect()
-}
-
-fn wait_for_health(addr: &str, role: &str) {
-    let deadline = Instant::now() + Duration::from_secs(20);
-    loop {
-        match fetch_health(addr) {
-            Ok(h) if h.role == role => return,
-            Ok(h) => panic!("{addr} reports role {}, expected {role}", h.role),
-            Err(_) if Instant::now() < deadline => std::thread::sleep(Duration::from_millis(50)),
-            Err(e) => panic!("health RPC to {addr} never came up: {e}"),
-        }
-    }
-}
+const SNOOPYD: &str = env!("CARGO_BIN_EXE_snoopyd");
 
 struct Cluster {
     manifest: Manifest,
@@ -155,10 +86,17 @@ impl Cluster {
     fn spawn_all(&mut self) {
         for i in 0..PROVISIONED {
             let ckpt = self.checkpoints.then(|| self.ckpt_path(i));
-            self.daemons.push(Daemon::spawn("suboram", i, &self.manifest_path, ckpt.as_deref()));
+            self.daemons.push(Daemon::spawn(
+                SNOOPYD,
+                "suboram",
+                i,
+                &self.manifest_path,
+                ckpt.as_deref(),
+            ));
         }
         for i in 0..self.balancers {
-            self.daemons.insert(i, Daemon::spawn("loadbalancer", i, &self.manifest_path, None));
+            self.daemons
+                .insert(i, Daemon::spawn(SNOOPYD, "loadbalancer", i, &self.manifest_path, None));
         }
         for addr in self.manifest.suborams.iter().chain(&self.manifest.load_balancers) {
             wait_for_health(
@@ -378,7 +316,9 @@ fn balancer_kill_at_the_flip_recovers_by_probing_the_committed_layout() {
 
     // Replace the dead balancer: its boot probe must adopt the committed
     // layout from the subORAM fleet and serve the same bytes.
-    cluster.daemons.insert(1, Daemon::spawn("loadbalancer", 1, &cluster.manifest_path, None));
+    cluster
+        .daemons
+        .insert(1, Daemon::spawn(SNOOPYD, "loadbalancer", 1, &cluster.manifest_path, None));
     wait_for_health(&cluster.manifest.load_balancers[1], "loadbalancer");
     let mut replacement = SnoopyClient::builder(VLEN)
         .read_timeout(Duration::from_secs(10))
