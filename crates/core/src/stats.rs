@@ -17,15 +17,8 @@ use std::time::Duration;
 pub struct EpochStats {
     /// Raw client requests received across all balancers.
     pub requests: usize,
-    /// Per-subORAM batch size `f(R, S)` per balancer (0 for empty epochs).
-    pub batch_size: usize,
     /// Total batch entries sent (`L_active · S · B`).
     pub batch_entries_sent: usize,
-    /// Padding entries among them, computed as the PUBLIC quantity
-    /// `batch_entries_sent − min(R, batch_entries_sent)`. The *actual*
-    /// post-deduplication dummy count is secret (it would reveal how many
-    /// requests were duplicates) and is deliberately never collected.
-    pub dummy_entries: usize,
     /// Wall-clock spent in balancer batch generation.
     pub lb_make_time: Duration,
     /// Wall-clock spent in subORAM batch processing.

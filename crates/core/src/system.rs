@@ -156,12 +156,7 @@ impl Snoopy {
         let mut all_batches = Vec::with_capacity(l);
         for (lb, requests) in self.balancers.iter().zip(per_balancer.iter()) {
             let batches = lb.make_batches(requests)?;
-            if let Some(first) = batches.first() {
-                epoch_stats.batch_size = epoch_stats.batch_size.max(first.len());
-            }
-            let sent: usize = batches.iter().map(|b| b.len()).sum();
-            epoch_stats.batch_entries_sent += sent;
-            epoch_stats.dummy_entries += sent - requests.len().min(sent);
+            epoch_stats.batch_entries_sent += batches.iter().map(|b| b.len()).sum::<usize>();
             all_batches.push(batches);
         }
         epoch_stats.lb_make_time = make_span.finish();

@@ -38,19 +38,27 @@ pub fn write_frame(w: &mut impl Write, tag: u8, body: &[u8]) -> io::Result<()> {
     w.flush()
 }
 
-/// Reads one frame, returning `(tag, body)`.
+/// Bytes a body buffer starts with before any arrive: a whole small frame,
+/// and nothing a hostile length can inflate.
+const FIRST_BODY_ALLOC: usize = 16 << 10;
+
+/// Reads one frame, returning `(tag, body)`. The body buffer grows as its
+/// bytes arrive, so a peer that announces a large frame and then stalls or
+/// hangs up costs no more memory than it actually sent.
 pub fn read_frame(r: &mut impl Read) -> io::Result<(u8, Vec<u8>)> {
-    let mut len_buf = [0u8; 4];
-    r.read_exact(&mut len_buf)?;
-    let len = u32::from_le_bytes(len_buf) as usize;
+    let mut header = [0u8; 5];
+    r.read_exact(&mut header)?;
+    let [l0, l1, l2, l3, tag] = header;
+    let len = u32::from_le_bytes([l0, l1, l2, l3]) as usize;
     if len == 0 || len > MAX_FRAME_LEN {
         return Err(io::Error::new(io::ErrorKind::InvalidData, "bad frame length"));
     }
-    let mut buf = vec![0u8; len];
-    r.read_exact(&mut buf)?;
-    let tag = buf[0];
-    buf.remove(0);
-    Ok((tag, buf))
+    let mut body = Vec::with_capacity((len - 1).min(FIRST_BODY_ALLOC));
+    r.take(len as u64 - 1).read_to_end(&mut body)?;
+    if body.len() != len - 1 {
+        return Err(io::ErrorKind::UnexpectedEof.into());
+    }
+    Ok((tag, body))
 }
 
 #[cfg(test)]

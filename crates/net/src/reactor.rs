@@ -7,10 +7,20 @@
 //!
 //! Built on `std::net` only: with no `epoll`/`kqueue` binding available, the
 //! reactor discovers readiness by attempting nonblocking I/O on every
-//! session each sweep (`WouldBlock` = not ready) and parks briefly when a
-//! sweep makes no progress. That is O(sessions) syscalls per sweep, which is
-//! exactly the regime the paper's epoch batching amortizes: work arrives in
-//! epoch-sized bursts, so most sweeps either move many frames or sleep.
+//! session each sweep (`WouldBlock` = not ready). That is O(sessions)
+//! syscalls per sweep, which is exactly the regime the paper's epoch
+//! batching amortizes: work arrives in epoch-sized bursts, so most sweeps
+//! either move many bytes or find nothing to do.
+//!
+//! Between sweeps the reactor follows its idle ladder. A sweep that moved
+//! any byte is followed at once by another, so a frame streams in at the
+//! speed the kernel hands it over. After that, empty sweeps first yield the
+//! CPU twice, then park for 10, 20, 40 … µs, capped at [`IDLE_PARK`]: an
+//! idle daemon is back at its longest naps within about a millisecond.
+//! [`SessionHandle::send_frame`] unparks the reactor, so a frame queued by
+//! another thread goes out without waiting out the nap. The ladder keys
+//! only on bytes moved and frames enqueued, which the network already
+//! shows.
 //!
 //! A session's lifecycle:
 //!
@@ -45,6 +55,7 @@ use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
 use std::sync::{Arc, Mutex};
+use std::thread::{self, Thread};
 use std::time::{Duration, Instant};
 
 /// Read budget per session per sweep: a firehose peer yields the reactor to
@@ -52,7 +63,12 @@ use std::time::{Duration, Instant};
 const READ_BUDGET: usize = 64 << 10;
 /// How long a handshake may sit without producing a valid hello.
 const HELLO_TIMEOUT: Duration = Duration::from_secs(10);
-/// Idle park between sweeps that made no progress.
+/// Empty sweeps after progress that only yield the CPU.
+const IDLE_YIELDS: u32 = 2;
+/// The first park after the yields; each further empty sweep doubles it.
+const FIRST_PARK: Duration = Duration::from_micros(10);
+/// The longest park: how long an idle reactor takes to notice a readable
+/// socket or a new connection.
 const IDLE_PARK: Duration = Duration::from_micros(500);
 
 /// What a handler tells the reactor after processing one frame.
@@ -93,6 +109,8 @@ struct SessionShared {
     /// Frames parsed but not yet processed by the pinned worker.
     inflight: AtomicUsize,
     inflight_cap: usize,
+    /// The reactor thread, unparked whenever a frame is enqueued.
+    reactor: Thread,
 }
 
 impl SessionShared {
@@ -131,8 +149,13 @@ impl SessionHandle {
         if self.shared.state() != STATE_OPEN {
             return false;
         }
-        match self.shared.out.lock().unwrap().push_frame(tag, body) {
-            Ok(()) => true,
+        // The lock is released before the wake-up: the woken reactor takes it.
+        let pushed = self.shared.out.lock().unwrap().push_frame(tag, body);
+        match pushed {
+            Ok(()) => {
+                self.shared.reactor.unpark();
+                true
+            }
             Err(Overflow) => {
                 self.shared.request_close();
                 false
@@ -193,6 +216,7 @@ struct Registration {
 pub struct ReactorHandle {
     reg_tx: Sender<Registration>,
     cfg: ReactorConfig,
+    reactor: Thread,
 }
 
 impl ReactorHandle {
@@ -200,25 +224,27 @@ impl ReactorHandle {
     /// `Open` with `handler` attached. Returns the session's handle; if the
     /// reactor is gone the handle is born closed and `on_close` has run.
     pub fn register(&self, stream: TcpStream, handler: Box<dyn SessionHandler>) -> SessionHandle {
-        let shared = Arc::new(new_shared(&self.cfg));
+        let shared = Arc::new(new_shared(&self.cfg, &self.reactor));
         let handle = SessionHandle { shared: shared.clone() };
-        if let Err(std::sync::mpsc::SendError(reg)) =
-            self.reg_tx.send(Registration { stream, handler, shared })
-        {
-            let mut handler = reg.handler;
-            handle.close();
-            handler.on_close();
+        match self.reg_tx.send(Registration { stream, handler, shared }) {
+            Ok(()) => self.reactor.unpark(),
+            Err(std::sync::mpsc::SendError(reg)) => {
+                let mut handler = reg.handler;
+                handle.close();
+                handler.on_close();
+            }
         }
         handle
     }
 }
 
-fn new_shared(cfg: &ReactorConfig) -> SessionShared {
+fn new_shared(cfg: &ReactorConfig, reactor: &Thread) -> SessionShared {
     SessionShared {
         out: Mutex::new(OutBuf::new(cfg.watermark, cfg.hard_cap)),
         state: AtomicU8::new(STATE_OPEN),
         inflight: AtomicUsize::new(0),
         inflight_cap: cfg.inflight_cap.max(1),
+        reactor: reactor.clone(),
     }
 }
 
@@ -256,16 +282,15 @@ struct WorkItem {
 /// live until the process exits, like the listener threads they replace.
 pub fn spawn(listener: TcpListener, acceptor: Acceptor, cfg: ReactorConfig) -> ReactorHandle {
     let (reg_tx, reg_rx) = channel();
-    let handle = ReactorHandle { reg_tx, cfg };
     let workers: Vec<Sender<WorkItem>> = (0..cfg.workers)
         .map(|_| {
             let (tx, rx) = channel::<WorkItem>();
-            std::thread::spawn(move || worker_loop(rx));
+            thread::spawn(move || worker_loop(rx));
             tx
         })
         .collect();
-    std::thread::spawn(move || reactor_loop(listener, acceptor, cfg, reg_rx, workers));
-    handle
+    let reactor = thread::spawn(move || reactor_loop(listener, acceptor, cfg, reg_rx, workers));
+    ReactorHandle { reg_tx, cfg, reactor: reactor.thread().clone() }
 }
 
 fn worker_loop(rx: Receiver<WorkItem>) {
@@ -300,9 +325,11 @@ fn reactor_loop(
     }
     let sessions_gauge = metrics::global()
         .gauge("snoopy_net_open_sessions", "sessions currently registered with the reactor");
+    let me = thread::current();
     let mut sessions: Vec<Slot> = Vec::new();
     let mut next_id = 0u64;
     let mut registrations_open = true;
+    let mut ladder = IdleLadder::default();
     loop {
         let mut progress = false;
 
@@ -315,7 +342,7 @@ fn reactor_loop(
                         continue;
                     }
                     let _ = stream.set_nodelay(true);
-                    let shared = Arc::new(new_shared(&cfg));
+                    let shared = Arc::new(new_shared(&cfg, &me));
                     let handle = SessionHandle { shared: shared.clone() };
                     sessions.push(Slot {
                         stream,
@@ -396,8 +423,43 @@ fn reactor_loop(
         });
         sessions_gauge.set(Public::wire_observable(sessions.len() as f64));
 
-        if !progress {
-            std::thread::sleep(IDLE_PARK);
+        match ladder.after_sweep(progress) {
+            Idle::Sweep => {}
+            Idle::Yield => thread::yield_now(),
+            Idle::Park(d) => thread::park_timeout(d),
+        }
+    }
+}
+
+/// What the reactor does before its next sweep.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Idle {
+    /// Sweep again at once.
+    Sweep,
+    /// Give up the CPU, then sweep.
+    Yield,
+    /// Park until the timeout or a [`SessionHandle::send_frame`].
+    Park(Duration),
+}
+
+/// The back-off between sweeps: a function of the empty sweeps since the
+/// last one that moved bytes.
+#[derive(Default)]
+struct IdleLadder {
+    empty_sweeps: u32,
+}
+
+impl IdleLadder {
+    /// Records one sweep and says what to do before the next.
+    fn after_sweep(&mut self, progress: bool) -> Idle {
+        self.empty_sweeps = if progress { 0 } else { self.empty_sweeps.saturating_add(1) };
+        match self.empty_sweeps {
+            0 => Idle::Sweep,
+            n if n <= IDLE_YIELDS => Idle::Yield,
+            n => {
+                let doublings = (n - IDLE_YIELDS - 1).min(16);
+                Idle::Park(FIRST_PARK.saturating_mul(1 << doublings).min(IDLE_PARK))
+            }
         }
     }
 }
@@ -458,12 +520,15 @@ fn sweep(
     }
     slot.was_paused = false;
 
+    let buffered = slot.assembler.buffered();
     let (frames, eof) = match slot.assembler.read_from(&mut slot.stream, READ_BUDGET) {
         Ok(ReadStep::Frames(f)) => (f, false),
         Ok(ReadStep::Eof(f)) => (f, true),
         Err(_) => return Sweep::Dead,
     };
-    let moved = wrote > 0 || !frames.is_empty();
+    // Bytes read either completed frames or changed what is buffered; a
+    // frame still streaming in counts as progress.
+    let moved = wrote > 0 || !frames.is_empty() || slot.assembler.buffered() != buffered;
 
     let mut frames = frames.into_iter();
     if let Phase::Handshake { deadline } = slot.phase {
@@ -517,4 +582,67 @@ fn sweep(
         slot.shared.request_drain();
     }
     Sweep::Alive { moved }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::frame::{read_frame, write_frame};
+    use crate::proto::Role;
+
+    /// Sends every frame straight back.
+    struct Echo;
+
+    impl SessionHandler for Echo {
+        fn on_frame(&mut self, tag: u8, body: Vec<u8>, handle: &SessionHandle) -> Control {
+            assert!(handle.send_frame(tag, &body), "the echo was refused");
+            Control::Continue
+        }
+    }
+
+    #[test]
+    fn a_mebibyte_frame_crosses_a_live_session_both_ways() {
+        // Inline processing, and a worker whose replies must unpark the
+        // reactor from another thread.
+        for workers in [0, 1] {
+            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+            let addr = listener.local_addr().unwrap();
+            let acceptor: Acceptor = Box::new(|_, _| Some(Box::new(Echo)));
+            spawn(listener, acceptor, ReactorConfig { workers, ..ReactorConfig::default() });
+
+            let mut stream = TcpStream::connect(addr).unwrap();
+            stream.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+            write_frame(&mut stream, tag::HELLO, &Hello::new(Role::Client, 0).encode()).unwrap();
+            let body: Vec<u8> = (0..1u32 << 20).map(|i| (i ^ (i >> 11)) as u8).collect();
+            for t in [0x42, 0x43] {
+                write_frame(&mut stream, t, &body).unwrap();
+                let (got_tag, got) = read_frame(&mut stream).unwrap();
+                assert_eq!(got_tag, t, "workers={workers}");
+                assert!(got == body, "workers={workers}: the echoed body differs");
+            }
+        }
+    }
+
+    #[test]
+    fn idle_ladder_is_monotone_capped_and_resets_on_progress() {
+        let mut ladder = IdleLadder::default();
+        assert_eq!(ladder.after_sweep(true), Idle::Sweep);
+        let steps: Vec<Idle> = (0..40).map(|_| ladder.after_sweep(false)).collect();
+        assert_eq!(steps[..3], [Idle::Yield, Idle::Yield, Idle::Park(FIRST_PARK)]);
+        assert!(steps.windows(2).all(|w| w[0] <= w[1]), "not monotone: {steps:?}");
+        assert!(steps.iter().all(|s| *s <= Idle::Park(IDLE_PARK)), "over the cap: {steps:?}");
+        assert_eq!(steps.last(), Some(&Idle::Park(IDLE_PARK)));
+        // An idle reactor is back at its longest nap within about 1 ms.
+        let climb: Duration = steps
+            .iter()
+            .take_while(|s| **s != Idle::Park(IDLE_PARK))
+            .map(|s| if let Idle::Park(d) = s { *d } else { Duration::ZERO })
+            .sum();
+        assert!(climb <= Duration::from_millis(1), "{climb:?} before the longest nap");
+        // Progress resets the ladder, also after it saturates.
+        ladder.empty_sweeps = u32::MAX;
+        assert_eq!(ladder.after_sweep(false), Idle::Park(IDLE_PARK));
+        assert_eq!(ladder.after_sweep(true), Idle::Sweep);
+        assert_eq!(ladder.after_sweep(false), Idle::Yield);
+    }
 }

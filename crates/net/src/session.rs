@@ -36,13 +36,104 @@ pub const DEFAULT_HARD_CAP: usize = 64 << 20;
 /// Default bound on frames parsed but not yet processed by a worker.
 pub const DEFAULT_INFLIGHT_CAP: usize = 64;
 
+/// Bytes asked of the socket per read while no frame body is being filled:
+/// headers and small frames arrive in reads of at most this size, and a
+/// body never gets less room than this when it starts to grow.
+const READ_CHUNK: usize = 16 << 10;
+
 /// Incremental frame parser: feed arbitrary byte chunks, pop complete
 /// `(tag, body)` frames. The streaming twin of [`crate::frame::read_frame`],
 /// which blocks for a whole frame and so cannot be used on a nonblocking
 /// socket.
+///
+/// Headers and small frames are parsed out of one contiguous read buffer.
+/// Once a header announces a body longer than what is buffered, the rest of
+/// that body is read straight into the frame's own `Vec`, which is handed
+/// to the caller whole: a large frame is copied once, from the kernel. That
+/// `Vec` grows with the bytes that actually arrive (at most doubling), never
+/// with the announced length alone, so a hostile header costs nothing.
 #[derive(Default)]
 pub struct FrameAssembler {
-    buf: VecDeque<u8>,
+    head: Head,
+    /// The frame whose header arrived before its whole body did. While it
+    /// is incomplete, `head` holds nothing unparsed.
+    partial: Option<Partial>,
+}
+
+/// The contiguous read buffer: wire bytes not yet parsed are
+/// `buf[start..end]`; `buf[end..]` is zeroed room for the next read.
+#[derive(Default)]
+struct Head {
+    buf: Vec<u8>,
+    start: usize,
+    end: usize,
+}
+
+impl Head {
+    fn unparsed(&self) -> &[u8] {
+        &self.buf[self.start..self.end]
+    }
+
+    /// Moves the unparsed bytes to the front of the buffer.
+    fn compact(&mut self) {
+        self.buf.copy_within(self.start..self.end, 0);
+        self.end -= self.start;
+        self.start = 0;
+    }
+
+    fn extend(&mut self, bytes: &[u8]) {
+        self.compact();
+        self.buf.truncate(self.end);
+        self.buf.extend_from_slice(bytes);
+        self.end = self.buf.len();
+    }
+
+    /// At least [`READ_CHUNK`] of zeroed room after the unparsed bytes.
+    fn room(&mut self) -> &mut [u8] {
+        if self.buf.len() - self.end < READ_CHUNK {
+            self.compact();
+            self.buf.resize(self.buf.len().max(self.end + READ_CHUNK), 0);
+        }
+        &mut self.buf[self.end..]
+    }
+}
+
+/// A frame whose body is being filled in place.
+struct Partial {
+    tag: u8,
+    /// `body[..filled]` has arrived; `body[filled..]` is zeroed room.
+    body: Vec<u8>,
+    filled: usize,
+    /// The announced body length.
+    want: usize,
+}
+
+impl Partial {
+    fn is_complete(&self) -> bool {
+        self.filled == self.want
+    }
+
+    /// Zeroed room for the next read, within the announced body. Room grows
+    /// by doubling what has arrived, so the allocation is never more than
+    /// twice the bytes received (or one [`READ_CHUNK`]).
+    fn room(&mut self) -> &mut [u8] {
+        if self.filled == self.body.len() {
+            let len = self.want.min((2 * self.filled).max(READ_CHUNK));
+            self.body.reserve_exact(len - self.body.len());
+            self.body.resize(len, 0);
+        }
+        &mut self.body[self.filled..]
+    }
+
+    /// Appends as much of `bytes` as the body still needs; returns how many
+    /// bytes that was.
+    fn fill_from(&mut self, bytes: &[u8]) -> usize {
+        let n = (self.want - self.filled).min(bytes.len());
+        self.body.truncate(self.filled);
+        self.body.extend_from_slice(&bytes[..n]);
+        self.filled += n;
+        n
+    }
 }
 
 impl FrameAssembler {
@@ -52,13 +143,19 @@ impl FrameAssembler {
     }
 
     /// Appends raw bytes from the wire.
-    pub fn extend(&mut self, bytes: &[u8]) {
-        self.buf.extend(bytes);
+    pub fn extend(&mut self, mut bytes: &[u8]) {
+        if let Some(p) = &mut self.partial {
+            bytes = &bytes[p.fill_from(bytes)..];
+        }
+        if !bytes.is_empty() {
+            self.head.extend(bytes);
+        }
     }
 
-    /// Bytes buffered but not yet popped as frames.
+    /// Bytes buffered but not yet popped as frames, headers included.
     pub fn buffered(&self) -> usize {
-        self.buf.len()
+        let partial = self.partial.as_ref().map_or(0, |p| 5 + p.filled);
+        self.head.unparsed().len() + partial
     }
 
     /// Read sweep: reads from `r` until it would block, hits EOF, or
@@ -67,21 +164,21 @@ impl FrameAssembler {
     /// malformed length) kill the session.
     pub fn read_from(&mut self, r: &mut impl Read, max_bytes: usize) -> io::Result<ReadStep> {
         let mut frames = Vec::new();
-        let mut buf = [0u8; 16 << 10];
         let mut taken = 0;
         loop {
-            match r.read(&mut buf) {
+            let room = self.room();
+            let len = room.len().min((max_bytes - taken).max(1));
+            match r.read(&mut room[..len]) {
                 Ok(0) => {
-                    while let Some(f) = self.next_frame()? {
-                        frames.push(f);
-                    }
+                    self.pop_into(&mut frames)?;
                     return Ok(ReadStep::Eof(frames));
                 }
                 Ok(n) => {
-                    self.extend(&buf[..n]);
-                    while let Some(f) = self.next_frame()? {
-                        frames.push(f);
+                    match self.partial.as_mut().filter(|p| !p.is_complete()) {
+                        Some(p) => p.filled += n,
+                        None => self.head.end += n,
                     }
+                    self.pop_into(&mut frames)?;
                     taken += n;
                     if taken >= max_bytes {
                         break;
@@ -95,28 +192,58 @@ impl FrameAssembler {
         Ok(ReadStep::Frames(frames))
     }
 
+    /// Where the next read lands: the unfinished body if there is one, else
+    /// the head.
+    fn room(&mut self) -> &mut [u8] {
+        match self.partial.as_mut().filter(|p| !p.is_complete()) {
+            Some(p) => p.room(),
+            None => self.head.room(),
+        }
+    }
+
+    fn pop_into(&mut self, frames: &mut Vec<(u8, Vec<u8>)>) -> io::Result<()> {
+        while let Some(f) = self.next_frame()? {
+            frames.push(f);
+        }
+        Ok(())
+    }
+
     /// Pops the next complete frame, `Ok(None)` if more bytes are needed.
     /// A zero or oversized length is a protocol error (hostile or corrupt
     /// peer); the caller must kill the session.
     pub fn next_frame(&mut self) -> io::Result<Option<(u8, Vec<u8>)>> {
-        if self.buf.len() < 4 {
-            return Ok(None);
+        if let Some(p) = &self.partial {
+            if !p.is_complete() {
+                return Ok(None);
+            }
+            let Partial { tag, mut body, filled, .. } = self.partial.take().expect("checked above");
+            body.truncate(filled);
+            return Ok(Some((tag, body)));
         }
-        let mut len_bytes = [0u8; 4];
-        for (i, b) in self.buf.iter().take(4).enumerate() {
-            len_bytes[i] = *b;
-        }
-        let len = u32::from_le_bytes(len_bytes) as usize;
+        let avail = self.head.unparsed();
+        let Some(len_bytes) = avail.first_chunk::<4>() else { return Ok(None) };
+        let len = u32::from_le_bytes(*len_bytes) as usize;
         if len == 0 || len > MAX_FRAME_LEN {
             return Err(io::Error::new(io::ErrorKind::InvalidData, "bad frame length"));
         }
-        if self.buf.len() < 4 + len {
-            return Ok(None);
+        let Some(&tag) = avail.get(4) else { return Ok(None) };
+        if avail.len() >= 4 + len {
+            let body = avail[5..4 + len].to_vec();
+            self.head.start += 4 + len;
+            return Ok(Some((tag, body)));
         }
-        self.buf.drain(..4);
-        let tag = self.buf.pop_front().expect("length checked");
-        let body: Vec<u8> = self.buf.drain(..len - 1).collect();
-        Ok(Some((tag, body)))
+        // The body is longer than what is buffered: what has arrived moves
+        // into the frame's own `Vec`, and the rest is read straight there.
+        let body = avail[5..].to_vec();
+        self.partial = Some(Partial { tag, filled: body.len(), body, want: len - 1 });
+        self.head.start = self.head.end;
+        Ok(None)
+    }
+
+    /// Heap bytes the assembler holds.
+    #[cfg(test)]
+    fn footprint(&self) -> usize {
+        self.head.buf.capacity() + self.partial.as_ref().map_or(0, |p| p.body.capacity())
     }
 }
 
@@ -278,6 +405,7 @@ impl SessionIo {
 mod tests {
     use super::*;
     use crate::frame::write_frame;
+    use proptest::prelude::*;
 
     /// A scripted nonblocking reader: each entry is either bytes to return
     /// (split however the script says), a `WouldBlock`, or EOF (empty vec
@@ -505,6 +633,185 @@ mod tests {
         match io.read_from(&mut r, 4 * frame.len()).unwrap() {
             ReadStep::Frames(f) => assert_eq!(f.len(), 4),
             other => panic!("unexpected {other:?}"),
+        }
+    }
+
+    /// A nonblocking reader over a fixed byte string: each read hands over
+    /// at most the next scripted size (and never more than the caller's
+    /// buffer), a scripted step may be a `WouldBlock` first, and the end of
+    /// the bytes is EOF. The script repeats.
+    struct SplitReader {
+        wire: Vec<u8>,
+        pos: usize,
+        script: Vec<(usize, bool)>,
+        step: usize,
+        blocked: bool,
+    }
+
+    impl SplitReader {
+        fn new(wire: Vec<u8>, script: Vec<(usize, bool)>) -> SplitReader {
+            SplitReader { wire, pos: 0, script, step: 0, blocked: false }
+        }
+    }
+
+    impl Read for SplitReader {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let (size, block) = self.script[self.step % self.script.len()];
+            if block && !self.blocked {
+                self.blocked = true;
+                return Err(io::ErrorKind::WouldBlock.into());
+            }
+            self.blocked = false;
+            self.step += 1;
+            let n = size.min(buf.len()).min(self.wire.len() - self.pos);
+            buf[..n].copy_from_slice(&self.wire[self.pos..self.pos + n]);
+            self.pos += n;
+            Ok(n)
+        }
+    }
+
+    /// Frame bodies from small to several read chunks long, with contents
+    /// that differ per frame and per byte.
+    fn frames_from(specs: &[(u8, usize, u8)]) -> Vec<(u8, Vec<u8>)> {
+        const LENS: [usize; 4] = [0, 37, READ_CHUNK + 5, 5 * READ_CHUNK + 123];
+        specs
+            .iter()
+            .map(|&(tag, size, salt)| {
+                let len = LENS[size % LENS.len()] + salt as usize;
+                let body = (0..len).map(|i| ((i ^ (i >> 8)) * 31) as u8 ^ salt).collect();
+                (tag, body)
+            })
+            .collect()
+    }
+
+    fn wire_of(frames: &[(u8, Vec<u8>)]) -> Vec<u8> {
+        frames.iter().flat_map(|(t, b)| encode(*t, b)).collect()
+    }
+
+    /// Drives `read_from` sweeps until EOF or an error; returns every frame
+    /// that came out and how the stream ended.
+    fn drain(
+        asm: &mut FrameAssembler,
+        r: &mut SplitReader,
+        budget: usize,
+    ) -> (Vec<(u8, Vec<u8>)>, io::Result<()>) {
+        let mut got = Vec::new();
+        for _ in 0..1_000_000 {
+            match asm.read_from(r, budget) {
+                Ok(ReadStep::Frames(f)) => got.extend(f),
+                Ok(ReadStep::Eof(f)) => {
+                    got.extend(f);
+                    return (got, Ok(()));
+                }
+                Err(e) => return (got, Err(e)),
+            }
+        }
+        panic!("the reader never reached EOF");
+    }
+
+    proptest! {
+        /// Any frame sequence, split any way with `WouldBlock`s between
+        /// reads and any read budget, comes out byte-identical and in order.
+        #[test]
+        fn assembler_reassembles_any_split(
+            specs in prop::collection::vec((any::<u8>(), 0usize..4, any::<u8>()), 0..6),
+            script in prop::collection::vec((1usize..3 * READ_CHUNK, any::<bool>()), 1..8),
+            budget in 1usize..8 * READ_CHUNK,
+        ) {
+            let frames = frames_from(&specs);
+            let mut r = SplitReader::new(wire_of(&frames), script);
+            let mut asm = FrameAssembler::new();
+            let (got, end) = drain(&mut asm, &mut r, budget);
+            prop_assert!(end.is_ok(), "{end:?}");
+            prop_assert!(got == frames, "frames differ");
+            prop_assert_eq!(asm.buffered(), 0);
+        }
+
+        /// `extend` and `next_frame`, fed the same bytes in any split, give
+        /// the same frames.
+        #[test]
+        fn assembler_extend_matches_any_split(
+            specs in prop::collection::vec((any::<u8>(), 0usize..4, any::<u8>()), 1..6),
+            cuts in prop::collection::vec(1usize..3 * READ_CHUNK, 1..8),
+        ) {
+            let frames = frames_from(&specs);
+            let wire = wire_of(&frames);
+            let mut asm = FrameAssembler::new();
+            let mut got = Vec::new();
+            let (mut pos, mut i) = (0, 0);
+            while pos < wire.len() {
+                let n = cuts[i % cuts.len()].min(wire.len() - pos);
+                asm.extend(&wire[pos..pos + n]);
+                while let Some(f) = asm.next_frame().unwrap() {
+                    got.push(f);
+                }
+                pos += n;
+                i += 1;
+            }
+            prop_assert!(got == frames, "frames differ");
+        }
+
+        /// A zero or oversized length after any valid frames is
+        /// `InvalidData`, however the bytes are split.
+        #[test]
+        fn assembler_rejects_bad_length_anywhere(
+            specs in prop::collection::vec((any::<u8>(), 0usize..4, any::<u8>()), 0..4),
+            script in prop::collection::vec((1usize..3 * READ_CHUNK, any::<bool>()), 1..8),
+            oversize in 1u32..(u32::MAX - MAX_FRAME_LEN as u32),
+            zero in any::<bool>(),
+        ) {
+            let frames = frames_from(&specs);
+            let mut wire = wire_of(&frames);
+            let len = if zero { 0 } else { MAX_FRAME_LEN as u32 + oversize };
+            wire.extend_from_slice(&len.to_le_bytes());
+            wire.extend_from_slice(&[9; 64]);
+            let mut r = SplitReader::new(wire, script);
+            let (got, end) = drain(&mut FrameAssembler::new(), &mut r, usize::MAX);
+            prop_assert_eq!(end.map_err(|e| e.kind()), Err(io::ErrorKind::InvalidData));
+            prop_assert!(frames.starts_with(&got), "a frame before the bad length was garbled");
+        }
+
+        /// EOF in the middle of a frame still hands over every complete
+        /// frame before it.
+        #[test]
+        fn assembler_eof_mid_frame_keeps_earlier_frames(
+            specs in prop::collection::vec((any::<u8>(), 0usize..4, any::<u8>()), 1..6),
+            script in prop::collection::vec((1usize..3 * READ_CHUNK, any::<bool>()), 1..8),
+            cut in any::<u64>(),
+        ) {
+            let frames = frames_from(&specs);
+            let mut wire = wire_of(&frames);
+            let last = encode(frames[frames.len() - 1].0, &frames[frames.len() - 1].1).len();
+            // Keep 1 ..= last - 1 bytes of the final frame.
+            wire.truncate(wire.len() - last + 1 + (cut % (last as u64 - 1)) as usize);
+            let mut r = SplitReader::new(wire, script);
+            let (got, end) = drain(&mut FrameAssembler::new(), &mut r, usize::MAX);
+            prop_assert!(end.is_ok(), "{end:?}");
+            prop_assert!(got == frames[..frames.len() - 1], "complete frames lost");
+        }
+
+        /// A peer that announces a huge frame and then sends only part of
+        /// it holds memory in proportion to what it sent, not to what it
+        /// announced.
+        #[test]
+        fn assembler_memory_follows_bytes_received(
+            len in 1u32..MAX_FRAME_LEN as u32,
+            sent in 0usize..6 * READ_CHUNK,
+            script in prop::collection::vec((1usize..3 * READ_CHUNK, any::<bool>()), 1..8),
+        ) {
+            let mut wire = (len + 1).to_le_bytes().to_vec();
+            wire.push(1);
+            wire.extend((0..sent.min(len as usize - 1)).map(|i| i as u8));
+            let received = wire.len();
+            let mut r = SplitReader::new(wire, script);
+            let mut asm = FrameAssembler::new();
+            let (got, end) = drain(&mut asm, &mut r, usize::MAX);
+            prop_assert!(end.is_ok() && got.is_empty());
+            prop_assert!(
+                asm.footprint() <= 2 * received + 2 * READ_CHUNK + 64,
+                "{} bytes held after {received} received",
+                asm.footprint()
+            );
         }
     }
 }

@@ -19,12 +19,14 @@ cargo test -q --offline --workspace
 
 # Deep property suite: the library property tests that use the default case
 # count (oblivious primitives, the hash table's kernel oracle, the balancer
-# against its plain model, binning, and Poly1305 / the AEAD against their
-# oracles) re-run at 16× the default.
+# against its plain model, binning, Poly1305 / the AEAD against their
+# oracles, and the net plane's frame assembler against random splits and
+# hostile lengths) re-run at 16× the default.
 # Suites that pin their own count keep it.
 echo "== property tests, deep (PROPTEST_CASES=1024) =="
 PROPTEST_CASES=1024 cargo test -q --offline --release \
-    -p snoopy-obliv -p snoopy-ohash -p snoopy-lb -p snoopy-binning -p snoopy-crypto -p proptest --lib
+    -p snoopy-obliv -p snoopy-ohash -p snoopy-lb -p snoopy-binning -p snoopy-crypto -p snoopy-net \
+    -p proptest --lib
 
 echo "== multi-process loopback cluster =="
 cargo test --offline -p snoopy-net --test cluster -- --nocapture
