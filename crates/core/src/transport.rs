@@ -558,7 +558,11 @@ pub fn run_load_balancer<T: LbTransport>(
             }
             // A late tick: deferred until the epoch resolves, or dropped.
             (phase @ Phase::Waiting(_), Some(LbEvent::Tick(epoch))) => {
-                deferred_ticks.extend(serves_late_ticks.then_some(epoch));
+                if serves_late_ticks {
+                    deferred_ticks.push_back(epoch);
+                } else {
+                    record_late_tick_dropped();
+                }
                 phase
             }
             (Phase::Waiting(mut flight), Some(LbEvent::SubResponse { suboram, epoch, batch }))
@@ -769,6 +773,18 @@ fn fail_epoch(sinks: Vec<Box<dyn ReplySink>>, epoch: u64, failed: Vec<usize>) {
             .with("failed", Public::wire_observable(failed.len() as u64))
             .with("subs_mask", Public::wire_observable(mask)),
     );
+}
+
+/// Counts one tick dropped because it fired while an epoch was in flight.
+/// Ticks follow the public wall-clock cadence and epochs end on the wire, so
+/// the count is wire-observable.
+fn record_late_tick_dropped() {
+    metrics::global()
+        .counter(
+            metrics::names::LATE_TICKS_DROPPED_TOTAL,
+            "epoch ticks dropped because they fired while an epoch was in flight",
+        )
+        .inc(Public::wire_observable(()));
 }
 
 /// Counts one batch re-send (deadline-miss wave or post-reconnect replay)
@@ -1409,7 +1425,9 @@ mod tests {
 
     #[test]
     fn late_tick_gets_its_own_epoch_unless_the_transport_drops_it() {
+        let dropped = metrics::global().counter(metrics::names::LATE_TICKS_DROPPED_TOTAL, "");
         for serves_late_ticks in [true, false] {
+            let dropped_before = dropped.value();
             let (tx1, rx1) = std::sync::mpsc::channel();
             let (tx2, rx2) = std::sync::mpsc::channel();
             // Tick 5 and the second request both arrive while epoch 3 waits.
@@ -1440,6 +1458,7 @@ mod tests {
                 // and none comes before the transport closes.
                 assert_eq!(transport.batches_sent, 1);
                 assert!(rx2.try_recv().is_err(), "no epoch ran for the late tick");
+                assert!(dropped.value() > dropped_before, "the dropped tick was not counted");
             }
         }
     }

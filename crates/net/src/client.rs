@@ -1,8 +1,8 @@
 //! The admin RPCs: [`fetch_stats`], [`fetch_metrics`], [`fetch_health`],
 //! [`fetch_trace`], [`fetch_events`] and [`shutdown_daemon`] speak the
-//! plaintext control frames; each fetch has a `_with` variant taking an
-//! explicit [`RetryPolicy`]. Client operations go through
-//! [`crate::api::SnoopyClient`].
+//! plaintext control frames under [`RetryPolicy::admin_default`];
+//! [`fetch_health_with`] takes an explicit [`RetryPolicy`]. Client
+//! operations go through [`crate::api::SnoopyClient`].
 
 use crate::frame::{read_frame, write_frame};
 use crate::proto::{tag, Hello, Role};
@@ -26,7 +26,9 @@ fn admin_dial(addr: &str, policy: &RetryPolicy) -> io::Result<TcpStream> {
     Ok(stream)
 }
 
-fn admin_rpc(addr: &str, policy: &RetryPolicy, req: u8, resp: u8) -> io::Result<Vec<u8>> {
+/// One admin round trip: sends `req` with an empty body and returns the
+/// `resp` frame's body as text.
+fn admin_rpc(addr: &str, policy: &RetryPolicy, req: u8, resp: u8) -> io::Result<String> {
     policy.run(|attempt| {
         if attempt > 0 {
             crate::api::count_retry();
@@ -37,20 +39,14 @@ fn admin_rpc(addr: &str, policy: &RetryPolicy, req: u8, resp: u8) -> io::Result<
         if t != resp {
             return Err(bad("unexpected frame from daemon"));
         }
-        Ok(body)
+        String::from_utf8(body).map_err(|_| bad("admin reply not utf-8"))
     })
 }
 
 /// Fetches a daemon's per-link counters (the `stats` RPC) as its textual
 /// form; parse with [`crate::stats::parse_stats`].
 pub fn fetch_stats(addr: &str) -> io::Result<String> {
-    fetch_stats_with(addr, &RetryPolicy::admin_default())
-}
-
-/// [`fetch_stats`] under an explicit retry policy.
-pub fn fetch_stats_with(addr: &str, policy: &RetryPolicy) -> io::Result<String> {
-    let body = admin_rpc(addr, policy, tag::STATS_REQ, tag::STATS_RESP)?;
-    String::from_utf8(body).map_err(|_| bad("stats not utf-8"))
+    admin_rpc(addr, &RetryPolicy::admin_default(), tag::STATS_REQ, tag::STATS_RESP)
 }
 
 /// Fetches a daemon's Prometheus text exposition (the `metrics` RPC):
@@ -58,13 +54,7 @@ pub fn fetch_stats_with(addr: &str, policy: &RetryPolicy) -> io::Result<String> 
 /// counter as labeled series. All series pass through the
 /// [`snoopy_telemetry::Public`] leakage gate daemon-side.
 pub fn fetch_metrics(addr: &str) -> io::Result<String> {
-    fetch_metrics_with(addr, &RetryPolicy::admin_default())
-}
-
-/// [`fetch_metrics`] under an explicit retry policy.
-pub fn fetch_metrics_with(addr: &str, policy: &RetryPolicy) -> io::Result<String> {
-    let body = admin_rpc(addr, policy, tag::METRICS_REQ, tag::METRICS_RESP)?;
-    String::from_utf8(body).map_err(|_| bad("metrics not utf-8"))
+    admin_rpc(addr, &RetryPolicy::admin_default(), tag::METRICS_REQ, tag::METRICS_RESP)
 }
 
 /// Probes a daemon's liveness (the `health` RPC): returns its parsed
@@ -80,8 +70,7 @@ pub fn fetch_health_with(
     addr: &str,
     policy: &RetryPolicy,
 ) -> io::Result<crate::stats::StatsHeader> {
-    let body = admin_rpc(addr, policy, tag::HEALTH_REQ, tag::HEALTH_RESP)?;
-    let text = String::from_utf8(body).map_err(|_| bad("health not utf-8"))?;
+    let text = admin_rpc(addr, policy, tag::HEALTH_REQ, tag::HEALTH_RESP)?;
     crate::stats::parse_stats_header(&text).ok_or_else(|| bad("health body missing header"))
 }
 
@@ -93,18 +82,9 @@ pub fn fetch_health_with(
 /// [`snoopy_telemetry::merged_chrome_trace`]. The drain is destructive:
 /// each span is returned by exactly one trace RPC.
 pub fn fetch_trace(addr: &str) -> io::Result<snoopy_telemetry::ProcessDump> {
-    fetch_trace_with(addr, &RetryPolicy::admin_default())
-}
-
-/// [`fetch_trace`] under an explicit retry policy.
-pub fn fetch_trace_with(
-    addr: &str,
-    policy: &RetryPolicy,
-) -> io::Result<snoopy_telemetry::ProcessDump> {
     let t0 = snoopy_telemetry::events::unix_now_ns();
-    let body = admin_rpc(addr, policy, tag::TRACE_REQ, tag::TRACE_RESP)?;
+    let text = admin_rpc(addr, &RetryPolicy::admin_default(), tag::TRACE_REQ, tag::TRACE_RESP)?;
     let t1 = snoopy_telemetry::events::unix_now_ns();
-    let text = String::from_utf8(body).map_err(|_| bad("trace not utf-8"))?;
     let mut dump = snoopy_telemetry::ProcessDump::parse(&text)
         .map_err(|e| bad(&format!("bad trace dump: {e}")))?;
     dump.clock_offset_ns = snoopy_telemetry::merge::estimate_offset_ns(t0, dump.now_unix_ns, t1);
@@ -115,16 +95,7 @@ pub fn fetch_trace_with(
 /// bounded ring of structured lifecycle events, newest last. Non-destructive
 /// — the daemon keeps its ring. See [`snoopy_telemetry::events`].
 pub fn fetch_events(addr: &str) -> io::Result<Vec<snoopy_telemetry::EventRecord>> {
-    fetch_events_with(addr, &RetryPolicy::admin_default())
-}
-
-/// [`fetch_events`] under an explicit retry policy.
-pub fn fetch_events_with(
-    addr: &str,
-    policy: &RetryPolicy,
-) -> io::Result<Vec<snoopy_telemetry::EventRecord>> {
-    let body = admin_rpc(addr, policy, tag::EVENTS_REQ, tag::EVENTS_RESP)?;
-    let text = String::from_utf8(body).map_err(|_| bad("events not utf-8"))?;
+    let text = admin_rpc(addr, &RetryPolicy::admin_default(), tag::EVENTS_REQ, tag::EVENTS_RESP)?;
     snoopy_telemetry::events::parse_jsonl(&text).map_err(|e| bad(&format!("bad events dump: {e}")))
 }
 

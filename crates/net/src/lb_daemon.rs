@@ -29,10 +29,10 @@
 use crate::frame::{write_frame, MAX_FRAME_LEN};
 use crate::manifest::Manifest;
 use crate::proto::{self, tag, Hello, Role};
-use crate::reactor::{self, Control, ReactorConfig, ReactorHandle, SessionHandle, SessionHandler};
+use crate::reactor::{self, Control, ReactorHandle, SessionHandle, SessionHandler};
 use crate::reshard;
 use crate::stats::{DaemonInfo, LinkStats, StatsRegistry};
-use crate::suboram_daemon::{net_workers, record_peer_clock_offset, AdminHandler};
+use crate::suboram_daemon::{record_peer_clock_offset, AdminHandler};
 use snoopy_core::link::Link;
 use snoopy_core::transport::{
     run_load_balancer, LbEvent, LbTransport, RecvOutcome, ReplySink, ReshardControl, Unavailable,
@@ -290,7 +290,7 @@ pub fn run(manifest: &Manifest, index: usize, registry: &StatsRegistry) -> io::R
 
     // Client/admin sessions ride the reactor; the acceptor wires each hello
     // to its handler.
-    let acceptor = ClientAcceptor {
+    let mut acceptor = ClientAcceptor {
         lb_index: index,
         deploy: deploy.clone(),
         value_len: manifest.value_len,
@@ -300,15 +300,8 @@ pub fn run(manifest: &Manifest, index: usize, registry: &StatsRegistry) -> io::R
         info: DaemonInfo::new("loadbalancer", index as u64),
         client_counter: 0,
     };
-    let cfg = ReactorConfig { workers: net_workers(), ..ReactorConfig::default() };
-    let reactor = reactor::spawn(
-        listener,
-        Box::new({
-            let mut acceptor = acceptor;
-            move |hello, handle| acceptor.accept(hello, handle)
-        }),
-        cfg,
-    );
+    let reactor =
+        reactor::spawn(listener, Box::new(move |hello, handle| acceptor.accept(hello, handle)));
 
     // Slots and dialers cover the whole *provisioned* fleet, not just the
     // active one: a reshard can grow into a warm spare at any epoch

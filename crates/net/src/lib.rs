@@ -57,8 +57,7 @@ pub mod suboram_daemon;
 
 pub use api::{Op, SessionTransport, SnoopyClient, SnoopyClientBuilder};
 pub use client::{
-    fetch_events, fetch_events_with, fetch_health, fetch_health_with, fetch_metrics,
-    fetch_metrics_with, fetch_stats, fetch_stats_with, fetch_trace, fetch_trace_with,
+    fetch_events, fetch_health, fetch_health_with, fetch_metrics, fetch_stats, fetch_trace,
     shutdown_daemon,
 };
 pub use error::{classify_io_error, ErrorClass, NetError};

@@ -1,9 +1,8 @@
-//! The readiness reactor: one poll thread sweeping every session's
-//! nonblocking socket, plus a small pinned worker pool for frame
-//! processing. This replaces the thread-per-connection plane — a daemon's
-//! thread count is now fixed (reactor + workers + the epoch loop and its
-//! per-peer dialers/ticker) no matter how many thousands of sessions are
-//! open.
+//! The readiness reactor: one thread sweeps every session's nonblocking
+//! socket and runs every frame handler. This replaces the
+//! thread-per-connection plane — a daemon's thread count is fixed (the
+//! reactor plus the epoch loop and its per-peer dialers/ticker) no matter
+//! how many thousands of sessions are open.
 //!
 //! Built on `std::net` only: with no `epoll`/`kqueue` binding available, the
 //! reactor discovers readiness by attempting nonblocking I/O on every
@@ -35,10 +34,10 @@
 //!   [`SessionHandler`] (or rejects).
 //! * Dialer-established sockets (balancer → subORAM) are registered already
 //!   `Open`, handler attached, via [`ReactorHandle::register`].
-//! * Frames are dispatched to the worker pinned by session id, so every
-//!   session's frames are processed in arrival order — the AEAD links
-//!   require strict nonce order — while distinct sessions proceed in
-//!   parallel.
+//! * Each frame runs its session's handler on the reactor thread as soon as
+//!   it is parsed, so every session's frames are processed in arrival order
+//!   — the AEAD links require strict nonce order. A handler must not block
+//!   for long: while it runs, no other session moves a byte.
 //! * Writes from any thread ([`SessionHandle::send_frame`]) enqueue into the
 //!   session's bounded [`OutBuf`]; only the reactor thread touches the
 //!   socket, so frames can never interleave or reorder.
@@ -47,12 +46,12 @@
 //!   `SHUTDOWN_ACK` is guaranteed onto the wire before the daemon exits.
 
 use crate::proto::{tag, Hello};
-use crate::session::{FrameAssembler, OutBuf, Overflow, ReadStep};
+use crate::session::{FrameAssembler, OutBuf, Overflow, ReadStep, HARD_CAP, WATERMARK};
 use snoopy_telemetry::events::{self, Event, EventKind};
 use snoopy_telemetry::{metrics, Public};
 use std::io;
 use std::net::{Shutdown, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
 use std::sync::{Arc, Mutex};
 use std::thread::{self, Thread};
@@ -83,9 +82,8 @@ pub enum Control {
     CloseAfterFlush,
 }
 
-/// Per-session protocol logic, driven by a pinned worker (or inline by the
-/// reactor when the pool is empty). One handler instance per session; calls
-/// are serialized in frame-arrival order.
+/// Per-session protocol logic, run on the reactor thread. One handler
+/// instance per session; calls come in frame-arrival order.
 pub trait SessionHandler: Send {
     /// Processes one complete inbound frame.
     fn on_frame(&mut self, tag: u8, body: Vec<u8>, handle: &SessionHandle) -> Control;
@@ -101,14 +99,11 @@ const STATE_OPEN: u8 = 0;
 const STATE_DRAINING: u8 = 1;
 const STATE_CLOSED: u8 = 2;
 
-/// State shared between the reactor thread, the workers, and any thread
-/// holding a [`SessionHandle`].
+/// State shared between the reactor thread and any thread holding a
+/// [`SessionHandle`].
 struct SessionShared {
     out: Mutex<OutBuf>,
     state: AtomicU8,
-    /// Frames parsed but not yet processed by the pinned worker.
-    inflight: AtomicUsize,
-    inflight_cap: usize,
     /// The reactor thread, unparked whenever a frame is enqueued.
     reactor: Thread,
 }
@@ -180,42 +175,16 @@ impl SessionHandle {
 /// derivation is fine; blocking I/O is not).
 pub type Acceptor = Box<dyn FnMut(Hello, &SessionHandle) -> Option<Box<dyn SessionHandler>> + Send>;
 
-/// Backpressure and pool sizing for one reactor.
-#[derive(Clone, Copy, Debug)]
-pub struct ReactorConfig {
-    /// Worker threads for frame processing; `0` processes frames inline on
-    /// the reactor thread (lowest latency on small machines).
-    pub workers: usize,
-    /// Per-session outbound watermark: reads pause above it.
-    pub watermark: usize,
-    /// Per-session outbound hard cap: sessions die at it.
-    pub hard_cap: usize,
-    /// Per-session bound on frames awaiting a worker: reads pause at it.
-    pub inflight_cap: usize,
-}
-
-impl Default for ReactorConfig {
-    fn default() -> ReactorConfig {
-        ReactorConfig {
-            workers: 0,
-            watermark: crate::session::DEFAULT_WATERMARK,
-            hard_cap: crate::session::DEFAULT_HARD_CAP,
-            inflight_cap: crate::session::DEFAULT_INFLIGHT_CAP,
-        }
-    }
-}
-
 struct Registration {
     stream: TcpStream,
     handler: Box<dyn SessionHandler>,
-    shared: Arc<SessionShared>,
+    handle: SessionHandle,
 }
 
 /// Registers dialer-established connections with a running reactor.
 #[derive(Clone)]
 pub struct ReactorHandle {
     reg_tx: Sender<Registration>,
-    cfg: ReactorConfig,
     reactor: Thread,
 }
 
@@ -224,9 +193,8 @@ impl ReactorHandle {
     /// `Open` with `handler` attached. Returns the session's handle; if the
     /// reactor is gone the handle is born closed and `on_close` has run.
     pub fn register(&self, stream: TcpStream, handler: Box<dyn SessionHandler>) -> SessionHandle {
-        let shared = Arc::new(new_shared(&self.cfg, &self.reactor));
-        let handle = SessionHandle { shared: shared.clone() };
-        match self.reg_tx.send(Registration { stream, handler, shared }) {
+        let handle = new_handle(&self.reactor);
+        match self.reg_tx.send(Registration { stream, handler, handle: handle.clone() }) {
             Ok(()) => self.reactor.unpark(),
             Err(std::sync::mpsc::SendError(reg)) => {
                 let mut handler = reg.handler;
@@ -238,20 +206,19 @@ impl ReactorHandle {
     }
 }
 
-fn new_shared(cfg: &ReactorConfig, reactor: &Thread) -> SessionShared {
-    SessionShared {
-        out: Mutex::new(OutBuf::new(cfg.watermark, cfg.hard_cap)),
+fn new_handle(reactor: &Thread) -> SessionHandle {
+    let shared = SessionShared {
+        out: Mutex::new(OutBuf::new(WATERMARK, HARD_CAP)),
         state: AtomicU8::new(STATE_OPEN),
-        inflight: AtomicUsize::new(0),
-        inflight_cap: cfg.inflight_cap.max(1),
         reactor: reactor.clone(),
-    }
+    };
+    SessionHandle { shared: Arc::new(shared) }
 }
 
 enum Phase {
     /// Waiting for the hello frame; dies at `deadline` without one.
     Handshake { deadline: Instant },
-    /// Handler attached; frames dispatch to the pinned worker.
+    /// Handler attached; frames run it as they arrive.
     Open,
 }
 
@@ -259,67 +226,25 @@ struct Slot {
     stream: TcpStream,
     assembler: FrameAssembler,
     phase: Phase,
-    handler: Option<Arc<Mutex<Box<dyn SessionHandler>>>>,
-    shared: Arc<SessionShared>,
+    handler: Option<Box<dyn SessionHandler>>,
     handle: SessionHandle,
-    /// Worker pinning: `session_id % workers`.
+    /// Names the session in flight-recorder events.
     session_id: u64,
     /// Edge detector for the backpressure flight-recorder event: set while
     /// reads are paused so only the pause *transition* is recorded.
     was_paused: bool,
 }
 
-struct WorkItem {
-    shared: Arc<SessionShared>,
-    handler: Arc<Mutex<Box<dyn SessionHandler>>>,
-    handle: SessionHandle,
-    tag: u8,
-    body: Vec<u8>,
-}
-
-/// Spawns the reactor (and its worker pool) over `listener`. The returned
-/// handle registers dialer-established sessions. Threads are detached; they
-/// live until the process exits, like the listener threads they replace.
-pub fn spawn(listener: TcpListener, acceptor: Acceptor, cfg: ReactorConfig) -> ReactorHandle {
+/// Spawns the reactor over `listener`. The returned handle registers
+/// dialer-established sessions. The thread is detached; it lives until the
+/// process exits.
+pub fn spawn(listener: TcpListener, acceptor: Acceptor) -> ReactorHandle {
     let (reg_tx, reg_rx) = channel();
-    let workers: Vec<Sender<WorkItem>> = (0..cfg.workers)
-        .map(|_| {
-            let (tx, rx) = channel::<WorkItem>();
-            thread::spawn(move || worker_loop(rx));
-            tx
-        })
-        .collect();
-    let reactor = thread::spawn(move || reactor_loop(listener, acceptor, cfg, reg_rx, workers));
-    ReactorHandle { reg_tx, cfg, reactor: reactor.thread().clone() }
+    let reactor = thread::spawn(move || reactor_loop(listener, acceptor, reg_rx));
+    ReactorHandle { reg_tx, reactor: reactor.thread().clone() }
 }
 
-fn worker_loop(rx: Receiver<WorkItem>) {
-    while let Ok(item) = rx.recv() {
-        process_item(item);
-    }
-}
-
-fn process_item(item: WorkItem) {
-    // A condemned session's queued frames are skipped — the handler may
-    // already have seen `on_close`.
-    if item.shared.state() != STATE_CLOSED {
-        let control = item.handler.lock().unwrap().on_frame(item.tag, item.body, &item.handle);
-        match control {
-            Control::Continue => {}
-            Control::Close => item.shared.request_close(),
-            Control::CloseAfterFlush => item.shared.request_drain(),
-        }
-    }
-    item.shared.inflight.fetch_sub(1, Ordering::AcqRel);
-}
-
-fn reactor_loop(
-    listener: TcpListener,
-    mut acceptor: Acceptor,
-    cfg: ReactorConfig,
-    reg_rx: Receiver<Registration>,
-    workers: Vec<Sender<WorkItem>>,
-) {
+fn reactor_loop(listener: TcpListener, mut acceptor: Acceptor, reg_rx: Receiver<Registration>) {
     if listener.set_nonblocking(true).is_err() {
         return;
     }
@@ -342,15 +267,12 @@ fn reactor_loop(
                         continue;
                     }
                     let _ = stream.set_nodelay(true);
-                    let shared = Arc::new(new_shared(&cfg, &me));
-                    let handle = SessionHandle { shared: shared.clone() };
                     sessions.push(Slot {
                         stream,
                         assembler: FrameAssembler::new(),
                         phase: Phase::Handshake { deadline: Instant::now() + HELLO_TIMEOUT },
                         handler: None,
-                        shared,
-                        handle,
+                        handle: new_handle(&me),
                         session_id: next_id,
                         was_paused: false,
                     });
@@ -374,20 +296,18 @@ fn reactor_loop(
                 Ok(reg) => {
                     progress = true;
                     if reg.stream.set_nonblocking(true).is_err() {
-                        reg.shared.request_close();
+                        reg.handle.close();
                         let mut h = reg.handler;
                         h.on_close();
                         continue;
                     }
                     let _ = reg.stream.set_nodelay(true);
-                    let handle = SessionHandle { shared: reg.shared.clone() };
                     sessions.push(Slot {
                         stream: reg.stream,
                         assembler: FrameAssembler::new(),
                         phase: Phase::Open,
-                        handler: Some(Arc::new(Mutex::new(reg.handler))),
-                        shared: reg.shared,
-                        handle,
+                        handler: Some(reg.handler),
+                        handle: reg.handle,
                         session_id: next_id,
                         was_paused: false,
                     });
@@ -402,16 +322,16 @@ fn reactor_loop(
 
         // Sweep every session.
         let now = Instant::now();
-        sessions.retain_mut(|slot| match sweep(slot, now, &mut acceptor, &workers) {
+        sessions.retain_mut(|slot| match sweep(slot, now, &mut acceptor) {
             Sweep::Alive { moved } => {
                 progress |= moved;
                 true
             }
             Sweep::Dead => {
-                slot.shared.request_close();
+                slot.handle.close();
                 let _ = slot.stream.shutdown(Shutdown::Both);
-                if let Some(handler) = &slot.handler {
-                    handler.lock().unwrap().on_close();
+                if let Some(handler) = &mut slot.handler {
+                    handler.on_close();
                 }
                 events::record(
                     Event::new(EventKind::NetClose)
@@ -469,46 +389,40 @@ enum Sweep {
     Dead,
 }
 
-fn sweep(
-    slot: &mut Slot,
-    now: Instant,
-    acceptor: &mut Acceptor,
-    workers: &[Sender<WorkItem>],
-) -> Sweep {
-    if slot.shared.state() == STATE_CLOSED {
+fn sweep(slot: &mut Slot, now: Instant, acceptor: &mut Acceptor) -> Sweep {
+    let shared = &*slot.handle.shared;
+    if shared.state() == STATE_CLOSED {
         return Sweep::Dead;
     }
 
     // Write sweep: only the reactor touches the socket, so partial writes
     // resume exactly where they stopped.
     let wrote = {
-        let mut out = slot.shared.out.lock().unwrap();
+        let mut out = shared.out.lock().unwrap();
         match out.drain_into(&mut slot.stream) {
             Ok(n) => n,
             Err(_) => return Sweep::Dead,
         }
     };
 
-    let state = slot.shared.state();
+    let state = shared.state();
     if state == STATE_CLOSED {
         return Sweep::Dead;
     }
     if state == STATE_DRAINING {
-        let drained = slot.shared.out.lock().unwrap().is_empty()
-            && slot.shared.inflight.load(Ordering::Acquire) == 0;
-        if drained {
-            if let Some(handler) = &slot.handler {
-                handler.lock().unwrap().on_drained();
+        if shared.out.lock().unwrap().is_empty() {
+            if let Some(handler) = &mut slot.handler {
+                handler.on_drained();
             }
             return Sweep::Dead;
         }
         return Sweep::Alive { moved: wrote > 0 };
     }
 
-    // Read sweep, unless backpressure has us paused.
-    let paused = slot.shared.inflight.load(Ordering::Acquire) >= slot.shared.inflight_cap
-        || slot.shared.out.lock().unwrap().over_watermark();
-    if paused {
+    // Read sweep, unless the peer is slow to drain what it is owed: paused
+    // reads are the backpressure — bytes wait in the kernel and TCP flow
+    // control pushes back on the peer; nothing is dropped.
+    if shared.out.lock().unwrap().over_watermark() {
         if !slot.was_paused {
             slot.was_paused = true;
             events::record(
@@ -539,7 +453,7 @@ fn sweep(
                 }
                 let Some(hello) = Hello::decode(&body) else { return Sweep::Dead };
                 let Some(handler) = acceptor(hello, &slot.handle) else { return Sweep::Dead };
-                slot.handler = Some(Arc::new(Mutex::new(handler)));
+                slot.handler = Some(handler);
                 slot.phase = Phase::Open;
             }
             None if now >= deadline => return Sweep::Dead,
@@ -552,34 +466,27 @@ fn sweep(
         }
     }
 
-    // Dispatch the remaining frames to the pinned worker (or inline).
-    let handler = slot.handler.as_ref().expect("open sessions have handlers");
+    // Run the handler on each remaining frame, in arrival order. Frames
+    // behind one that condemned the session are never processed.
+    let handler = slot.handler.as_mut().expect("open sessions have handlers");
     for (t, body) in frames {
-        slot.shared.inflight.fetch_add(1, Ordering::AcqRel);
-        let item = WorkItem {
-            shared: slot.shared.clone(),
-            handler: handler.clone(),
-            handle: slot.handle.clone(),
-            tag: t,
-            body,
-        };
-        if workers.is_empty() {
-            process_item(item);
-        } else {
-            let w = (slot.session_id as usize) % workers.len();
-            if workers[w].send(item).is_err() {
-                return Sweep::Dead;
-            }
+        if shared.state() == STATE_CLOSED {
+            break;
+        }
+        match handler.on_frame(t, body, &slot.handle) {
+            Control::Continue => {}
+            Control::Close => shared.request_close(),
+            Control::CloseAfterFlush => shared.request_drain(),
         }
     }
 
-    if slot.shared.state() == STATE_CLOSED {
+    if shared.state() == STATE_CLOSED {
         return Sweep::Dead;
     }
     if eof {
         // Half-close: the peer is done sending. Flush what we owe, then
         // close (via the draining path so `on_drained` still runs).
-        slot.shared.request_drain();
+        shared.request_drain();
     }
     Sweep::Alive { moved }
 }
@@ -602,24 +509,20 @@ mod tests {
 
     #[test]
     fn a_mebibyte_frame_crosses_a_live_session_both_ways() {
-        // Inline processing, and a worker whose replies must unpark the
-        // reactor from another thread.
-        for workers in [0, 1] {
-            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-            let addr = listener.local_addr().unwrap();
-            let acceptor: Acceptor = Box::new(|_, _| Some(Box::new(Echo)));
-            spawn(listener, acceptor, ReactorConfig { workers, ..ReactorConfig::default() });
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let acceptor: Acceptor = Box::new(|_, _| Some(Box::new(Echo)));
+        spawn(listener, acceptor);
 
-            let mut stream = TcpStream::connect(addr).unwrap();
-            stream.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
-            write_frame(&mut stream, tag::HELLO, &Hello::new(Role::Client, 0).encode()).unwrap();
-            let body: Vec<u8> = (0..1u32 << 20).map(|i| (i ^ (i >> 11)) as u8).collect();
-            for t in [0x42, 0x43] {
-                write_frame(&mut stream, t, &body).unwrap();
-                let (got_tag, got) = read_frame(&mut stream).unwrap();
-                assert_eq!(got_tag, t, "workers={workers}");
-                assert!(got == body, "workers={workers}: the echoed body differs");
-            }
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+        write_frame(&mut stream, tag::HELLO, &Hello::new(Role::Client, 0).encode()).unwrap();
+        let body: Vec<u8> = (0..1u32 << 20).map(|i| (i ^ (i >> 11)) as u8).collect();
+        for t in [0x42, 0x43] {
+            write_frame(&mut stream, t, &body).unwrap();
+            let (got_tag, got) = read_frame(&mut stream).unwrap();
+            assert_eq!(got_tag, t);
+            assert!(got == body, "the echoed body differs");
         }
     }
 

@@ -2,15 +2,16 @@
 //! frame parsing, bounded outbound buffering, and the read/write sweep
 //! steps — everything a session does *except* touch a real socket.
 //!
-//! The reactor (`crate::reactor`) drives one [`SessionIo`] per connection
-//! over a nonblocking `TcpStream`; the unit tests here drive the same code
-//! over in-memory fakes, which is what makes partial reads, split frames,
-//! slow-drain writers, and half-close testable without sockets.
+//! The reactor (`crate::reactor`) drives one [`FrameAssembler`] and one
+//! [`OutBuf`] per connection over a nonblocking `TcpStream`; the unit tests
+//! here drive the same code over in-memory fakes, which is what makes
+//! partial reads, split frames, slow-drain writers, and half-close testable
+//! without sockets.
 //!
 //! Backpressure is explicit and never drops data. Inbound: when a session's
-//! outbound buffer sits above its watermark, or too many of its frames are
-//! still queued for a worker, the reactor simply stops reading that socket —
-//! the kernel's receive window fills and TCP pushes back on the peer.
+//! outbound buffer sits above its watermark ([`OutBuf::over_watermark`]),
+//! the reactor simply stops reading that socket — the kernel's receive
+//! window fills and TCP pushes back on the peer.
 //! Outbound: [`OutBuf`] is bounded by a hard cap; a peer that cannot drain
 //! its responses within the cap gets its session killed (the wire-level
 //! equivalent of the old blocking plane's write timeout), and the epoch
@@ -27,14 +28,12 @@ use crate::frame::MAX_FRAME_LEN;
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 
-/// Default read-pause watermark for a session's outbound buffer (bytes).
-pub const DEFAULT_WATERMARK: usize = 256 << 10;
-/// Default hard cap on a session's outbound buffer (bytes). One maximum
-/// frame always fits above the cap check, so a single oversized epoch batch
-/// cannot kill a healthy session.
-pub const DEFAULT_HARD_CAP: usize = 64 << 20;
-/// Default bound on frames parsed but not yet processed by a worker.
-pub const DEFAULT_INFLIGHT_CAP: usize = 64;
+/// Read-pause watermark for a session's outbound buffer (bytes).
+pub const WATERMARK: usize = 256 << 10;
+/// Hard cap on a session's outbound buffer (bytes). One maximum frame always
+/// fits above the cap check, so a single oversized epoch batch cannot kill a
+/// healthy session.
+pub const HARD_CAP: usize = 64 << 20;
 
 /// Bytes asked of the socket per read while no frame body is being filled:
 /// headers and small frames arrive in reads of at most this size, and a
@@ -302,34 +301,23 @@ impl OutBuf {
         self.pending > self.watermark
     }
 
-    /// The next contiguous byte range to write, if any.
-    pub fn next_slice(&self) -> Option<&[u8]> {
-        self.chunks.front().map(|c| &c[self.front_off..])
-    }
-
-    /// Advances past `n` written bytes (may end mid-chunk).
-    pub fn consume(&mut self, n: usize) {
-        debug_assert!(n <= self.chunks.front().map_or(0, |c| c.len() - self.front_off));
-        self.pending -= n;
-        self.front_off += n;
-        if self.chunks.front().is_some_and(|c| self.front_off == c.len()) {
-            self.chunks.pop_front();
-            self.front_off = 0;
-        }
-    }
-
     /// Write sweep: drains outbound bytes into `w` until it would block,
     /// errors, or the buffer empties. Returns bytes written this sweep;
     /// `WouldBlock`/`Interrupted` are not errors, anything else is fatal to
     /// the session.
     pub fn drain_into(&mut self, w: &mut impl Write) -> io::Result<usize> {
         let mut total = 0;
-        while let Some(slice) = self.next_slice() {
-            match w.write(slice) {
+        while let Some(chunk) = self.chunks.front() {
+            match w.write(&chunk[self.front_off..]) {
                 Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
                 Ok(n) => {
-                    self.consume(n);
                     total += n;
+                    self.pending -= n;
+                    self.front_off += n;
+                    if self.front_off == chunk.len() {
+                        self.chunks.pop_front();
+                        self.front_off = 0;
+                    }
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
@@ -350,55 +338,6 @@ pub enum ReadStep {
     /// parsed from the final bytes are included; the session should drain
     /// its outbound buffer and then close.
     Eof(Vec<(u8, Vec<u8>)>),
-}
-
-/// Per-session I/O state: the inbound assembler plus the outbound buffer.
-/// The reactor owns one per connection; tests drive it with in-memory
-/// readers/writers.
-pub struct SessionIo {
-    /// Inbound partial-frame assembly.
-    pub assembler: FrameAssembler,
-    /// Outbound bounded queue.
-    pub out: OutBuf,
-    /// Pause reads when this many parsed frames await a worker.
-    pub inflight_cap: usize,
-}
-
-impl Default for SessionIo {
-    fn default() -> SessionIo {
-        SessionIo::new(DEFAULT_WATERMARK, DEFAULT_HARD_CAP, DEFAULT_INFLIGHT_CAP)
-    }
-}
-
-impl SessionIo {
-    /// Creates session state with the given backpressure bounds.
-    pub fn new(watermark: usize, hard_cap: usize, inflight_cap: usize) -> SessionIo {
-        SessionIo {
-            assembler: FrameAssembler::new(),
-            out: OutBuf::new(watermark, hard_cap),
-            inflight_cap,
-        }
-    }
-
-    /// True when the reactor should *not* read this session: its outbound
-    /// buffer is over the watermark (peer slow to drain) or too many of its
-    /// frames are still queued for a worker. Paused reads are the
-    /// backpressure mechanism — bytes accumulate in the kernel and TCP flow
-    /// control pushes back on the peer; nothing is dropped.
-    pub fn paused(&self, inflight: usize) -> bool {
-        self.out.over_watermark() || inflight >= self.inflight_cap
-    }
-
-    /// Write sweep over the owned [`OutBuf`]; see [`OutBuf::drain_into`].
-    pub fn drain_into(&mut self, w: &mut impl Write) -> io::Result<usize> {
-        self.out.drain_into(w)
-    }
-
-    /// Read sweep over the owned [`FrameAssembler`]; see
-    /// [`FrameAssembler::read_from`].
-    pub fn read_from(&mut self, r: &mut impl Read, max_bytes: usize) -> io::Result<ReadStep> {
-        self.assembler.read_from(r, max_bytes)
-    }
 }
 
 #[cfg(test)]
@@ -515,11 +454,11 @@ mod tests {
             vec![Some(a.to_vec()), None, Some(b.to_vec()), None, Some(c.to_vec())],
             false,
         );
-        let mut io = SessionIo::default();
-        assert_eq!(io.read_from(&mut r, usize::MAX).unwrap(), ReadStep::Frames(vec![]));
-        assert_eq!(io.read_from(&mut r, usize::MAX).unwrap(), ReadStep::Frames(vec![]));
+        let mut asm = FrameAssembler::new();
+        assert_eq!(asm.read_from(&mut r, usize::MAX).unwrap(), ReadStep::Frames(vec![]));
+        assert_eq!(asm.read_from(&mut r, usize::MAX).unwrap(), ReadStep::Frames(vec![]));
         assert_eq!(
-            io.read_from(&mut r, usize::MAX).unwrap(),
+            asm.read_from(&mut r, usize::MAX).unwrap(),
             ReadStep::Frames(vec![(9, b"partial".to_vec())])
         );
     }
@@ -531,12 +470,12 @@ mod tests {
         let mut wire = encode(4, b"one");
         wire.extend_from_slice(&encode(4, b"two"));
         let mut r = ScriptedReader::new(vec![Some(wire)], true);
-        let mut io = SessionIo::default();
-        match io.read_from(&mut r, usize::MAX).unwrap() {
+        let mut asm = FrameAssembler::new();
+        match asm.read_from(&mut r, usize::MAX).unwrap() {
             ReadStep::Frames(f) => {
                 assert_eq!(f.len(), 2);
                 // Next sweep sees the EOF.
-                match io.read_from(&mut r, usize::MAX).unwrap() {
+                match asm.read_from(&mut r, usize::MAX).unwrap() {
                     ReadStep::Eof(rest) => assert!(rest.is_empty()),
                     other => panic!("expected EOF, got {other:?}"),
                 }
@@ -550,16 +489,16 @@ mod tests {
         // Enqueue many frames, drain through a writer that takes 3 bytes at
         // a time and blocks every 5th call: the accepted byte stream must be
         // exactly the concatenation of the frames, in order.
-        let mut io = SessionIo::default();
+        let mut out = OutBuf::new(WATERMARK, HARD_CAP);
         let mut expect = Vec::new();
         for i in 0..20u8 {
             let body = vec![i; (i as usize % 7) + 1];
-            io.out.push_frame(i, &body).unwrap();
+            out.push_frame(i, &body).unwrap();
             expect.extend_from_slice(&encode(i, &body));
         }
         let mut w = SlowWriter::new(3, 5);
-        while !io.out.is_empty() {
-            io.drain_into(&mut w).unwrap();
+        while !out.is_empty() {
+            out.drain_into(&mut w).unwrap();
         }
         assert_eq!(w.accepted, expect);
     }
@@ -569,26 +508,22 @@ mod tests {
         // Regression: with a tiny watermark and a slow peer, the session
         // pauses reads (backpressure) yet every enqueued frame is delivered
         // exactly once, in order.
-        let mut io = SessionIo::new(64, 1 << 20, 4);
+        let mut out = OutBuf::new(64, 1 << 20);
         let mut expect = Vec::new();
         for i in 0..50u8 {
-            io.out.push_frame(10, &[i; 16]).unwrap();
+            out.push_frame(10, &[i; 16]).unwrap();
             expect.extend_from_slice(&encode(10, &[i; 16]));
         }
-        assert!(io.paused(0), "over-watermark session must pause reads");
-        // Inflight cap pauses too, independently of the outbuf.
-        let fresh = SessionIo::default();
-        assert!(fresh.paused(DEFAULT_INFLIGHT_CAP));
-        assert!(!fresh.paused(0));
+        assert!(out.over_watermark(), "over-watermark session must pause reads");
 
         let mut w = SlowWriter::new(7, 0);
         let mut sweeps = 0;
-        while !io.out.is_empty() {
-            io.drain_into(&mut w).unwrap();
+        while !out.is_empty() {
+            out.drain_into(&mut w).unwrap();
             sweeps += 1;
             assert!(sweeps < 10_000, "drain did not make progress");
         }
-        assert!(!io.paused(0), "drained session must resume reads");
+        assert!(!out.over_watermark(), "drained session must resume reads");
         assert_eq!(w.accepted, expect, "frames dropped or reordered under backpressure");
     }
 
@@ -601,9 +536,8 @@ mod tests {
         assert_eq!(out.pending(), 4 + 1 + 40);
         // Draining past the cap re-admits frames.
         let mut w = SlowWriter::new(usize::MAX, 0);
-        let mut io = SessionIo { assembler: FrameAssembler::new(), out, inflight_cap: 1 };
-        io.drain_into(&mut w).unwrap();
-        assert!(io.out.push_frame(2, b"ok").is_ok());
+        out.drain_into(&mut w).unwrap();
+        assert!(out.push_frame(2, b"ok").is_ok());
     }
 
     #[test]
@@ -617,9 +551,9 @@ mod tests {
                 Ok(())
             }
         }
-        let mut io = SessionIo::default();
-        io.out.push_frame(1, b"x").unwrap();
-        assert_eq!(io.drain_into(&mut Broken).unwrap_err().kind(), io::ErrorKind::BrokenPipe);
+        let mut out = OutBuf::new(WATERMARK, HARD_CAP);
+        out.push_frame(1, b"x").unwrap();
+        assert_eq!(out.drain_into(&mut Broken).unwrap_err().kind(), io::ErrorKind::BrokenPipe);
     }
 
     #[test]
@@ -629,8 +563,8 @@ mod tests {
         let frame = encode(3, &[7; 100]);
         let script: Vec<Option<Vec<u8>>> = (0..32).map(|_| Some(frame.clone())).collect();
         let mut r = ScriptedReader::new(script, false);
-        let mut io = SessionIo::default();
-        match io.read_from(&mut r, 4 * frame.len()).unwrap() {
+        let mut asm = FrameAssembler::new();
+        match asm.read_from(&mut r, 4 * frame.len()).unwrap() {
             ReadStep::Frames(f) => assert_eq!(f.len(), 4),
             other => panic!("unexpected {other:?}"),
         }

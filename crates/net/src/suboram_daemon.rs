@@ -20,7 +20,7 @@
 use crate::checkpoint::{self, SaveError, StorageSpec};
 use crate::manifest::Manifest;
 use crate::proto::{self, tag, Hello, Role};
-use crate::reactor::{self, Control, ReactorConfig, SessionHandle, SessionHandler};
+use crate::reactor::{self, Control, SessionHandle, SessionHandler};
 use crate::reshard::{self, SubReshardCtx};
 use crate::stats::{DaemonInfo, LinkStats, StatsRegistry};
 use snoopy_core::link::Link;
@@ -36,16 +36,6 @@ use std::net::TcpListener;
 use std::path::PathBuf;
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
-
-/// Worker-pool size for the daemons' reactors: `SNOOPY_NET_WORKERS` (0 =
-/// process frames inline on the reactor thread), defaulting to a small pool.
-pub(crate) fn net_workers() -> usize {
-    std::env::var("SNOOPY_NET_WORKERS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .unwrap_or(2)
-        .min(64)
-}
 
 /// One live balancer session (the write side; reads happen in the session's
 /// reactor handler).
@@ -184,8 +174,7 @@ pub fn run(
             registry: registry.clone(),
             info: DaemonInfo::new("suboram", index as u64),
         };
-        let cfg = ReactorConfig { workers: net_workers(), ..ReactorConfig::default() };
-        reactor::spawn(listener, Box::new(move |hello, handle| ctx.accept(hello, handle)), cfg);
+        reactor::spawn(listener, Box::new(move |hello, handle| ctx.accept(hello, handle)));
     }
 
     let mut transport = TcpSubTransport { events: events_rx, conns };

@@ -410,6 +410,10 @@ pub mod names {
     /// reserved (dummy / filler) namespace — a protocol violation honest
     /// clients never commit. Each close is observable on the wire.
     pub const REFUSED_CLIENT_SESSIONS_TOTAL: &str = "snoopy_refused_client_sessions_total";
+    /// Epoch ticks a balancer dropped because they fired while an epoch was
+    /// in flight (the next epoch starts at the next tick). Tick cadence and
+    /// epoch ends are both on the wire.
+    pub const LATE_TICKS_DROPPED_TOTAL: &str = "snoopy_late_ticks_dropped_total";
     /// Bytes the disk storage tier read from segment files. Block I/O is a
     /// function of public geometry (every scan reads every block in order).
     pub const STORE_BYTES_READ_TOTAL: &str = "snoopy_store_bytes_read_total";

@@ -7,30 +7,13 @@
 //! A new `unsafe` anywhere in the crypto crate, a listed site that loses its
 //! comment, or a crate that drops `forbid` fails this test.
 
+mod common;
+
+use common::{crates_dir, rust_files};
 use std::fs;
-use std::path::{Path, PathBuf};
 
 /// Every allowed `unsafe` in `crates/crypto/src`: (file, enclosing fn).
 const LEDGER: &[(&str, &str)] = &[("simd.rs", "chacha20_blocks8"), ("simd.rs", "poly1305_blocks4")];
-
-fn crates_dir() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("crates")
-}
-
-/// `.rs` files under `dir`, recursively, sorted.
-fn rust_files(dir: &Path) -> Vec<PathBuf> {
-    let mut out = Vec::new();
-    for entry in fs::read_dir(dir).expect("readable source dir") {
-        let path = entry.expect("dir entry").path();
-        if path.is_dir() {
-            out.extend(rust_files(&path));
-        } else if path.extension().is_some_and(|e| e == "rs") {
-            out.push(path);
-        }
-    }
-    out.sort();
-    out
-}
 
 /// Whether `line`, with any `//` comment removed, has `unsafe` as a whole
 /// word (so `unsafe_code` does not count).
