@@ -15,7 +15,7 @@ use snoopy_enclave::wire::{Request, StoredObject};
 use snoopy_obliv::compact::{ocompact, ocompact_by_sort};
 use snoopy_obliv::ct::{ct_lt_u64, Choice, Cmov};
 use snoopy_obliv::sort::osort;
-use snoopy_obliv::trace::{self, TraceEvent};
+use snoopy_obliv::trace::{self, Region, TraceEvent};
 use snoopy_ohash::single::SingleTierTable;
 use snoopy_ohash::{OHashTable, TableParams};
 use snoopy_suboram::SubOram;
@@ -168,8 +168,8 @@ fn osort_odd_even_u64(items: &mut [u64]) {
                 for i in 0..k.min(padded - j - k) {
                     let (a, b) = (i + j, i + j + k);
                     if a / (2 * p) == b / (2 * p) && b < n {
-                        trace::record(TraceEvent::Touch { region: 0x4f, index: a });
-                        trace::record(TraceEvent::Touch { region: 0x4f, index: b });
+                        trace::record(TraceEvent::Touch { region: Region::Sort, index: a });
+                        trace::record(TraceEvent::Touch { region: Region::Sort, index: b });
                         let (head, tail) = items.split_at_mut(b);
                         let gt = ct_lt_u64(tail[0], head[a]);
                         head[a].cswap(&mut tail[0], gt);

@@ -47,6 +47,9 @@ fn allowed_provenances(kind: EventKind) -> &'static [Provenance] {
         // plus the configured generation it was stamped with.
         EventKind::StaleLayoutBatch => &[Provenance::Config, Provenance::WireObservable],
         EventKind::Shutdown | EventKind::ClientRefused => &[],
+        // A fail-stop exit names the panicking thread and its source line,
+        // both constants of the build.
+        EventKind::Panic => &[Provenance::Config],
     }
 }
 

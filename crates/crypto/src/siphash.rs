@@ -73,9 +73,27 @@ impl SipHash24 {
         v0 ^ v1 ^ v2 ^ v3
     }
 
-    /// Hashes a `u64` object id (the common case in Snoopy).
+    /// Hashes a `u64` object id (the common case in Snoopy): exactly
+    /// [`SipHash24::hash`] of `x.to_le_bytes()`, with the 8-byte message
+    /// unrolled to its two compression blocks (the word itself, then the
+    /// length block `8 << 56`) so it inlines into the per-object paths.
+    #[inline]
     pub fn hash_u64(&self, x: u64) -> u64 {
-        self.hash(&x.to_le_bytes())
+        let mut v0 = 0x736f_6d65_7073_6575u64 ^ self.k0;
+        let mut v1 = 0x646f_7261_6e64_6f6du64 ^ self.k1;
+        let mut v2 = 0x6c79_6765_6e65_7261u64 ^ self.k0;
+        let mut v3 = 0x7465_6462_7974_6573u64 ^ self.k1;
+        for m in [x, 8 << 56] {
+            v3 ^= m;
+            sipround(&mut v0, &mut v1, &mut v2, &mut v3);
+            sipround(&mut v0, &mut v1, &mut v2, &mut v3);
+            v0 ^= m;
+        }
+        v2 ^= 0xff;
+        for _ in 0..4 {
+            sipround(&mut v0, &mut v1, &mut v2, &mut v3);
+        }
+        v0 ^ v1 ^ v2 ^ v3
     }
 
     /// Maps an object id to a bin index in `[0, bins)`.
@@ -90,6 +108,7 @@ impl SipHash24 {
     /// builds, silently routing every object to a subORAM that does not
     /// exist (the partition count is live configuration now that the fleet
     /// reshards, so this is reachable from config handling, not just tests).
+    #[inline]
     pub fn bin_u64(&self, x: u64, bins: usize) -> usize {
         assert!(bins > 0, "bin_u64 requires at least one bin");
         (((self.hash_u64(x) as u128) * (bins as u128)) >> 64) as usize
@@ -117,6 +136,7 @@ fn sipround(v0: &mut u64, v1: &mut u64, v2: &mut u64, v3: &mut u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     /// Reference vector from the SipHash paper (Aumasson & Bernstein, Appendix A):
     /// key = 00 01 .. 0f, message = 00 01 .. 0e, output = 0xa129ca6149be45e5.
@@ -152,6 +172,37 @@ mod tests {
         for (len, want) in expected.iter().enumerate() {
             let msg: Vec<u8> = (0..len as u8).collect();
             assert_eq!(h.hash(&msg), *want, "length {len}");
+        }
+    }
+
+    proptest! {
+        /// The unrolled 8-byte path is the general byte path on the id's
+        /// little-endian bytes, for every key.
+        #[test]
+        fn hash_u64_matches_byte_path(key in any::<[u8; 16]>(), x in any::<u64>()) {
+            let h = SipHash24::new(&key);
+            prop_assert_eq!(h.hash_u64(x), h.hash(&x.to_le_bytes()));
+        }
+    }
+
+    /// Pinned `(key byte, x, bins) -> bin` triples: partitions, table
+    /// placement and boot layouts are functions of these, so they must not
+    /// move.
+    #[test]
+    fn bin_u64_pinned() {
+        let cases: [(u8, u64, usize, usize); 8] = [
+            (0x00, 0x0, 2, 1),
+            (0x01, 0x1, 3, 2),
+            (0x07, 0x5, 7, 4),
+            (0x09, 0xdead_beef, 16, 11),
+            (0x2a, 1 << 40, 1000, 272),
+            (0xff, u64::MAX, 2, 1),
+            (0x03, 12_345, 65_536, 6931),
+            (0x80, 0x0123_4567_89ab_cdef, 1, 0),
+        ];
+        for (k, x, bins, want) in cases {
+            let h = SipHash24::new(&[k; 16]);
+            assert_eq!(h.bin_u64(x, bins), want, "key {k}, x {x}, bins {bins}");
         }
     }
 

@@ -39,7 +39,7 @@ use snoopy_obliv::ct::{ct_eq_u64, ct_lt_u64, Choice, Cmov};
 use snoopy_obliv::expand::oexpand;
 use snoopy_obliv::impl_cmov_struct;
 use snoopy_obliv::sort::osort_adaptive;
-use snoopy_obliv::trace::{self, TraceEvent};
+use snoopy_obliv::trace::{self, Region, TraceEvent};
 // The obliviousness trace above records *memory touches* for the access-
 // pattern tests; `telem` spans record *wall-clock* of data-independent
 // phases for operators. Different planes, both public.
@@ -244,7 +244,7 @@ impl LoadBalancer {
         let mut group_value = zeros.clone();
         let mut kept_in_sub = 0u64;
         for i in 0..r {
-            trace::record(TraceEvent::Touch { region: 0x4c, index: i });
+            trace::record(TraceEvent::Touch { region: Region::BalancerMake, index: i });
             let same_group = ct_eq_u64(work[i].req.id, prev_id);
             let same_sub = ct_eq_u64(work[i].sub, prev_sub);
             // Reset per-subORAM kept counter on subORAM change.
@@ -319,7 +319,7 @@ impl LoadBalancer {
         for _ in 0..s {
             let mut batch = Vec::with_capacity(b);
             for (slot, (w, real)) in rows.by_ref().take(b) {
-                trace::record(TraceEvent::Touch { region: 0x4c, index: slot });
+                trace::record(TraceEvent::Touch { region: Region::BalancerMake, index: slot });
                 let mut req = w.req;
                 let dummy = real.not();
                 req.id.cmov(&(LB_DUMMY_BASE + slot as u64), dummy);
@@ -396,7 +396,7 @@ impl LoadBalancer {
         // group, the first G.
         let mut first: Vec<Choice> = Vec::with_capacity(r);
         for i in 0..r {
-            trace::record(TraceEvent::Touch { region: 0x4d, index: i });
+            trace::record(TraceEvent::Touch { region: Region::BalancerMatch, index: i });
             first.push(if i == 0 {
                 Choice::TRUE
             } else {
@@ -431,7 +431,7 @@ impl LoadBalancer {
             .zip(resps.iter().zip(landed))
             .enumerate()
             .map(|(i, (t, (q, l)))| {
-                trace::record(TraceEvent::Touch { region: 0x4d, index: i });
+                trace::record(TraceEvent::Touch { region: Region::BalancerMatch, index: i });
                 carry.cmov(q, l);
                 let mut value = zeros.clone();
                 value.cmov(&carry.value, ct_eq_u64(carry.id, t.id).and(t.permitted));

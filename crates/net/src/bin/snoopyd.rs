@@ -228,6 +228,7 @@ fn auto_target(args: &[String], manifest: &Manifest) -> Option<usize> {
 }
 
 fn run_daemon(args: &[String]) {
+    snoopy_net::fail_stop::install();
     let role = flag_value(args, "--role").unwrap_or_else(|| usage());
     let index: usize =
         flag_value(args, "--index").unwrap_or_else(|| usage()).parse().unwrap_or_else(|_| usage());

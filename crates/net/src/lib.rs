@@ -45,6 +45,7 @@ pub mod api;
 pub mod checkpoint;
 pub mod client;
 pub mod error;
+pub mod fail_stop;
 pub mod frame;
 pub mod lb_daemon;
 pub mod manifest;

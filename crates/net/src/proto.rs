@@ -249,9 +249,10 @@ pub fn decode_unavailable(body: &[u8]) -> Option<(u64, snoopy_core::Unavailable)
     }
     let seq = u64::from_le_bytes(body[..8].try_into().ok()?);
     let epoch = u64::from_le_bytes(body[8..16].try_into().ok()?);
-    let count = u64::from_le_bytes(body[16..24].try_into().ok()?) as usize;
+    let count = u64::from_le_bytes(body[16..24].try_into().ok()?);
     let rest = &body[24..];
-    if rest.len() != count * 8 {
+    // Compared by division: a hostile count times 8 would overflow.
+    if !rest.len().is_multiple_of(8) || (rest.len() / 8) as u64 != count {
         return None;
     }
     let failed_suborams =
@@ -305,6 +306,7 @@ pub fn client_session_links(deploy: &Key256, lb: usize, session: u64) -> (Link, 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn hello_roundtrip() {
@@ -369,5 +371,57 @@ mod tests {
         assert_eq!(epoch, 9);
         assert_eq!(back.bytes, sealed.bytes);
         assert!(decode_epoch_sealed(&[1, 2]).is_none());
+    }
+
+    /// Words a hostile peer would put in a length or count field.
+    const EDGE_WORDS: [u64; 8] = [0, 1, 2, 3, 1 << 61, (1 << 61) + 1, u64::MAX / 8 + 1, u64::MAX];
+
+    proptest! {
+        /// Every decoder of network bytes, on arbitrary bodies: it never
+        /// panics, what it accepts re-encodes to exactly the body, and every
+        /// buffer it returns is at most the body's size. Bodies sit at and
+        /// around each decoder's fixed header length, with edge words in
+        /// their count and length fields and valid role bytes half the time.
+        #[test]
+        fn hostile_bodies_never_panic_or_overallocate(
+            len in prop::sample::select(vec![0usize, 1, 7, 8, 9, 23, 24, 25, 26, 31, 32, 33, 34, 35, 40, 41, 42, 48, 64, 200]),
+            noise in prop::collection::vec(any::<u8>(), 200),
+            edge in prop::sample::select(EDGE_WORDS.to_vec()),
+            word_at in 0usize..6,
+            small_head in any::<bool>(),
+        ) {
+            let mut body = noise[..len].to_vec();
+            if let Some(w) = body.get_mut(word_at * 8..word_at * 8 + 8) {
+                w.copy_from_slice(&edge.to_le_bytes());
+            }
+            if small_head && !body.is_empty() {
+                body[0] %= 4;
+            }
+            let n = body.len();
+
+            if let Some(h) = Hello::decode(&body) {
+                prop_assert_eq!(h.encode(), body.clone());
+            }
+            if let Some((ctx, sealed)) = decode_batch_ctx(&body) {
+                prop_assert!(sealed.bytes.capacity() <= n);
+                prop_assert_eq!(encode_batch_ctx(ctx, &sealed), body.clone());
+            }
+            if let Some((epoch, sealed)) = decode_epoch_sealed(&body) {
+                prop_assert!(sealed.bytes.capacity() <= n);
+                prop_assert_eq!(encode_epoch_sealed(epoch, &sealed), body.clone());
+            }
+            if let Some((seq, err)) = decode_unavailable(&body) {
+                prop_assert!(err.failed_suborams.capacity() * std::mem::size_of::<usize>() <= n);
+                prop_assert_eq!(encode_unavailable(seq, &err), body.clone());
+            }
+            if let Some(req) = crate::reshard::ReshardReq::decode(&body) {
+                prop_assert!(req.payload.capacity() <= n);
+                prop_assert_eq!(req.encode(), body.clone());
+            }
+            if let Some(resp) = crate::reshard::ReshardResp::decode(&body) {
+                prop_assert!(resp.payload.capacity() <= n);
+                prop_assert_eq!(resp.encode(), body.clone());
+            }
+        }
     }
 }

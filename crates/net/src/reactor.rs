@@ -240,7 +240,10 @@ struct Slot {
 /// process exits.
 pub fn spawn(listener: TcpListener, acceptor: Acceptor) -> ReactorHandle {
     let (reg_tx, reg_rx) = channel();
-    let reactor = thread::spawn(move || reactor_loop(listener, acceptor, reg_rx));
+    let reactor = thread::Builder::new()
+        .name("reactor".into())
+        .spawn(move || reactor_loop(listener, acceptor, reg_rx))
+        .expect("spawn the reactor thread");
     ReactorHandle { reg_tx, reactor: reactor.thread().clone() }
 }
 

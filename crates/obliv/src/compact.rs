@@ -18,7 +18,7 @@
 //! an ablation point in the benches.
 
 use crate::ct::{ct_le_u64, Choice, Cmov};
-use crate::trace::{self, TraceEvent};
+use crate::trace::{self, Region, TraceEvent};
 
 /// Compacts `items` in place: elements whose `keep` bit is set move to the
 /// front, order-preserved. `keep` is permuted alongside `items`, so afterwards
@@ -68,7 +68,7 @@ fn or_compact<T: Cmov>(items: &mut [T], keep: &mut [Choice]) {
     let (head, tail) = items.split_at_mut(n2);
     let (khead, ktail) = keep.split_at_mut(n2);
     for i in 0..n1 {
-        trace::record(TraceEvent::Touch { region: 0x43, index: i });
+        trace::record(TraceEvent::Touch { region: Region::Compact, index: i });
         let b = ct_le_u64(m, i as u64); // !(i < m)
         head[i].cswap(&mut tail[i], b);
         khead[i].cswap(&mut ktail[i], b);
@@ -87,7 +87,7 @@ fn or_off_compact<T: Cmov>(items: &mut [T], keep: &mut [Choice], z: u64) {
         let (i0, i1) = items.split_at_mut(1);
         let (k0, k1) = keep.split_at_mut(1);
         let b = k0[0].not().and(k1[0]).xor(Choice::from_lsb(z));
-        trace::record(TraceEvent::Touch { region: 0x43, index: 0 });
+        trace::record(TraceEvent::Touch { region: Region::Compact, index: 0 });
         i0[0].cswap(&mut i1[0], b);
         k0[0].cswap(&mut k1[0], b);
         return;
@@ -111,7 +111,7 @@ fn or_off_compact<T: Cmov>(items: &mut [T], keep: &mut [Choice], z: u64) {
     let (head, tail) = items.split_at_mut(h);
     let (khead, ktail) = keep.split_at_mut(h);
     for i in 0..h {
-        trace::record(TraceEvent::Touch { region: 0x43, index: i });
+        trace::record(TraceEvent::Touch { region: Region::Compact, index: i });
         let b = s.xor(ct_le_u64(zr, i as u64));
         head[i].cswap(&mut tail[i], b);
         khead[i].cswap(&mut ktail[i], b);
@@ -320,7 +320,7 @@ fn pair_chunk<T: Cmov>(
     cond: &impl Fn(usize) -> Choice,
 ) {
     for k in 0..a.len() {
-        trace::record(TraceEvent::Touch { region: 0x43, index: off + k });
+        trace::record(TraceEvent::Touch { region: Region::Compact, index: off + k });
         let c = cond(off + k);
         a[k].cswap(&mut b[k], c);
         ka[k].cswap(&mut kb[k], c);

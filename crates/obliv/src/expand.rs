@@ -33,7 +33,7 @@
 //! chain of dependent swaps — so it runs the same at every thread count.
 
 use crate::ct::{Choice, Cmov};
-use crate::trace::{self, TraceEvent};
+use crate::trace::{self, Region, TraceEvent};
 
 /// Routes the real items of `items` to their targets, in place.
 ///
@@ -57,7 +57,7 @@ pub fn oexpand<T: Cmov>(items: &mut [T], targets: &[u64], real: &mut [Choice]) {
     for j in (0..levels(n)).rev() {
         let step = 1usize << j;
         for i in (0..n - step).rev() {
-            trace::record(TraceEvent::Touch { region: 0x45, index: i });
+            trace::record(TraceEvent::Touch { region: Region::Expand, index: i });
             let d = dist[i];
             let b = Choice::from_lsb(d >> j);
             dist[i] = d & !(step as u64);

@@ -55,4 +55,4 @@ pub use compact::{
 pub use ct::{ocmp_set, ocmp_swap, Choice, Cmov};
 pub use expand::oexpand;
 pub use sort::{osort, osort_adaptive, osort_parallel, osort_parallel_with_grain};
-pub use trace::{Trace, TraceEvent};
+pub use trace::{Region, Trace, TraceEvent};

@@ -7,7 +7,7 @@
 //! because `n` is small.
 
 use crate::ct::{ct_eq_u64, Choice, Cmov};
-use crate::trace::{self, TraceEvent};
+use crate::trace::{self, Region, TraceEvent};
 
 /// Obliviously reads `items[secret_idx]` by scanning the whole slice.
 /// The slice must be non-empty; `default` seeds the accumulator and is
@@ -15,7 +15,7 @@ use crate::trace::{self, TraceEvent};
 pub fn oget<T: Cmov + Clone>(items: &[T], secret_idx: u64, default: T) -> T {
     let mut out = default;
     for (i, item) in items.iter().enumerate() {
-        trace::record(TraceEvent::Touch { region: 0x47, index: i });
+        trace::record(TraceEvent::Touch { region: Region::Get, index: i });
         let hit = ct_eq_u64(i as u64, secret_idx);
         out.cmov(item, hit);
     }
@@ -25,7 +25,7 @@ pub fn oget<T: Cmov + Clone>(items: &[T], secret_idx: u64, default: T) -> T {
 /// Obliviously writes `value` into `items[secret_idx]` by scanning the slice.
 pub fn oput<T: Cmov>(items: &mut [T], secret_idx: u64, value: &T) {
     for (i, item) in items.iter_mut().enumerate() {
-        trace::record(TraceEvent::Touch { region: 0x48, index: i });
+        trace::record(TraceEvent::Touch { region: Region::Put, index: i });
         let hit = ct_eq_u64(i as u64, secret_idx);
         item.cmov(value, hit);
     }
@@ -36,7 +36,7 @@ pub fn oput<T: Cmov>(items: &mut [T], secret_idx: u64, value: &T) {
 pub fn olookup<V: Cmov + Clone>(table: &[(u64, V)], key: u64, default: V) -> V {
     let mut out = default;
     for (i, (k, v)) in table.iter().enumerate() {
-        trace::record(TraceEvent::Touch { region: 0x49, index: i });
+        trace::record(TraceEvent::Touch { region: Region::Lookup, index: i });
         out.cmov(v, ct_eq_u64(*k, key));
     }
     out
@@ -51,7 +51,7 @@ pub fn first_occurrence_flags(keys: &[u64]) -> Vec<Choice> {
     let mut prev: u64 = 0;
     let mut have_prev = Choice::FALSE;
     for (i, &k) in keys.iter().enumerate() {
-        trace::record(TraceEvent::Touch { region: 0x4a, index: i });
+        trace::record(TraceEvent::Touch { region: Region::FirstOccurrence, index: i });
         let same = ct_eq_u64(k, prev).and(have_prev);
         flags.push(same.not());
         prev = k;

@@ -14,7 +14,7 @@
 //! `n`, so does the spliced trace — thread count is not a leakage channel.
 
 use crate::ct::{Choice, Cmov};
-use crate::trace::{self, TraceEvent};
+use crate::trace::{self, Region, TraceEvent};
 
 /// A branch-free "less-than" over sort items. Must not branch on secret data;
 /// it receives both elements and returns a secret [`Choice`].
@@ -78,8 +78,8 @@ fn compare_swap<T: Cmov>(
     gt: &impl Fn(&T, &T) -> Choice,
     base: usize,
 ) {
-    trace::record(TraceEvent::Touch { region: 0x50, index: base + i });
-    trace::record(TraceEvent::Touch { region: 0x50, index: base + j });
+    trace::record(TraceEvent::Touch { region: Region::Sort, index: base + i });
+    trace::record(TraceEvent::Touch { region: Region::Sort, index: base + j });
     let (head, tail) = items.split_at_mut(j);
     let a = &mut head[i];
     let b = &mut tail[0];
@@ -271,8 +271,8 @@ fn pair_swap_chunk<T: Cmov>(
     gt: &impl Fn(&T, &T) -> Choice,
 ) {
     for (k, (a, b)) in lc.iter_mut().zip(rc.iter_mut()).enumerate() {
-        trace::record(TraceEvent::Touch { region: 0x50, index: start + k });
-        trace::record(TraceEvent::Touch { region: 0x50, index: start + gap + k });
+        trace::record(TraceEvent::Touch { region: Region::Sort, index: start + k });
+        trace::record(TraceEvent::Touch { region: Region::Sort, index: start + gap + k });
         let out_of_order = gt(a, b);
         let cond = if ascending { out_of_order } else { out_of_order.not() };
         a.cswap(b, cond);

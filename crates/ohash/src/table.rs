@@ -36,7 +36,7 @@ use snoopy_obliv::ct::{ct_bytes_eq, ct_eq_u64, ct_lt_u64, Choice, Cmov};
 use snoopy_obliv::expand::oexpand;
 use snoopy_obliv::impl_cmov_struct;
 use snoopy_obliv::sort::osort_by;
-use snoopy_obliv::trace::{self, TraceEvent};
+use snoopy_obliv::trace::{self, Region, TraceEvent};
 
 /// Errors from table construction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -204,9 +204,10 @@ impl OHashTable {
         assert_eq!(value.len(), self.value_len, "object size is public and fixed");
         let TableParams { m1, z1, m2, z2, .. } = self.params;
         let b1 = self.h1.bin_u64(id, m1);
-        let b2 = self.h2.bin_u64(id, m2);
-        trace::record(TraceEvent::Touch { region: 0x4f, index: b1 });
-        trace::record(TraceEvent::Touch { region: 0x4f, index: m1 + b2 });
+        // `m2` is public, and a one-bucket tier's bucket is always 0.
+        let b2 = if m2 > 1 { self.h2.bin_u64(id, m2) } else { 0 };
+        trace::record(TraceEvent::Touch { region: Region::Table, index: b1 });
+        trace::record(TraceEvent::Touch { region: Region::Table, index: m1 + b2 });
         let t2 = m1 * z1 + b2 * z2;
         self.probe_bucket(b1 * z1..(b1 + 1) * z1, id, value);
         self.probe_bucket(t2..t2 + z2, id, value);
@@ -377,7 +378,7 @@ fn place(
     // Keys are < 2^33, so u64::MAX is a safe "no previous row" marker.
     let (mut prev_key, mut prev_id, mut rank) = (u64::MAX, u64::MAX, 0u64);
     for (i, row) in rows.iter_mut().enumerate() {
-        trace::record(TraceEvent::Touch { region: 0x51, index: i });
+        trace::record(TraceEvent::Touch { region: Region::Placement, index: i });
         let same = ct_eq_u64(row.key, prev_key);
         let mut next_rank = 0u64;
         next_rank.cmov(&rank.wrapping_add(1), same);

@@ -24,7 +24,7 @@ use snoopy_crypto::rng::Rng;
 use snoopy_crypto::Prg;
 use snoopy_obliv::ct::{ct_eq_u64, Choice, Cmov};
 use snoopy_obliv::impl_cmov_struct;
-use snoopy_obliv::trace::{self, TraceEvent};
+use snoopy_obliv::trace::{self, Region, TraceEvent};
 
 /// Blocks per bucket.
 pub const Z: usize = 4;
@@ -112,7 +112,7 @@ impl DoublyObliviousPathOram {
     fn read_and_remap_position(&mut self, addr: u64, fresh: u64) -> u64 {
         let mut leaf = 0u64;
         for (i, p) in self.position.iter_mut().enumerate() {
-            trace::record(TraceEvent::Touch { region: 0x70, index: i });
+            trace::record(TraceEvent::Touch { region: Region::PositionMap, index: i });
             let hit = ct_eq_u64(i as u64, addr);
             leaf.cmov(p, hit);
             p.cmov(&fresh, hit);
@@ -127,7 +127,7 @@ impl DoublyObliviousPathOram {
         let mut written = Choice::FALSE;
         let real = ct_eq_u64(block.addr, EMPTY).not();
         for (i, slot) in self.stash.iter_mut().enumerate() {
-            trace::record(TraceEvent::Touch { region: 0x71, index: i });
+            trace::record(TraceEvent::Touch { region: Region::StashInsert, index: i });
             let free = ct_eq_u64(slot.addr, EMPTY);
             let take = free.and(written.not()).and(real);
             slot.cmov(block, take);
@@ -167,7 +167,7 @@ impl DoublyObliviousPathOram {
         let mut old = vec![0u8; self.block_len];
         let mut found = Choice::FALSE;
         for (i, slot) in self.stash.iter_mut().enumerate() {
-            trace::record(TraceEvent::Touch { region: 0x72, index: i });
+            trace::record(TraceEvent::Touch { region: Region::StashRead, index: i });
             let hit = ct_eq_u64(slot.addr, addr);
             old.cmov(&slot.data, hit);
             slot.data.cmov(&padded, hit.and(is_write));
@@ -186,7 +186,7 @@ impl DoublyObliviousPathOram {
         };
         let mut claimed = found; // pretend already-written when found
         for (i, slot) in self.stash.iter_mut().enumerate() {
-            trace::record(TraceEvent::Touch { region: 0x73, index: i });
+            trace::record(TraceEvent::Touch { region: Region::StashAdopt, index: i });
             let free = ct_eq_u64(slot.addr, EMPTY);
             let take = free.and(claimed.not());
             slot.cmov(&adopt, take);
@@ -202,7 +202,7 @@ impl DoublyObliviousPathOram {
                 let mut chosen = OBlock::empty(self.block_len);
                 let mut have = Choice::FALSE;
                 for (i, slot) in self.stash.iter_mut().enumerate() {
-                    trace::record(TraceEvent::Touch { region: 0x74, index: i });
+                    trace::record(TraceEvent::Touch { region: Region::StashEvict, index: i });
                     let real = ct_eq_u64(slot.addr, EMPTY).not();
                     // Eligible iff the block's leaf shares the bucket's
                     // prefix (shift is public: it depends only on the level).

@@ -80,6 +80,9 @@ pub enum EventKind {
     /// A balancer closed a client session for sending a request id in the
     /// reserved namespace (a protocol violation; the close is on the wire).
     ClientRefused,
+    /// A thread panicked and the daemon is exiting (the exit is on the
+    /// wire: every session closes).
+    Panic,
 }
 
 impl EventKind {
@@ -102,6 +105,7 @@ impl EventKind {
             EventKind::ReshardAbort => "reshard_abort",
             EventKind::StaleLayoutBatch => "stale_layout_batch",
             EventKind::ClientRefused => "client_refused",
+            EventKind::Panic => "panic",
         }
     }
 
@@ -111,7 +115,7 @@ impl EventKind {
     }
 
     /// Every kind (for exhaustive audits).
-    pub fn all() -> [EventKind; 16] {
+    pub fn all() -> [EventKind; 17] {
         [
             EventKind::EpochStart,
             EventKind::BatchSealed,
@@ -129,6 +133,7 @@ impl EventKind {
             EventKind::ReshardAbort,
             EventKind::StaleLayoutBatch,
             EventKind::ClientRefused,
+            EventKind::Panic,
         ]
     }
 
