@@ -1,4 +1,5 @@
-//! Multi-process test support: `snoopyd` daemons as child processes.
+//! Multi-process test support: `snoopyd` daemons as child processes, and
+//! the tier × threads matrix every cluster suite runs its scenarios over.
 //!
 //! The TCP-plane integration suites boot real clusters from a manifest on
 //! loopback ports, SIGKILL and restart daemons mid-run, and shut them down
@@ -6,12 +7,50 @@
 //! share. The daemon binary comes in as a path, since only the suites of
 //! the crate that builds it can name it (`env!("CARGO_BIN_EXE_snoopyd")`).
 
+use snoopy_core::{SnoopyConfig, StorageKind};
 use snoopy_net::fetch_health;
 use std::ffi::OsStr;
 use std::net::TcpListener;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
+
+/// One cell of the deployment matrix: a storage tier and the enclave
+/// thread count of every balancer and subORAM.
+#[derive(Clone, Copy, Debug)]
+pub struct Cell {
+    /// Where every subORAM partition lives.
+    pub storage: StorageKind,
+    /// Enclave threads per balancer and per subORAM.
+    pub threads: usize,
+}
+
+impl Cell {
+    /// `config`, deployed in this cell.
+    pub fn apply(self, config: SnoopyConfig) -> SnoopyConfig {
+        config.storage(self.storage).threads(self.threads, self.threads)
+    }
+}
+
+/// {memory, 1}, {memory, 4} and {disk, 1}: the serial deployment, the
+/// parallel kernels and the streaming disk tier.
+pub const CELLS: [Cell; 3] = [
+    Cell { storage: StorageKind::Memory, threads: 1 },
+    Cell { storage: StorageKind::Memory, threads: 4 },
+    Cell { storage: StorageKind::Disk, threads: 1 },
+];
+
+/// Runs `scenario` in each of `cells`, one after another, so no more
+/// clusters are up at once than a single run boots; a failure panics again
+/// with its cell's name in front of the message.
+pub fn each_cell(cells: &[Cell], mut scenario: impl FnMut(Cell)) {
+    for &cell in cells {
+        let Err(panic) = catch_unwind(AssertUnwindSafe(|| scenario(cell))) else { continue };
+        let msg = panic.downcast_ref::<String>().map(String::as_str);
+        panic!("{cell:?}: {}", msg.or(panic.downcast_ref::<&str>().copied()).unwrap_or("?"));
+    }
+}
 
 /// How long a daemon gets to come up, or to exit after a shutdown RPC.
 const PATIENCE: Duration = Duration::from_secs(30);

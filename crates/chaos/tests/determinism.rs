@@ -5,6 +5,7 @@
 //! deltas of the process-wide telemetry registry; concurrent tests in the
 //! same process would pollute the counters.
 
+use snoopy_chaos::harness::{each_cell, Cell, CELLS};
 use snoopy_chaos::{chaos_seed, FaultPlan, FaultPlanConfig, PlanSummary};
 use snoopy_core::transport::EpochFaultPolicy;
 use snoopy_core::{InProcessCluster, SnoopyConfig};
@@ -39,9 +40,9 @@ fn counter_snapshot() -> Vec<u64> {
 /// two requests per epoch for six epochs. Partition faults are keyed purely
 /// on epoch ids, and a dead subORAM *always* runs the deadline out, so the
 /// replay/degrade counts this produces are timing-independent.
-fn run_workload(seed: u64) -> (PlanSummary, Vec<u64>) {
+fn run_workload(cell: Cell, seed: u64) -> (PlanSummary, Vec<u64>) {
     let plan = Arc::new(FaultPlan::new(FaultPlanConfig::new(seed).kill(1, 0, 3)));
-    let cfg = SnoopyConfig::with_machines(1, 2).value_len(VLEN);
+    let cfg = cell.apply(SnoopyConfig::with_machines(1, 2).value_len(VLEN));
     let policy = EpochFaultPolicy::with_deadline(Duration::from_millis(30), 2);
     let objects: Vec<StoredObject> =
         (0..NUM_OBJECTS).map(|i| StoredObject::new(i, &i.to_le_bytes(), VLEN)).collect();
@@ -66,25 +67,27 @@ fn run_workload(seed: u64) -> (PlanSummary, Vec<u64>) {
 fn same_seed_gives_identical_plan_summary_and_telemetry_deltas() {
     let seed = chaos_seed(0xC4A5_0004);
     eprintln!("CHAOS_SEED={seed}");
-    let (summary_a, deltas_a) = run_workload(seed);
-    let (summary_b, deltas_b) = run_workload(seed);
-    assert_eq!(summary_a, summary_b, "plan summaries diverged across identical runs");
-    assert_eq!(
-        deltas_a, deltas_b,
-        "telemetry deltas diverged across identical runs \
-         (replays/degraded/unavailable/faults[drop,duplicate,delay,close])"
-    );
+    each_cell(&CELLS, |cell| {
+        let (summary_a, deltas_a) = run_workload(cell, seed);
+        let (summary_b, deltas_b) = run_workload(cell, seed);
+        assert_eq!(summary_a, summary_b, "plan summaries diverged across identical runs");
+        assert_eq!(
+            deltas_a, deltas_b,
+            "telemetry deltas diverged across identical runs \
+             (replays/degraded/unavailable/faults[drop,duplicate,delay,close])"
+        );
 
-    // And the run did exercise the recovery machinery, with the exact
-    // counts the schedule implies: 3 dead epochs × 2 replay waves, 3
-    // degraded epochs, 2 failed requests per degraded epoch.
-    let [replays, degraded, unavailable, fault_drops, ..] = deltas_a[..] else {
-        panic!("snapshot shape changed");
-    };
-    assert_eq!(replays, 6, "replay waves");
-    assert_eq!(degraded, 3, "degraded epochs");
-    assert_eq!(unavailable, 6, "failed client requests");
-    // Partition drops: 3 epochs × (1 first send + 2 replays) = 9 batches.
-    assert_eq!(fault_drops, 9, "injected drops");
-    assert_eq!(summary_a.partition_drops, 9);
+        // And the run did exercise the recovery machinery, with the exact
+        // counts the schedule implies: 3 dead epochs × 2 replay waves, 3
+        // degraded epochs, 2 failed requests per degraded epoch.
+        let [replays, degraded, unavailable, fault_drops, ..] = deltas_a[..] else {
+            panic!("snapshot shape changed");
+        };
+        assert_eq!(replays, 6, "replay waves");
+        assert_eq!(degraded, 3, "degraded epochs");
+        assert_eq!(unavailable, 6, "failed client requests");
+        // Partition drops: 3 epochs × (1 first send + 2 replays) = 9 batches.
+        assert_eq!(fault_drops, 9, "injected drops");
+        assert_eq!(summary_a.partition_drops, 9);
+    });
 }

@@ -10,6 +10,7 @@
 //! Reproduce a failure with `CHAOS_SEED=<printed seed> cargo test -p
 //! snoopy-chaos`.
 
+use snoopy_chaos::harness::{each_cell, CELLS};
 use snoopy_chaos::{chaos_seed, DirectionFaults, FaultPlan, FaultPlanConfig};
 use snoopy_core::transport::EpochFaultPolicy;
 use snoopy_core::{InProcessCluster, Snoopy, SnoopyConfig};
@@ -61,45 +62,56 @@ fn drive(cluster: &mut InProcessCluster, reference: &mut Snoopy, base: u64, ops:
 fn grow_and_shrink_ride_a_lossy_data_plane_byte_for_byte() {
     let seed = chaos_seed(0xC4A5_0010);
     eprintln!("CHAOS_SEED={seed}");
-    let plan = Arc::new(FaultPlan::new(lossy_plan(seed)));
-    // 4 provisioned subORAMs, 2 holding data: room to grow and shrink.
-    let cfg = SnoopyConfig::with_machines(1, 4).value_len(VLEN).active_suborams(2);
-    let policy = EpochFaultPolicy::with_deadline(Duration::from_millis(40), 12);
-    let mut cluster = InProcessCluster::start_with_faults(cfg, objects(), 31, policy, plan.clone());
-    let mut reference = Snoopy::init(cfg, objects(), 31);
+    each_cell(&[CELLS[0], CELLS[2]], |cell| {
+        let plan = Arc::new(FaultPlan::new(lossy_plan(seed)));
+        // 4 provisioned subORAMs, 2 holding data: room to grow and shrink.
+        let cfg = SnoopyConfig::with_machines(1, 4).value_len(VLEN).active_suborams(2);
+        let policy = EpochFaultPolicy::with_deadline(Duration::from_millis(40), 12);
+        let mut cluster = InProcessCluster::start_with_faults(
+            cell.apply(cfg),
+            objects(),
+            31,
+            policy,
+            plan.clone(),
+        );
+        let mut reference = Snoopy::init(cfg, objects(), 31);
 
-    // Steady state on 2, then a live grow to 4, then a shrink to 3 — each
-    // phase byte-compared to the (never-resharded) reference. The fault plan
-    // keeps dropping and duplicating data-plane batches throughout, so the
-    // migration boundaries land between replay waves.
-    drive(&mut cluster, &mut reference, 0, 15);
-    cluster.reshard(4).expect("grow 2->4 under a lossy data plane");
-    assert_eq!((cluster.generation(), cluster.active_suborams()), (1, 4));
-    drive(&mut cluster, &mut reference, 15, 15);
-    cluster.reshard(3).expect("shrink 4->3 under a lossy data plane");
-    assert_eq!((cluster.generation(), cluster.active_suborams()), (2, 3));
-    drive(&mut cluster, &mut reference, 30, 15);
+        // Steady state on 2, then a live grow to 4, then a shrink to 3 — each
+        // phase byte-compared to the (never-resharded) reference. The fault plan
+        // keeps dropping and duplicating data-plane batches throughout, so the
+        // migration boundaries land between replay waves.
+        drive(&mut cluster, &mut reference, 0, 15);
+        cluster.reshard(4).expect("grow 2->4 under a lossy data plane");
+        assert_eq!((cluster.generation(), cluster.active_suborams()), (1, 4));
+        drive(&mut cluster, &mut reference, 15, 15);
+        cluster.reshard(3).expect("shrink 4->3 under a lossy data plane");
+        assert_eq!((cluster.generation(), cluster.active_suborams()), (2, 3));
+        drive(&mut cluster, &mut reference, 30, 15);
 
-    let summary = plan.summary();
-    assert!(summary.drops > 0, "plan never dropped anything: {summary}");
-    assert!(summary.duplicates > 0, "plan never duplicated anything: {summary}");
-    cluster.shutdown();
+        let summary = plan.summary();
+        assert!(summary.drops > 0, "plan never dropped anything: {summary}");
+        assert!(summary.duplicates > 0, "plan never duplicated anything: {summary}");
+        cluster.shutdown();
+    });
 }
 
 #[test]
 fn reshard_refuses_to_leave_the_provisioned_fleet() {
     let seed = chaos_seed(0xC4A5_0011);
     eprintln!("CHAOS_SEED={seed}");
-    let plan = Arc::new(FaultPlan::new(lossy_plan(seed)));
-    let cfg = SnoopyConfig::with_machines(1, 2).value_len(VLEN);
-    let policy = EpochFaultPolicy::with_deadline(Duration::from_millis(40), 12);
-    let mut cluster = InProcessCluster::start_with_faults(cfg, objects(), 32, policy, plan);
-    // Out-of-range targets fail typed without disturbing the live layout…
-    cluster.reshard(0).expect_err("new_s = 0 must be refused");
-    cluster.reshard(3).expect_err("new_s beyond the provisioned fleet must be refused");
-    assert_eq!((cluster.generation(), cluster.active_suborams()), (0, 2));
-    // …and the cluster still serves correctly afterwards.
-    let mut reference = Snoopy::init(cfg, objects(), 32);
-    drive(&mut cluster, &mut reference, 0, 6);
-    cluster.shutdown();
+    each_cell(&[CELLS[0], CELLS[2]], |cell| {
+        let plan = Arc::new(FaultPlan::new(lossy_plan(seed)));
+        let cfg = SnoopyConfig::with_machines(1, 2).value_len(VLEN);
+        let policy = EpochFaultPolicy::with_deadline(Duration::from_millis(40), 12);
+        let mut cluster =
+            InProcessCluster::start_with_faults(cell.apply(cfg), objects(), 32, policy, plan);
+        // Out-of-range targets fail typed without disturbing the live layout…
+        cluster.reshard(0).expect_err("new_s = 0 must be refused");
+        cluster.reshard(3).expect_err("new_s beyond the provisioned fleet must be refused");
+        assert_eq!((cluster.generation(), cluster.active_suborams()), (0, 2));
+        // …and the cluster still serves correctly afterwards.
+        let mut reference = Snoopy::init(cfg, objects(), 32);
+        drive(&mut cluster, &mut reference, 0, 6);
+        cluster.shutdown();
+    });
 }

@@ -127,10 +127,11 @@ impl KindDeclassify for snoopy_obliv::ct::Choice {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::matrix::{each_cell, Cell};
 
     const VLEN: usize = 16;
 
-    fn setup() -> AccessControlledSnoopy {
+    fn setup(cell: Cell) -> AccessControlledSnoopy {
         let objects: Vec<StoredObject> =
             (0..50u64).map(|i| StoredObject::new(i, &i.to_le_bytes(), VLEN)).collect();
         let grants = vec![
@@ -138,7 +139,7 @@ mod tests {
             Grant { user: 1, object: 11, write: true },  // user 1 may write 11
             Grant { user: 2, object: 10, write: true },  // user 2 may write 10
         ];
-        let cfg = SnoopyConfig::with_machines(1, 2).value_len(VLEN);
+        let cfg = cell.apply(SnoopyConfig::with_machines(1, 2).value_len(VLEN));
         AccessControlledSnoopy::init(cfg, objects, &grants, 5)
     }
 
@@ -150,53 +151,63 @@ mod tests {
 
     #[test]
     fn permitted_read_succeeds() {
-        let mut sys = setup();
-        let out = sys.execute_epoch(vec![(1, Request::read(10, VLEN, 0, 0))]).unwrap();
-        assert_eq!(out[0].value, payload(&10u64.to_le_bytes()));
+        each_cell(|cell| {
+            let mut sys = setup(cell);
+            let out = sys.execute_epoch(vec![(1, Request::read(10, VLEN, 0, 0))]).unwrap();
+            assert_eq!(out[0].value, payload(&10u64.to_le_bytes()));
+        });
     }
 
     #[test]
     fn denied_read_returns_zeros() {
-        let mut sys = setup();
-        let out = sys
-            .execute_epoch(vec![(3, Request::read(10, VLEN, 0, 0))]) // user 3: no grant
-            .unwrap();
-        assert_eq!(out[0].value, vec![0u8; VLEN]);
+        each_cell(|cell| {
+            let mut sys = setup(cell);
+            let out = sys
+                .execute_epoch(vec![(3, Request::read(10, VLEN, 0, 0))]) // user 3: no grant
+                .unwrap();
+            assert_eq!(out[0].value, vec![0u8; VLEN]);
+        });
     }
 
     #[test]
     fn permitted_write_applies() {
-        let mut sys = setup();
-        sys.execute_epoch(vec![(1, Request::write(11, &[0xBB; 4], VLEN, 0, 0))]).unwrap();
-        assert_eq!(sys.peek(11).unwrap(), payload(&[0xBB; 4]));
+        each_cell(|cell| {
+            let mut sys = setup(cell);
+            sys.execute_epoch(vec![(1, Request::write(11, &[0xBB; 4], VLEN, 0, 0))]).unwrap();
+            assert_eq!(sys.peek(11).unwrap(), payload(&[0xBB; 4]));
+        });
     }
 
     #[test]
     fn denied_write_does_not_apply() {
-        let mut sys = setup();
-        // User 1 may only READ 10; the write must be dropped silently.
-        sys.execute_epoch(vec![(1, Request::write(10, &[0xCC; 4], VLEN, 0, 0))]).unwrap();
-        assert_eq!(sys.peek(10).unwrap(), payload(&10u64.to_le_bytes()));
-        // User 2 may write 10.
-        sys.execute_epoch(vec![(2, Request::write(10, &[0xDD; 4], VLEN, 0, 0))]).unwrap();
-        assert_eq!(sys.peek(10).unwrap(), payload(&[0xDD; 4]));
+        each_cell(|cell| {
+            let mut sys = setup(cell);
+            // User 1 may only READ 10; the write must be dropped silently.
+            sys.execute_epoch(vec![(1, Request::write(10, &[0xCC; 4], VLEN, 0, 0))]).unwrap();
+            assert_eq!(sys.peek(10).unwrap(), payload(&10u64.to_le_bytes()));
+            // User 2 may write 10.
+            sys.execute_epoch(vec![(2, Request::write(10, &[0xDD; 4], VLEN, 0, 0))]).unwrap();
+            assert_eq!(sys.peek(10).unwrap(), payload(&[0xDD; 4]));
+        });
     }
 
     #[test]
     fn mixed_epoch_aligns_permits_correctly() {
-        let mut sys = setup();
-        let out = sys
-            .execute_epoch(vec![
-                (3, Request::read(10, VLEN, 0, 0)), // denied
-                (1, Request::read(10, VLEN, 1, 1)), // allowed
-                (9, Request::read(11, VLEN, 2, 2)), // denied
-            ])
-            .unwrap();
-        let by_client: std::collections::HashMap<u64, &Response> =
-            out.iter().map(|r| (r.client, r)).collect();
-        assert_eq!(by_client[&0].value, vec![0u8; VLEN]);
-        assert_eq!(by_client[&1].value, payload(&10u64.to_le_bytes()));
-        assert_eq!(by_client[&2].value, vec![0u8; VLEN]);
+        each_cell(|cell| {
+            let mut sys = setup(cell);
+            let out = sys
+                .execute_epoch(vec![
+                    (3, Request::read(10, VLEN, 0, 0)), // denied
+                    (1, Request::read(10, VLEN, 1, 1)), // allowed
+                    (9, Request::read(11, VLEN, 2, 2)), // denied
+                ])
+                .unwrap();
+            let by_client: std::collections::HashMap<u64, &Response> =
+                out.iter().map(|r| (r.client, r)).collect();
+            assert_eq!(by_client[&0].value, vec![0u8; VLEN]);
+            assert_eq!(by_client[&1].value, payload(&10u64.to_le_bytes()));
+            assert_eq!(by_client[&2].value, vec![0u8; VLEN]);
+        });
     }
 
     #[test]

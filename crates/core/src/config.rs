@@ -35,42 +35,21 @@ pub struct SnoopyConfig {
 }
 
 impl Default for SnoopyConfig {
-    /// Defaults match the paper's evaluation. Thread counts default to the
-    /// `SNOOPY_THREADS` environment variable if set (so integration suites
-    /// can re-run an entire deployment at a different parallelism level), or
-    /// 1 otherwise; the storage tier likewise defaults from `SNOOPY_STORAGE`
-    /// (`memory` | `external` | `disk`).
+    /// Defaults match the paper's evaluation: one balancer, one subORAM,
+    /// 160-byte objects, λ = 128, the in-enclave memory tier and one enclave
+    /// thread per machine.
     fn default() -> Self {
-        let threads = env_threads();
         SnoopyConfig {
             num_load_balancers: 1,
             num_suborams: 1,
             value_len: 160,
             lambda: 128,
-            storage: StorageKind::from_env(),
-            lb_threads: threads,
-            sub_threads: threads,
+            storage: StorageKind::Memory,
+            lb_threads: 1,
+            sub_threads: 1,
             active_suborams: 0,
         }
     }
-}
-
-/// Reads `SNOOPY_THREADS`; unset means 1.
-///
-/// # Panics
-///
-/// When the variable is set to anything but a whole number ≥ 1: a suite
-/// re-run under a mistyped value must fail, not quietly run serial again.
-pub fn env_threads() -> usize {
-    let Some(value) = std::env::var_os("SNOOPY_THREADS") else { return 1 };
-    let value = value.to_string_lossy();
-    parse_threads(&value)
-        .unwrap_or_else(|| panic!("SNOOPY_THREADS={value:?}: expected a whole number >= 1"))
-}
-
-/// Parses a thread count: a whole number ≥ 1, surrounding blanks allowed.
-pub fn parse_threads(value: &str) -> Option<usize> {
-    value.trim().parse().ok().filter(|&t| t >= 1)
 }
 
 impl SnoopyConfig {
@@ -129,6 +108,48 @@ impl SnoopyConfig {
     }
 }
 
+/// The tier × threads matrix the in-process deployment tests run under: the
+/// cells of `snoopy_chaos::harness::CELLS`, which core's own tests cannot
+/// reach (the chaos crate depends on this one).
+#[cfg(test)]
+pub(crate) mod matrix {
+    use super::{SnoopyConfig, StorageKind};
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    /// One cell: a storage tier and the enclave thread count of every
+    /// balancer and subORAM.
+    #[derive(Clone, Copy, Debug)]
+    pub(crate) struct Cell {
+        pub(crate) storage: StorageKind,
+        pub(crate) threads: usize,
+    }
+
+    impl Cell {
+        /// `config`, deployed in this cell.
+        pub(crate) fn apply(self, config: SnoopyConfig) -> SnoopyConfig {
+            config.storage(self.storage).threads(self.threads, self.threads)
+        }
+    }
+
+    /// {memory, 1}, {memory, 4} and {disk, 1}: the serial deployment, the
+    /// parallel kernels and the streaming disk tier.
+    pub(crate) const CELLS: [Cell; 3] = [
+        Cell { storage: StorageKind::Memory, threads: 1 },
+        Cell { storage: StorageKind::Memory, threads: 4 },
+        Cell { storage: StorageKind::Disk, threads: 1 },
+    ];
+
+    /// Runs `scenario` in every cell, one after another; a failure panics
+    /// again with its cell's name in front of the message.
+    pub(crate) fn each_cell(mut scenario: impl FnMut(Cell)) {
+        for cell in CELLS {
+            let Err(panic) = catch_unwind(AssertUnwindSafe(|| scenario(cell))) else { continue };
+            let msg = panic.downcast_ref::<String>().map(String::as_str);
+            panic!("{cell:?}: {}", msg.or(panic.downcast_ref::<&str>().copied()).unwrap_or("?"));
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -139,17 +160,9 @@ mod tests {
         assert_eq!(c.value_len, 160);
         assert_eq!(c.lambda, 128);
         assert_eq!(c.machines(), 2);
-        assert!(c.lb_threads >= 1);
-        assert!(c.sub_threads >= 1);
-    }
-
-    #[test]
-    fn thread_counts_parse_strictly() {
-        assert_eq!(parse_threads("4"), Some(4));
-        assert_eq!(parse_threads(" 2\n"), Some(2));
-        for bad in ["0", "-1", "four", "", "2.5"] {
-            assert_eq!(parse_threads(bad), None, "{bad:?}");
-        }
+        assert_eq!(c.storage, StorageKind::Memory);
+        assert_eq!(c.lb_threads, 1);
+        assert_eq!(c.sub_threads, 1);
     }
 
     #[test]

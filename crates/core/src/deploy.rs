@@ -619,6 +619,7 @@ impl ReshardFleet for ChannelFleet<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::matrix::each_cell;
     use crate::reshard::ReshardPhase;
 
     const VLEN: usize = 32;
@@ -635,68 +636,76 @@ mod tests {
 
     #[test]
     fn read_after_manual_tick() {
-        let cfg = SnoopyConfig::with_machines(1, 2).value_len(VLEN);
-        let mut cluster = InProcessCluster::start(cfg, objects(100), 1);
-        let client = cluster.client();
-        let rx = client.read_async(42);
-        cluster.tick();
-        let resp = rx.recv_timeout(Duration::from_secs(30)).unwrap().unwrap();
-        assert_eq!(resp.value, payload(&42u64.to_le_bytes()));
-        cluster.shutdown();
+        each_cell(|cell| {
+            let cfg = cell.apply(SnoopyConfig::with_machines(1, 2).value_len(VLEN));
+            let mut cluster = InProcessCluster::start(cfg, objects(100), 1);
+            let client = cluster.client();
+            let rx = client.read_async(42);
+            cluster.tick();
+            let resp = rx.recv_timeout(Duration::from_secs(30)).unwrap().unwrap();
+            assert_eq!(resp.value, payload(&42u64.to_le_bytes()));
+            cluster.shutdown();
+        });
     }
 
     #[test]
     fn write_then_read_across_epochs() {
-        let cfg = SnoopyConfig::with_machines(2, 2).value_len(VLEN);
-        let mut cluster = InProcessCluster::start(cfg, objects(50), 2);
-        let client = cluster.client();
-        let w = client.write_async(7, &[0xAB; 4]);
-        cluster.tick();
-        w.recv_timeout(Duration::from_secs(30)).unwrap().unwrap();
-        let r = client.read_async(7);
-        cluster.tick();
-        let resp = r.recv_timeout(Duration::from_secs(30)).unwrap().unwrap();
-        assert_eq!(resp.value, payload(&[0xAB; 4]));
-        cluster.shutdown();
+        each_cell(|cell| {
+            let cfg = cell.apply(SnoopyConfig::with_machines(2, 2).value_len(VLEN));
+            let mut cluster = InProcessCluster::start(cfg, objects(50), 2);
+            let client = cluster.client();
+            let w = client.write_async(7, &[0xAB; 4]);
+            cluster.tick();
+            w.recv_timeout(Duration::from_secs(30)).unwrap().unwrap();
+            let r = client.read_async(7);
+            cluster.tick();
+            let resp = r.recv_timeout(Duration::from_secs(30)).unwrap().unwrap();
+            assert_eq!(resp.value, payload(&[0xAB; 4]));
+            cluster.shutdown();
+        });
     }
 
     #[test]
     fn ticker_drives_blocking_clients() {
-        let cfg = SnoopyConfig::with_machines(2, 3).value_len(VLEN);
-        let mut cluster = InProcessCluster::start(cfg, objects(200), 3);
-        cluster.start_ticker(Duration::from_millis(5));
-        let client = cluster.client();
-        let pre = client.write(9, &[1, 2, 3]);
-        assert_eq!(pre, payload(&9u64.to_le_bytes()));
-        assert_eq!(client.read(9), payload(&[1, 2, 3]));
-        // Concurrent clients.
-        let mut rxs = Vec::new();
-        for i in 0..20u64 {
-            rxs.push((i, client.read_async(i)));
-        }
-        for (i, rx) in rxs {
-            let resp = rx.recv_timeout(Duration::from_secs(30)).unwrap().unwrap();
-            let want = if i == 9 { payload(&[1, 2, 3]) } else { payload(&i.to_le_bytes()) };
-            assert_eq!(resp.value, want, "id {i}");
-        }
-        cluster.shutdown();
+        each_cell(|cell| {
+            let cfg = cell.apply(SnoopyConfig::with_machines(2, 3).value_len(VLEN));
+            let mut cluster = InProcessCluster::start(cfg, objects(200), 3);
+            cluster.start_ticker(Duration::from_millis(5));
+            let client = cluster.client();
+            let pre = client.write(9, &[1, 2, 3]);
+            assert_eq!(pre, payload(&9u64.to_le_bytes()));
+            assert_eq!(client.read(9), payload(&[1, 2, 3]));
+            // Concurrent clients.
+            let mut rxs = Vec::new();
+            for i in 0..20u64 {
+                rxs.push((i, client.read_async(i)));
+            }
+            for (i, rx) in rxs {
+                let resp = rx.recv_timeout(Duration::from_secs(30)).unwrap().unwrap();
+                let want = if i == 9 { payload(&[1, 2, 3]) } else { payload(&i.to_le_bytes()) };
+                assert_eq!(resp.value, want, "id {i}");
+            }
+            cluster.shutdown();
+        });
     }
 
     #[test]
     fn empty_epochs_do_not_wedge() {
-        let cfg = SnoopyConfig::with_machines(2, 2).value_len(VLEN);
-        let mut cluster = InProcessCluster::start(cfg, objects(10), 4);
-        for _ in 0..5 {
+        each_cell(|cell| {
+            let cfg = cell.apply(SnoopyConfig::with_machines(2, 2).value_len(VLEN));
+            let mut cluster = InProcessCluster::start(cfg, objects(10), 4);
+            for _ in 0..5 {
+                cluster.tick();
+            }
+            let client = cluster.client();
+            let rx = client.read_async(3);
             cluster.tick();
-        }
-        let client = cluster.client();
-        let rx = client.read_async(3);
-        cluster.tick();
-        assert_eq!(
-            rx.recv_timeout(Duration::from_secs(30)).unwrap().unwrap().value,
-            payload(&3u64.to_le_bytes())
-        );
-        cluster.shutdown();
+            assert_eq!(
+                rx.recv_timeout(Duration::from_secs(30)).unwrap().unwrap().value,
+                payload(&3u64.to_le_bytes())
+            );
+            cluster.shutdown();
+        });
     }
 
     /// Drops every batch to subORAM 1 forever: with a deadline policy the
@@ -719,126 +728,143 @@ mod tests {
 
     #[test]
     fn reshard_grow_and_shrink_preserves_all_data() {
-        // Provision 4 subORAMs but boot with data on only 2: the other two
-        // are spares the grow flips into service.
-        let cfg = SnoopyConfig::with_machines(2, 4).active_suborams(2).value_len(VLEN);
-        let mut cluster = InProcessCluster::start(cfg, objects(60), 6);
-        assert_eq!(cluster.active_suborams(), 2);
-        let client = cluster.client();
-        // Acknowledge a write at the old layout.
-        let w = client.write_async(7, &[0xCD; 4]);
-        cluster.tick();
-        w.recv_timeout(Duration::from_secs(30)).unwrap().unwrap();
-        // Buffer a request across the reshard boundary: it must commit at
-        // the new layout, not get lost or fail.
-        let inflight = client.read_async(7);
-        cluster.reshard(4).expect("grow 2->4");
-        assert_eq!(cluster.active_suborams(), 4);
-        assert_eq!(cluster.generation(), 1);
-        let resp = inflight.recv_timeout(Duration::from_secs(30)).unwrap().unwrap();
-        assert_eq!(resp.value, payload(&[0xCD; 4]), "acked write visible across the grow");
-        // Every object is still readable after the grow.
-        let rxs: Vec<_> = (0..60u64).step_by(7).map(|i| (i, client.read_async(i))).collect();
-        cluster.tick();
-        cluster.tick();
-        for (i, rx) in rxs {
-            let resp = rx.recv_timeout(Duration::from_secs(30)).unwrap().unwrap();
-            let want = if i == 7 { payload(&[0xCD; 4]) } else { payload(&i.to_le_bytes()) };
-            assert_eq!(resp.value, want, "id {i} after grow");
-        }
-        // Shrink all the way down to one subORAM and read again.
-        cluster.reshard(1).expect("shrink 4->1");
-        assert_eq!(cluster.active_suborams(), 1);
-        assert_eq!(cluster.generation(), 2);
-        let rxs: Vec<_> = (0..60u64).step_by(11).map(|i| (i, client.read_async(i))).collect();
-        cluster.tick();
-        cluster.tick();
-        for (i, rx) in rxs {
-            let resp = rx.recv_timeout(Duration::from_secs(30)).unwrap().unwrap();
-            let want = if i == 7 { payload(&[0xCD; 4]) } else { payload(&i.to_le_bytes()) };
-            assert_eq!(resp.value, want, "id {i} after shrink");
-        }
-        // Out-of-range targets are refused without touching the cluster.
-        assert!(cluster.reshard(0).is_err());
-        assert!(cluster.reshard(5).is_err());
-        assert_eq!(cluster.active_suborams(), 1);
-        cluster.shutdown();
+        each_cell(|cell| {
+            // Provision 4 subORAMs but boot with data on only 2: the other two
+            // are spares the grow flips into service.
+            let cfg =
+                cell.apply(SnoopyConfig::with_machines(2, 4).active_suborams(2).value_len(VLEN));
+            let mut cluster = InProcessCluster::start(cfg, objects(60), 6);
+            assert_eq!(cluster.active_suborams(), 2);
+            let client = cluster.client();
+            // Acknowledge a write at the old layout.
+            let w = client.write_async(7, &[0xCD; 4]);
+            cluster.tick();
+            w.recv_timeout(Duration::from_secs(30)).unwrap().unwrap();
+            // Buffer a request across the reshard boundary: it must commit at
+            // the new layout, not get lost or fail.
+            let inflight = client.read_async(7);
+            cluster.reshard(4).expect("grow 2->4");
+            assert_eq!(cluster.active_suborams(), 4);
+            assert_eq!(cluster.generation(), 1);
+            let resp = inflight.recv_timeout(Duration::from_secs(30)).unwrap().unwrap();
+            assert_eq!(resp.value, payload(&[0xCD; 4]), "acked write visible across the grow");
+            // Every object is still readable after the grow.
+            let rxs: Vec<_> = (0..60u64).step_by(7).map(|i| (i, client.read_async(i))).collect();
+            cluster.tick();
+            cluster.tick();
+            for (i, rx) in rxs {
+                let resp = rx.recv_timeout(Duration::from_secs(30)).unwrap().unwrap();
+                let want = if i == 7 { payload(&[0xCD; 4]) } else { payload(&i.to_le_bytes()) };
+                assert_eq!(resp.value, want, "id {i} after grow");
+            }
+            // Shrink all the way down to one subORAM and read again.
+            cluster.reshard(1).expect("shrink 4->1");
+            assert_eq!(cluster.active_suborams(), 1);
+            assert_eq!(cluster.generation(), 2);
+            let rxs: Vec<_> = (0..60u64).step_by(11).map(|i| (i, client.read_async(i))).collect();
+            cluster.tick();
+            cluster.tick();
+            for (i, rx) in rxs {
+                let resp = rx.recv_timeout(Duration::from_secs(30)).unwrap().unwrap();
+                let want = if i == 7 { payload(&[0xCD; 4]) } else { payload(&i.to_le_bytes()) };
+                assert_eq!(resp.value, want, "id {i} after shrink");
+            }
+            // Out-of-range targets are refused without touching the cluster.
+            assert!(cluster.reshard(0).is_err());
+            assert!(cluster.reshard(5).is_err());
+            assert_eq!(cluster.active_suborams(), 1);
+            cluster.shutdown();
+        });
     }
 
     #[test]
     fn stale_install_generation_is_refused() {
-        let cfg = SnoopyConfig::with_machines(1, 2).value_len(VLEN);
-        let mut cluster = InProcessCluster::start(cfg, objects(20), 7);
-        cluster.reshard(1).expect("shrink 2->1");
-        let mut fleet =
-            ChannelFleet { timeout: Duration::from_secs(30), ticked: false, cluster: &mut cluster };
-        // Generation 1 is live, so staging generation 1 (or 0) is stale.
-        for generation in [0, 1] {
-            let stale = SubReshardCmd::Install { generation, new_s: 2, objects: Vec::new() };
-            let reply = fleet.sub(0, stale);
-            assert!(
-                matches!(&reply, Err(RpcFailure::Refused(r)) if r.contains("stale")),
-                "{reply:?}"
-            );
-        }
-        // Nothing was staged: the node still serves generation 1, idle.
-        let idle = ReshardStatus { generation: 1, active_s: 1, phase: ReshardPhase::Idle };
-        let reply = fleet.sub(0, SubReshardCmd::Status);
-        assert!(matches!(reply, Ok(SubReshardReply::Status(st)) if st == idle), "{reply:?}");
-        cluster.shutdown();
+        each_cell(|cell| {
+            let cfg = cell.apply(SnoopyConfig::with_machines(1, 2).value_len(VLEN));
+            let mut cluster = InProcessCluster::start(cfg, objects(20), 7);
+            cluster.reshard(1).expect("shrink 2->1");
+            let mut fleet = ChannelFleet {
+                timeout: Duration::from_secs(30),
+                ticked: false,
+                cluster: &mut cluster,
+            };
+            // Generation 1 is live, so staging generation 1 (or 0) is stale.
+            for generation in [0, 1] {
+                let stale = SubReshardCmd::Install { generation, new_s: 2, objects: Vec::new() };
+                let reply = fleet.sub(0, stale);
+                assert!(
+                    matches!(&reply, Err(RpcFailure::Refused(r)) if r.contains("stale")),
+                    "{reply:?}"
+                );
+            }
+            // Nothing was staged: the node still serves generation 1, idle.
+            let idle = ReshardStatus { generation: 1, active_s: 1, phase: ReshardPhase::Idle };
+            let reply = fleet.sub(0, SubReshardCmd::Status);
+            assert!(matches!(reply, Ok(SubReshardReply::Status(st)) if st == idle), "{reply:?}");
+            cluster.shutdown();
+        });
     }
 
     #[test]
     fn batch_overflow_fails_the_epoch_and_the_balancer_keeps_serving() {
-        // λ = 0 sizes each batch at exactly ⌈R/S⌉: two distinct ids on one
-        // subORAM overflow its single slot with certainty.
-        let cfg = SnoopyConfig::with_machines(1, 2).value_len(VLEN).lambda(0);
-        let mut cluster = InProcessCluster::start(cfg, objects(100), 6);
-        let balancer = LoadBalancer::new(&cluster.shared_key, 2, VLEN, 0);
-        let a = 0u64;
-        let b = (1..100).find(|&id| balancer.suboram_of(id) == balancer.suboram_of(a)).unwrap();
-        let client = cluster.client();
-        let rxs = [client.read_async(a), client.read_async(b)];
-        cluster.tick();
-        for rx in rxs {
-            let err = rx
-                .recv_timeout(Duration::from_secs(30))
-                .expect("an overflowing epoch must answer, not hang")
-                .expect_err("every request in an overflowing epoch fails");
-            assert!(err.failed_suborams.is_empty(), "no subORAM was at fault");
-            assert!(!err.to_string().contains("deadline"), "{err}");
-        }
-        // The next epoch fits (one request, one slot) and commits.
-        let rx = client.read_async(b);
-        cluster.tick();
-        let resp = rx.recv_timeout(Duration::from_secs(30)).unwrap().unwrap();
-        assert_eq!(resp.value, payload(&b.to_le_bytes()));
-        cluster.shutdown();
+        each_cell(|cell| {
+            // λ = 0 sizes each batch at exactly ⌈R/S⌉: two distinct ids on one
+            // subORAM overflow its single slot with certainty.
+            let cfg = cell.apply(SnoopyConfig::with_machines(1, 2).value_len(VLEN).lambda(0));
+            let mut cluster = InProcessCluster::start(cfg, objects(100), 6);
+            let balancer = LoadBalancer::new(&cluster.shared_key, 2, VLEN, 0);
+            let a = 0u64;
+            let b = (1..100).find(|&id| balancer.suboram_of(id) == balancer.suboram_of(a)).unwrap();
+            let client = cluster.client();
+            let rxs = [client.read_async(a), client.read_async(b)];
+            cluster.tick();
+            for rx in rxs {
+                let err = rx
+                    .recv_timeout(Duration::from_secs(30))
+                    .expect("an overflowing epoch must answer, not hang")
+                    .expect_err("every request in an overflowing epoch fails");
+                assert!(err.failed_suborams.is_empty(), "no subORAM was at fault");
+                assert!(!err.to_string().contains("deadline"), "{err}");
+            }
+            // The next epoch fits (one request, one slot) and commits.
+            let rx = client.read_async(b);
+            cluster.tick();
+            let resp = rx.recv_timeout(Duration::from_secs(30)).unwrap().unwrap();
+            assert_eq!(resp.value, payload(&b.to_le_bytes()));
+            cluster.shutdown();
+        });
     }
 
     #[test]
     fn partitioned_suboram_degrades_epoch_with_typed_error() {
-        let cfg = SnoopyConfig::with_machines(1, 2).value_len(VLEN);
-        let policy = EpochFaultPolicy::with_deadline(Duration::from_millis(50), 1);
-        let mut cluster =
-            InProcessCluster::start_with_faults(cfg, objects(40), 5, policy, Arc::new(DropToSub1));
-        let client = cluster.client();
-        let rxs: Vec<_> = (0..8u64).map(|i| client.read_async(i)).collect();
-        cluster.tick();
-        let epoch_failures: Vec<Unavailable> = rxs
-            .into_iter()
-            .map(|rx| {
-                rx.recv_timeout(Duration::from_secs(30))
-                    .expect("degraded epoch must answer, not hang")
-                    .expect_err("all requests in a degraded epoch fail")
-            })
-            .collect();
-        // Every request in the epoch fails identically (wholesale failure —
-        // per-request failures would leak the request→subORAM mapping).
-        for u in &epoch_failures {
-            assert_eq!(u.failed_suborams, vec![1]);
-            assert_eq!(u.epoch, epoch_failures[0].epoch);
-        }
-        cluster.shutdown();
+        each_cell(|cell| {
+            let cfg = cell.apply(SnoopyConfig::with_machines(1, 2).value_len(VLEN));
+            let policy = EpochFaultPolicy::with_deadline(Duration::from_millis(50), 1);
+            let mut cluster = InProcessCluster::start_with_faults(
+                cfg,
+                objects(40),
+                5,
+                policy,
+                Arc::new(DropToSub1),
+            );
+            let client = cluster.client();
+            let rxs: Vec<_> = (0..8u64).map(|i| client.read_async(i)).collect();
+            cluster.tick();
+            let epoch_failures: Vec<Unavailable> = rxs
+                .into_iter()
+                .map(|rx| {
+                    rx.recv_timeout(Duration::from_secs(30))
+                        .expect("degraded epoch must answer, not hang")
+                        .expect_err("all requests in a degraded epoch fail")
+                })
+                .collect();
+            // Every request in the epoch fails identically (wholesale failure —
+            // per-request failures would leak the request→subORAM mapping).
+            for u in &epoch_failures {
+                assert_eq!(u.failed_suborams, vec![1]);
+                assert_eq!(u.epoch, epoch_failures[0].epoch);
+            }
+            cluster.shutdown();
+        });
     }
 }

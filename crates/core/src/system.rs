@@ -223,6 +223,7 @@ impl Snoopy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::matrix::{each_cell, Cell};
     use std::collections::HashMap;
 
     const VLEN: usize = 32;
@@ -231,8 +232,8 @@ mod tests {
         (0..n).map(|i| StoredObject::new(i, &i.to_le_bytes(), VLEN)).collect()
     }
 
-    fn system(l: usize, s: usize, n: u64) -> Snoopy {
-        let cfg = SnoopyConfig::with_machines(l, s).value_len(VLEN);
+    fn system(cell: Cell, l: usize, s: usize, n: u64) -> Snoopy {
+        let cfg = cell.apply(SnoopyConfig::with_machines(l, s).value_len(VLEN));
         Snoopy::init(cfg, objects(n), 7)
     }
 
@@ -244,77 +245,89 @@ mod tests {
 
     #[test]
     fn reads_see_initial_values() {
-        let mut sys = system(1, 3, 500);
-        let reqs: Vec<Request> = (0..50u64).map(|i| Request::read(i * 7, VLEN, i, i)).collect();
-        let out = sys.execute_epoch_single(reqs).unwrap();
-        assert_eq!(out.len(), 50);
-        for r in out {
-            assert_eq!(r.value, payload(&r.id.to_le_bytes()), "id {}", r.id);
-        }
+        each_cell(|cell| {
+            let mut sys = system(cell, 1, 3, 500);
+            let reqs: Vec<Request> = (0..50u64).map(|i| Request::read(i * 7, VLEN, i, i)).collect();
+            let out = sys.execute_epoch_single(reqs).unwrap();
+            assert_eq!(out.len(), 50);
+            for r in out {
+                assert_eq!(r.value, payload(&r.id.to_le_bytes()), "id {}", r.id);
+            }
+        });
     }
 
     #[test]
     fn writes_visible_next_epoch_across_suborams() {
-        let mut sys = system(2, 4, 1000);
-        let writes: Vec<Request> = (0..100u64)
-            .map(|i| Request::write(i, &[0xA0 | (i % 16) as u8; 4], VLEN, i, 0))
-            .collect();
-        sys.execute_epoch(vec![writes, vec![]]).unwrap();
-        let reads: Vec<Request> = (0..100u64).map(|i| Request::read(i, VLEN, i, 1)).collect();
-        let out = sys.execute_epoch(vec![vec![], reads]).unwrap();
-        for r in out {
-            assert_eq!(r.value, payload(&[0xA0 | (r.id % 16) as u8; 4]), "id {}", r.id);
-        }
+        each_cell(|cell| {
+            let mut sys = system(cell, 2, 4, 1000);
+            let writes: Vec<Request> = (0..100u64)
+                .map(|i| Request::write(i, &[0xA0 | (i % 16) as u8; 4], VLEN, i, 0))
+                .collect();
+            sys.execute_epoch(vec![writes, vec![]]).unwrap();
+            let reads: Vec<Request> = (0..100u64).map(|i| Request::read(i, VLEN, i, 1)).collect();
+            let out = sys.execute_epoch(vec![vec![], reads]).unwrap();
+            for r in out {
+                assert_eq!(r.value, payload(&[0xA0 | (r.id % 16) as u8; 4]), "id {}", r.id);
+            }
+        });
     }
 
     #[test]
     fn cross_balancer_ordering_within_epoch() {
-        // Balancer 0's writes must be visible to balancer 1's reads in the
-        // same epoch (subORAMs process batches in balancer order).
-        let mut sys = system(2, 2, 100);
-        let w = vec![Request::write(5, &[0xEE; 4], VLEN, 0, 0)];
-        let r = vec![Request::read(5, VLEN, 1, 0)];
-        let out = sys.execute_epoch(vec![w, r]).unwrap();
-        let read_resp = out.iter().find(|resp| resp.client == 1).unwrap();
-        assert_eq!(read_resp.value, payload(&[0xEE; 4]));
-        // And balancer 0's own (merged) response saw the pre-write value.
-        let write_resp = out.iter().find(|resp| resp.client == 0).unwrap();
-        assert_eq!(write_resp.value, payload(&5u64.to_le_bytes()));
+        each_cell(|cell| {
+            // Balancer 0's writes must be visible to balancer 1's reads in the
+            // same epoch (subORAMs process batches in balancer order).
+            let mut sys = system(cell, 2, 2, 100);
+            let w = vec![Request::write(5, &[0xEE; 4], VLEN, 0, 0)];
+            let r = vec![Request::read(5, VLEN, 1, 0)];
+            let out = sys.execute_epoch(vec![w, r]).unwrap();
+            let read_resp = out.iter().find(|resp| resp.client == 1).unwrap();
+            assert_eq!(read_resp.value, payload(&[0xEE; 4]));
+            // And balancer 0's own (merged) response saw the pre-write value.
+            let write_resp = out.iter().find(|resp| resp.client == 0).unwrap();
+            assert_eq!(write_resp.value, payload(&5u64.to_le_bytes()));
+        });
     }
 
     #[test]
     fn duplicate_heavy_skew_is_served() {
-        // 200 requests, all for the same object: dedup keeps batches small
-        // and every client still gets a response.
-        let mut sys = system(1, 4, 100);
-        let reqs: Vec<Request> = (0..200u64).map(|i| Request::read(42, VLEN, i, i)).collect();
-        let out = sys.execute_epoch_single(reqs).unwrap();
-        assert_eq!(out.len(), 200);
-        for r in out {
-            assert_eq!(r.id, 42);
-            assert_eq!(r.value, payload(&42u64.to_le_bytes()));
-        }
+        each_cell(|cell| {
+            // 200 requests, all for the same object: dedup keeps batches small
+            // and every client still gets a response.
+            let mut sys = system(cell, 1, 4, 100);
+            let reqs: Vec<Request> = (0..200u64).map(|i| Request::read(42, VLEN, i, i)).collect();
+            let out = sys.execute_epoch_single(reqs).unwrap();
+            assert_eq!(out.len(), 200);
+            for r in out {
+                assert_eq!(r.id, 42);
+                assert_eq!(r.value, payload(&42u64.to_le_bytes()));
+            }
+        });
     }
 
     #[test]
     fn wrong_balancer_count_rejected() {
-        let mut sys = system(2, 2, 10);
-        let err = sys.execute_epoch(vec![vec![]]).unwrap_err();
-        assert_eq!(err, SnoopyError::WrongBalancerCount { expected: 2, got: 1 });
+        each_cell(|cell| {
+            let mut sys = system(cell, 2, 2, 10);
+            let err = sys.execute_epoch(vec![vec![]]).unwrap_err();
+            assert_eq!(err, SnoopyError::WrongBalancerCount { expected: 2, got: 1 });
+        });
     }
 
     #[test]
     fn empty_epoch_is_fine() {
-        let mut sys = system(2, 3, 10);
-        let out = sys.execute_epoch(vec![vec![], vec![]]).unwrap();
-        assert!(out.is_empty());
-        assert_eq!(sys.epoch(), 1);
+        each_cell(|cell| {
+            let mut sys = system(cell, 2, 3, 10);
+            let out = sys.execute_epoch(vec![vec![], vec![]]).unwrap();
+            assert!(out.is_empty());
+            assert_eq!(sys.epoch(), 1);
+        });
     }
 
     #[test]
     fn all_storage_tiers_match_in_enclave() {
         use crate::config::StorageKind;
-        let cfg_a = SnoopyConfig::with_machines(1, 2).value_len(VLEN).storage(StorageKind::Memory);
+        let cfg_a = SnoopyConfig::with_machines(1, 2).value_len(VLEN);
         let reqs = |seq: u64| {
             vec![Request::write(1, &[9; 4], VLEN, 0, seq), Request::read(100, VLEN, 1, seq)]
         };
@@ -322,67 +335,72 @@ mod tests {
             v.sort_by_key(|r| (r.client, r.seq));
             v
         };
-        for kind in [StorageKind::External, StorageKind::Disk] {
-            let mut a = Snoopy::init(cfg_a, objects(200), 3);
-            let mut b = Snoopy::init(cfg_a.storage(kind), objects(200), 3);
-            assert_eq!(
-                norm(a.execute_epoch_single(reqs(0)).unwrap()),
-                norm(b.execute_epoch_single(reqs(0)).unwrap()),
-                "storage tier {kind} diverged from in-enclave memory"
-            );
-            assert_eq!(a.peek(1), b.peek(1));
+        for threads in [1, 4] {
+            for kind in [StorageKind::External, StorageKind::Disk] {
+                let mut a = Snoopy::init(cfg_a, objects(200), 3);
+                let mut b =
+                    Snoopy::init(cfg_a.storage(kind).threads(threads, threads), objects(200), 3);
+                assert_eq!(
+                    norm(a.execute_epoch_single(reqs(0)).unwrap()),
+                    norm(b.execute_epoch_single(reqs(0)).unwrap()),
+                    "storage tier {kind} at {threads} threads diverged from in-enclave memory"
+                );
+                assert_eq!(a.peek(1), b.peek(1));
+            }
         }
     }
 
     #[test]
     fn random_workload_matches_model() {
-        use snoopy_crypto::rng::Rng;
-        let mut rng = snoopy_crypto::Prg::from_seed(99);
-        let n = 300u64;
-        let mut sys = system(2, 3, n);
-        let mut model: HashMap<u64, Vec<u8>> =
-            (0..n).map(|i| (i, payload(&i.to_le_bytes()))).collect();
+        each_cell(|cell| {
+            use snoopy_crypto::rng::Rng;
+            let mut rng = snoopy_crypto::Prg::from_seed(99);
+            let n = 300u64;
+            let mut sys = system(cell, 2, 3, n);
+            let mut model: HashMap<u64, Vec<u8>> =
+                (0..n).map(|i| (i, payload(&i.to_le_bytes()))).collect();
 
-        for _epoch in 0..5 {
-            let mut per: Vec<Vec<Request>> = vec![Vec::new(), Vec::new()];
-            let mut epoch_writes: Vec<Vec<(u64, Vec<u8>)>> = vec![Vec::new(), Vec::new()];
-            let mut expected: Vec<(u64, u64, Vec<u8>)> = Vec::new(); // (client, seq, value)
-            let mut client = 0u64;
-            // Balancer 0 then balancer 1; reads should see: initial-of-epoch
-            // state + all *earlier balancers'* writes; a balancer's own reads
-            // see the state before its own batch.
-            let mut state_before_lb = model.clone();
-            for lb in 0..2usize {
-                let count = rng.gen_range(5..30);
-                for seq in 0..count {
-                    let id = rng.gen_range(0..n);
-                    if rng.gen_bool(0.4) {
-                        let val = payload(&[rng.gen::<u8>(); 4]);
-                        per[lb].push(Request::write(id, &val, VLEN, client, seq));
-                        epoch_writes[lb].push((id, val));
-                        expected.push((client, seq, state_before_lb[&id].clone()));
-                    } else {
-                        per[lb].push(Request::read(id, VLEN, client, seq));
-                        expected.push((client, seq, state_before_lb[&id].clone()));
+            for _epoch in 0..5 {
+                let mut per: Vec<Vec<Request>> = vec![Vec::new(), Vec::new()];
+                let mut epoch_writes: Vec<Vec<(u64, Vec<u8>)>> = vec![Vec::new(), Vec::new()];
+                let mut expected: Vec<(u64, u64, Vec<u8>)> = Vec::new(); // (client, seq, value)
+                let mut client = 0u64;
+                // Balancer 0 then balancer 1; reads should see: initial-of-epoch
+                // state + all *earlier balancers'* writes; a balancer's own reads
+                // see the state before its own batch.
+                let mut state_before_lb = model.clone();
+                for lb in 0..2usize {
+                    let count = rng.gen_range(5..30);
+                    for seq in 0..count {
+                        let id = rng.gen_range(0..n);
+                        if rng.gen_bool(0.4) {
+                            let val = payload(&[rng.gen::<u8>(); 4]);
+                            per[lb].push(Request::write(id, &val, VLEN, client, seq));
+                            epoch_writes[lb].push((id, val));
+                            expected.push((client, seq, state_before_lb[&id].clone()));
+                        } else {
+                            per[lb].push(Request::read(id, VLEN, client, seq));
+                            expected.push((client, seq, state_before_lb[&id].clone()));
+                        }
+                        client += 1;
                     }
-                    client += 1;
+                    // Apply this balancer's writes (last write wins by arrival).
+                    for (id, val) in &epoch_writes[lb] {
+                        state_before_lb.insert(*id, val.clone());
+                    }
                 }
-                // Apply this balancer's writes (last write wins by arrival).
-                for (id, val) in &epoch_writes[lb] {
-                    state_before_lb.insert(*id, val.clone());
+                model = state_before_lb;
+                let out = sys.execute_epoch(per).unwrap();
+                let got: HashMap<(u64, u64), Vec<u8>> =
+                    out.into_iter().map(|r| ((r.client, r.seq), r.value)).collect();
+                for (client, seq, want) in expected {
+                    assert_eq!(got[&(client, seq)], want, "client {client} seq {seq}");
                 }
             }
-            model = state_before_lb;
-            let out = sys.execute_epoch(per).unwrap();
-            let got: HashMap<(u64, u64), Vec<u8>> =
-                out.into_iter().map(|r| ((r.client, r.seq), r.value)).collect();
-            for (client, seq, want) in expected {
-                assert_eq!(got[&(client, seq)], want, "client {client} seq {seq}");
+            // Final state agrees.
+            for (id, val) in &model {
+                assert_eq!(sys.peek(*id).unwrap(), *val, "id {id}");
             }
-        }
-        // Final state agrees.
-        for (id, val) in &model {
-            assert_eq!(sys.peek(*id).unwrap(), *val, "id {id}");
-        }
+        });
     }
 }

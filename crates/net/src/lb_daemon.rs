@@ -609,11 +609,11 @@ fn dialer(ctx: DialerCtx) {
             stats: stats.clone(),
             closed_tx,
         };
-        let handle = reactor.register(stream, Box::new(handler));
-        if handle.is_closed() {
-            // Reactor gone: daemon is shutting down.
-            return;
-        }
+        // A session the peer already closed still goes on: its `on_close`
+        // wakes the park below, which redials.
+        let Some(handle) = reactor.register(stream, Box::new(handler)) else {
+            return; // reactor gone: daemon is shutting down
+        };
         *subs[sub].lock().unwrap() = Some(SubSession { handle, batch_link });
         if established_before {
             stats.reconnected();

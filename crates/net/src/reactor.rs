@@ -163,11 +163,6 @@ impl SessionHandle {
     pub fn close(&self) {
         self.shared.request_close();
     }
-
-    /// True once the session is closed or condemned.
-    pub fn is_closed(&self) -> bool {
-        self.shared.state() == STATE_CLOSED
-    }
 }
 
 /// Turns an accepted connection's hello into that session's handler, or
@@ -190,19 +185,18 @@ pub struct ReactorHandle {
 
 impl ReactorHandle {
     /// Hands an established (post-hello) connection to the reactor, already
-    /// `Open` with `handler` attached. Returns the session's handle; if the
-    /// reactor is gone the handle is born closed and `on_close` has run.
-    pub fn register(&self, stream: TcpStream, handler: Box<dyn SessionHandler>) -> SessionHandle {
+    /// `Open` with `handler` attached. Returns the session's handle, or
+    /// `None` when the reactor is gone. The handle may already be closed,
+    /// for the peer can hang up at once; `on_close` then runs as usual.
+    pub fn register(
+        &self,
+        stream: TcpStream,
+        handler: Box<dyn SessionHandler>,
+    ) -> Option<SessionHandle> {
         let handle = new_handle(&self.reactor);
-        match self.reg_tx.send(Registration { stream, handler, handle: handle.clone() }) {
-            Ok(()) => self.reactor.unpark(),
-            Err(std::sync::mpsc::SendError(reg)) => {
-                let mut handler = reg.handler;
-                handle.close();
-                handler.on_close();
-            }
-        }
-        handle
+        self.reg_tx.send(Registration { stream, handler, handle: handle.clone() }).ok()?;
+        self.reactor.unpark();
+        Some(handle)
     }
 }
 

@@ -12,9 +12,14 @@
 //! A second test holds hundreds of sealed client sessions open at once
 //! against a 2×2 cluster: every session must be served, and every session
 //! must be released by the balancers' reactors once the client hangs up.
+//!
+//! Every scenario runs once per cell of the deployment matrix
+//! ([`CELLS`]): the memory tier at 1 and 4 enclave threads and the disk
+//! tier at 1, each byte-compared against the serial memory-tier reference.
 
-use snoopy_chaos::harness::{free_addrs, prom_value, wait_for_health, Daemon};
-use snoopy_core::config::env_threads;
+use snoopy_chaos::harness::{
+    each_cell, free_addrs, prom_value, wait_for_health, Cell, Daemon, CELLS,
+};
 use snoopy_core::link::Link;
 use snoopy_core::{Snoopy, SnoopyConfig};
 use snoopy_crypto::Key256;
@@ -36,11 +41,13 @@ const NUM_OBJECTS: u64 = 128;
 const SEED: u64 = 11;
 const SNOOPYD: &str = env!("CARGO_BIN_EXE_snoopyd");
 
-/// Storage tier for the daemons under test, from `SNOOPY_STORAGE` — the
-/// verify script re-runs this whole cluster with `disk` so the streaming
-/// tier faces the same byte-compare against the memory-tier reference.
-fn env_storage() -> snoopy_core::StorageKind {
-    snoopy_core::StorageKind::from_env()
+/// A scratch directory for one scenario in one cell.
+fn scratch_dir(name: &str, cell: Cell) -> PathBuf {
+    let pid = std::process::id();
+    let dir =
+        std::env::temp_dir().join(format!("snoopy-{name}-{}-{}-{pid}", cell.storage, cell.threads));
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
 }
 
 /// The operation sequence both the cluster and the reference engine run:
@@ -60,175 +67,173 @@ fn ops() -> Vec<(bool, u64, Vec<u8>)> {
 
 #[test]
 fn multi_process_cluster_matches_reference_and_survives_kill() {
-    let dir = std::env::temp_dir().join(format!("snoopy-cluster-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let addrs = free_addrs(3);
-    let manifest = Manifest {
-        value_len: VLEN,
-        lambda: 128,
-        seed: SEED,
-        num_objects: NUM_OBJECTS,
-        epoch_ms: 5,
-        sub_deadline_ms: 10_000,
-        max_replays: 3,
-        retain_epochs: 8,
-        active_suborams: 0,
-        // Honor SNOOPY_THREADS so the verify script's `parallel` suite can
-        // re-run this whole cluster with the parallel kernels engaged; the
-        // responses must stay byte-identical to the serial reference.
-        lb_threads: env_threads() as u32,
-        sub_threads: env_threads() as u32,
-        // Same idea for SNOOPY_STORAGE: the storage suite re-runs this
-        // cluster with real disk I/O. Small blocks/buffer so even this
-        // test-sized partition streams rather than sitting resident.
-        storage: env_storage(),
-        store_dir: Some(dir.join("store").to_string_lossy().into_owned()),
-        block_bytes: 256,
-        buffer_blocks: 4,
-        load_balancers: vec![addrs[0].clone()],
-        suborams: vec![addrs[1].clone(), addrs[2].clone()],
-    };
-    let manifest_path = dir.join("cluster.manifest");
-    std::fs::write(&manifest_path, manifest.render()).unwrap();
-    let ckpt: Vec<PathBuf> = (0..2).map(|i| dir.join(format!("sub{i}.ckpt"))).collect();
-    let _ = std::fs::remove_file(&ckpt[0]);
-    let _ = std::fs::remove_file(&ckpt[1]);
-
-    let sub0 = Daemon::spawn(SNOOPYD, "suboram", 0, &manifest_path, Some(&ckpt[0]));
-    let mut sub1 = Some(Daemon::spawn(SNOOPYD, "suboram", 1, &manifest_path, Some(&ckpt[1])));
-    let lb = Daemon::spawn(SNOOPYD, "loadbalancer", 0, &manifest_path, None);
-
-    // The reference engine: same objects, same seed, one epoch per op (the
-    // grouping of sequential ops into epochs cannot change their results).
-    // Pinned to the in-enclave memory tier: when SNOOPY_STORAGE=disk the
-    // daemons serve from sealed segment files while this reference serves
-    // from RAM, and every response must still match byte for byte.
-    let cfg =
-        SnoopyConfig::with_machines(1, 2).value_len(VLEN).storage(snoopy_core::StorageKind::Memory);
-    let mut reference = Snoopy::init(cfg, manifest.initial_objects(), SEED);
-
-    // Wait for the balancer to come up, then connect a client.
-    wait_for_health(&addrs[0], "loadbalancer");
-    let deploy = proto::deployment_key(SEED);
-    let mut client = loop {
-        match SnoopyClient::builder(VLEN).connect_tcp(&addrs[0], 0, &deploy) {
-            Ok(c) => break c,
-            Err(_) => std::thread::sleep(Duration::from_millis(50)),
-        }
-    };
-
-    let all_ops = ops();
-    assert!(all_ops.len() >= 100);
-    let kill_at = 40;
-    let mut first_scrape = String::new();
-    for (i, (is_write, id, payload)) in all_ops.iter().enumerate() {
-        if i == 30 {
-            // First metrics scrape mid-run; a second after the loop checks
-            // the counters are monotone.
-            first_scrape = fetch_metrics(&addrs[0]).expect("metrics RPC");
-        }
-        if i == kill_at {
-            // SIGKILL one subORAM mid-run and restart it from its
-            // checkpoint. In-flight epochs stall until the balancer's
-            // backoff loop reconnects to the replacement.
-            let mut d = sub1.take().unwrap();
-            d.kill9();
-            drop(d);
-            sub1 = Some(Daemon::spawn(SNOOPYD, "suboram", 1, &manifest_path, Some(&ckpt[1])));
-        }
-        let got = if *is_write {
-            client.write(*id, payload).expect("cluster write")
-        } else {
-            client.read(*id).expect("cluster read")
+    each_cell(&CELLS, |cell| {
+        let dir = scratch_dir("cluster", cell);
+        let addrs = free_addrs(3);
+        let manifest = Manifest {
+            value_len: VLEN,
+            lambda: 128,
+            seed: SEED,
+            num_objects: NUM_OBJECTS,
+            epoch_ms: 5,
+            sub_deadline_ms: 10_000,
+            max_replays: 3,
+            retain_epochs: 8,
+            active_suborams: 0,
+            lb_threads: cell.threads as u32,
+            sub_threads: cell.threads as u32,
+            // Small blocks and buffer, so on the disk tier even this
+            // test-sized partition streams rather than sitting resident.
+            storage: cell.storage,
+            store_dir: Some(dir.join("store").to_string_lossy().into_owned()),
+            block_bytes: 256,
+            buffer_blocks: 4,
+            load_balancers: vec![addrs[0].clone()],
+            suborams: vec![addrs[1].clone(), addrs[2].clone()],
         };
-        let req = if *is_write {
-            Request::write(*id, payload, VLEN, 0, i as u64)
-        } else {
-            Request::read(*id, VLEN, 0, i as u64)
-        };
-        let want = reference.execute_epoch_single(vec![req]).unwrap();
-        assert_eq!(got, want[0].value, "op {i} diverged from the reference engine");
-    }
+        let manifest_path = dir.join("cluster.manifest");
+        std::fs::write(&manifest_path, manifest.render()).unwrap();
+        let ckpt: Vec<PathBuf> = (0..2).map(|i| dir.join(format!("sub{i}.ckpt"))).collect();
+        let _ = std::fs::remove_file(&ckpt[0]);
+        let _ = std::fs::remove_file(&ckpt[1]);
 
-    // Metrics: the balancer's Prometheus exposition must carry the epoch
-    // counters, per-stage latency histograms, and per-link counters — and
-    // the counters must be monotone across the two scrapes.
-    let second_scrape = fetch_metrics(&addrs[0]).expect("metrics RPC");
-    for text in [&first_scrape, &second_scrape] {
-        assert!(text.contains("# TYPE snoopy_epochs_total counter"), "missing epochs counter");
-        assert!(text.contains("# TYPE snoopy_stage_seconds histogram"), "missing stage histogram");
-        for stage in ["lb_make", "sub_wait", "lb_match", "dial"] {
+        let sub0 = Daemon::spawn(SNOOPYD, "suboram", 0, &manifest_path, Some(&ckpt[0]));
+        let mut sub1 = Some(Daemon::spawn(SNOOPYD, "suboram", 1, &manifest_path, Some(&ckpt[1])));
+        let lb = Daemon::spawn(SNOOPYD, "loadbalancer", 0, &manifest_path, None);
+
+        // The reference engine: same objects, same seed, one epoch per op (the
+        // grouping of sequential ops into epochs cannot change their results).
+        // The serial memory-tier deployment: in every cell the daemons'
+        // responses must match it byte for byte.
+        let cfg = SnoopyConfig::with_machines(1, 2).value_len(VLEN);
+        let mut reference = Snoopy::init(cfg, manifest.initial_objects(), SEED);
+
+        // Wait for the balancer to come up, then connect a client.
+        wait_for_health(&addrs[0], "loadbalancer");
+        let deploy = proto::deployment_key(SEED);
+        let mut client = loop {
+            match SnoopyClient::builder(VLEN).connect_tcp(&addrs[0], 0, &deploy) {
+                Ok(c) => break c,
+                Err(_) => std::thread::sleep(Duration::from_millis(50)),
+            }
+        };
+
+        let all_ops = ops();
+        assert!(all_ops.len() >= 100);
+        let kill_at = 40;
+        let mut first_scrape = String::new();
+        for (i, (is_write, id, payload)) in all_ops.iter().enumerate() {
+            if i == 30 {
+                // First metrics scrape mid-run; a second after the loop checks
+                // the counters are monotone.
+                first_scrape = fetch_metrics(&addrs[0]).expect("metrics RPC");
+            }
+            if i == kill_at {
+                // SIGKILL one subORAM mid-run and restart it from its
+                // checkpoint. In-flight epochs stall until the balancer's
+                // backoff loop reconnects to the replacement.
+                let mut d = sub1.take().unwrap();
+                d.kill9();
+                drop(d);
+                sub1 = Some(Daemon::spawn(SNOOPYD, "suboram", 1, &manifest_path, Some(&ckpt[1])));
+            }
+            let got = if *is_write {
+                client.write(*id, payload).expect("cluster write")
+            } else {
+                client.read(*id).expect("cluster read")
+            };
+            let req = if *is_write {
+                Request::write(*id, payload, VLEN, 0, i as u64)
+            } else {
+                Request::read(*id, VLEN, 0, i as u64)
+            };
+            let want = reference.execute_epoch_single(vec![req]).unwrap();
+            assert_eq!(got, want[0].value, "op {i} diverged from the reference engine");
+        }
+
+        // Metrics: the balancer's Prometheus exposition must carry the epoch
+        // counters, per-stage latency histograms, and per-link counters — and
+        // the counters must be monotone across the two scrapes.
+        let second_scrape = fetch_metrics(&addrs[0]).expect("metrics RPC");
+        for text in [&first_scrape, &second_scrape] {
+            assert!(text.contains("# TYPE snoopy_epochs_total counter"), "missing epochs counter");
             assert!(
-                text.contains(&format!("snoopy_stage_seconds_count{{stage=\"{stage}\"}}")),
-                "missing stage series {stage}"
+                text.contains("# TYPE snoopy_stage_seconds histogram"),
+                "missing stage histogram"
+            );
+            for stage in ["lb_make", "sub_wait", "lb_match", "dial"] {
+                assert!(
+                    text.contains(&format!("snoopy_stage_seconds_count{{stage=\"{stage}\"}}")),
+                    "missing stage series {stage}"
+                );
+            }
+            assert!(
+                text.contains("snoopy_link_frames_sent_total{link=\"suboram/0\"}"),
+                "missing link counter series"
             );
         }
+        for name in ["snoopy_epochs_total", "snoopy_requests_total", "snoopy_batch_entries_total"] {
+            let first = prom_value(&first_scrape, name).expect("series in first scrape");
+            let second = prom_value(&second_scrape, name).expect("series in second scrape");
+            assert!(first > 0.0, "{name} zero at first scrape");
+            assert!(second >= first, "{name} went backwards: {first} -> {second}");
+        }
         assert!(
-            text.contains("snoopy_link_frames_sent_total{link=\"suboram/0\"}"),
-            "missing link counter series"
+            prom_value(&second_scrape, "snoopy_requests_total").expect("requests series")
+                > prom_value(&first_scrape, "snoopy_requests_total").expect("requests series"),
+            "request counter did not advance between scrapes"
         );
-    }
-    for name in ["snoopy_epochs_total", "snoopy_requests_total", "snoopy_batch_entries_total"] {
-        let first = prom_value(&first_scrape, name).expect("series in first scrape");
-        let second = prom_value(&second_scrape, name).expect("series in second scrape");
-        assert!(first > 0.0, "{name} zero at first scrape");
-        assert!(second >= first, "{name} went backwards: {first} -> {second}");
-    }
-    assert!(
-        prom_value(&second_scrape, "snoopy_requests_total").expect("requests series")
-            > prom_value(&first_scrape, "snoopy_requests_total").expect("requests series"),
-        "request counter did not advance between scrapes"
-    );
-    // The subORAM daemon exposes its own registry: scan and checkpoint
-    // stages plus its side of the links.
-    let sub_metrics = fetch_metrics(&addrs[1]).expect("suboram metrics RPC");
-    assert!(sub_metrics.contains("snoopy_stage_seconds_count{stage=\"suboram_scan\"}"));
-    assert!(sub_metrics.contains("snoopy_stage_seconds_count{stage=\"checkpoint_seal\"}"));
-    assert!(sub_metrics.contains("snoopy_link_frames_received_total{link=\"lb/0\"}"));
-    assert!(sub_metrics.contains("snoopy_uptime_seconds{daemon=\"suboram/0\"}"));
+        // The subORAM daemon exposes its own registry: scan and checkpoint
+        // stages plus its side of the links.
+        let sub_metrics = fetch_metrics(&addrs[1]).expect("suboram metrics RPC");
+        assert!(sub_metrics.contains("snoopy_stage_seconds_count{stage=\"suboram_scan\"}"));
+        assert!(sub_metrics.contains("snoopy_stage_seconds_count{stage=\"checkpoint_seal\"}"));
+        assert!(sub_metrics.contains("snoopy_link_frames_received_total{link=\"lb/0\"}"));
+        assert!(sub_metrics.contains("snoopy_uptime_seconds{daemon=\"suboram/0\"}"));
 
-    // Stats: the balancer must account frames/bytes on both subORAM links
-    // and at least one reconnect on the killed one.
-    let lb_stats_text = fetch_stats(&addrs[0]).unwrap();
-    let lb_header = parse_stats_header(&lb_stats_text).expect("no stats header from balancer");
-    assert_eq!(lb_header.role, "loadbalancer");
-    assert_eq!(lb_header.index, 0);
-    assert!(lb_header.epochs > 0, "balancer header reports no epochs");
-    let sub_header = parse_stats_header(&fetch_stats(&addrs[1]).unwrap()).unwrap();
-    assert_eq!(sub_header.role, "suboram");
-    assert!(sub_header.epochs > 0, "subORAM header reports no epochs");
-    let lb_stats = parse_stats(&lb_stats_text);
-    for sub in 0..2 {
-        let line = lb_stats
-            .iter()
-            .find(|l| l.link == format!("suboram/{sub}"))
-            .unwrap_or_else(|| panic!("no stats line for suboram/{sub}"));
-        assert!(line.frames_sent > 0, "suboram/{sub}: no frames sent");
-        assert!(line.frames_received > 0, "suboram/{sub}: no frames received");
-        assert!(line.bytes_sent > 0 && line.bytes_received > 0, "suboram/{sub}: no bytes");
-    }
-    let killed = lb_stats.iter().find(|l| l.link == "suboram/1").unwrap();
-    assert!(killed.reconnects >= 1, "balancer never reconnected to the killed subORAM");
-    // The subORAM side serves stats too.
-    let sub_stats = parse_stats(&fetch_stats(&addrs[1]).unwrap());
-    assert!(sub_stats.iter().any(|l| l.link == "lb/0" && l.frames_received > 0));
+        // Stats: the balancer must account frames/bytes on both subORAM links
+        // and at least one reconnect on the killed one.
+        let lb_stats_text = fetch_stats(&addrs[0]).unwrap();
+        let lb_header = parse_stats_header(&lb_stats_text).expect("no stats header from balancer");
+        assert_eq!(lb_header.role, "loadbalancer");
+        assert_eq!(lb_header.index, 0);
+        assert!(lb_header.epochs > 0, "balancer header reports no epochs");
+        let sub_header = parse_stats_header(&fetch_stats(&addrs[1]).unwrap()).unwrap();
+        assert_eq!(sub_header.role, "suboram");
+        assert!(sub_header.epochs > 0, "subORAM header reports no epochs");
+        let lb_stats = parse_stats(&lb_stats_text);
+        for sub in 0..2 {
+            let line = lb_stats
+                .iter()
+                .find(|l| l.link == format!("suboram/{sub}"))
+                .unwrap_or_else(|| panic!("no stats line for suboram/{sub}"));
+            assert!(line.frames_sent > 0, "suboram/{sub}: no frames sent");
+            assert!(line.frames_received > 0, "suboram/{sub}: no frames received");
+            assert!(line.bytes_sent > 0 && line.bytes_received > 0, "suboram/{sub}: no bytes");
+        }
+        let killed = lb_stats.iter().find(|l| l.link == "suboram/1").unwrap();
+        assert!(killed.reconnects >= 1, "balancer never reconnected to the killed subORAM");
+        // The subORAM side serves stats too.
+        let sub_stats = parse_stats(&fetch_stats(&addrs[1]).unwrap());
+        assert!(sub_stats.iter().any(|l| l.link == "lb/0" && l.frames_received > 0));
 
-    // The snoopyd CLI fronts the same RPC.
-    let out = Command::new(env!("CARGO_BIN_EXE_snoopyd"))
-        .args(["stats", "--addr", &addrs[0]])
-        .output()
-        .expect("snoopyd stats");
-    assert!(out.status.success());
-    assert!(String::from_utf8_lossy(&out.stdout).contains("link=suboram/0"));
+        // The snoopyd CLI fronts the same RPC.
+        let out = Command::new(env!("CARGO_BIN_EXE_snoopyd"))
+            .args(["stats", "--addr", &addrs[0]])
+            .output()
+            .expect("snoopyd stats");
+        assert!(out.status.success());
+        assert!(String::from_utf8_lossy(&out.stdout).contains("link=suboram/0"));
 
-    // Graceful shutdown, everywhere.
-    shutdown_daemon(&addrs[0]).expect("shutdown lb");
-    shutdown_daemon(&addrs[1]).expect("shutdown sub0");
-    shutdown_daemon(&addrs[2]).expect("shutdown sub1");
-    lb.wait_graceful();
-    sub0.wait_graceful();
-    sub1.take().unwrap().wait_graceful();
-    let _ = std::fs::remove_dir_all(&dir);
+        // Graceful shutdown, everywhere.
+        shutdown_daemon(&addrs[0]).expect("shutdown lb");
+        shutdown_daemon(&addrs[1]).expect("shutdown sub0");
+        shutdown_daemon(&addrs[2]).expect("shutdown sub1");
+        lb.wait_graceful();
+        sub0.wait_graceful();
+        sub1.take().unwrap().wait_graceful();
+        let _ = std::fs::remove_dir_all(&dir);
+    });
 }
 
 /// A sealed client session driven by hand rather than through
@@ -327,104 +332,110 @@ impl SessionGauge {
 fn hundreds_of_concurrent_sessions_are_served_and_released() {
     const SESSIONS: usize = 512;
     const OBJECTS: u64 = 1024;
-    let dir = std::env::temp_dir().join(format!("snoopy-sessions-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let addrs = free_addrs(4);
-    let manifest = Manifest {
-        value_len: VLEN,
-        lambda: 128,
-        seed: SEED,
-        num_objects: OBJECTS,
-        epoch_ms: 10,
-        sub_deadline_ms: 10_000,
-        max_replays: 3,
-        retain_epochs: 8,
-        active_suborams: 0,
-        lb_threads: env_threads() as u32,
-        sub_threads: env_threads() as u32,
-        storage: env_storage(),
-        store_dir: Some(dir.join("store").to_string_lossy().into_owned()),
-        block_bytes: 256,
-        buffer_blocks: 4,
-        load_balancers: addrs[..2].to_vec(),
-        suborams: addrs[2..].to_vec(),
-    };
-    let manifest_path = dir.join("cluster.manifest");
-    std::fs::write(&manifest_path, manifest.render()).unwrap();
-    let subs = [
-        Daemon::spawn(SNOOPYD, "suboram", 0, &manifest_path, None),
-        Daemon::spawn(SNOOPYD, "suboram", 1, &manifest_path, None),
-    ];
-    let lbs = [
-        Daemon::spawn(SNOOPYD, "loadbalancer", 0, &manifest_path, None),
-        Daemon::spawn(SNOOPYD, "loadbalancer", 1, &manifest_path, None),
-    ];
-    let lb_addrs = &manifest.load_balancers;
-    let deploy = proto::deployment_key(SEED);
-
-    // One served read per balancer proves its subORAM links are up, so the
-    // baseline below already counts them.
-    for (lb, addr) in lb_addrs.iter().enumerate() {
-        wait_for_health(addr, "loadbalancer");
-        let mut client = loop {
-            match SnoopyClient::builder(VLEN).connect_tcp(addr, lb, &deploy) {
-                Ok(c) => break c,
-                Err(_) => std::thread::sleep(Duration::from_millis(50)),
-            }
+    each_cell(&CELLS, |cell| {
+        let dir = scratch_dir("sessions", cell);
+        let addrs = free_addrs(4);
+        let manifest = Manifest {
+            value_len: VLEN,
+            lambda: 128,
+            seed: SEED,
+            num_objects: OBJECTS,
+            epoch_ms: 10,
+            sub_deadline_ms: 10_000,
+            max_replays: 3,
+            retain_epochs: 8,
+            active_suborams: 0,
+            lb_threads: cell.threads as u32,
+            sub_threads: cell.threads as u32,
+            storage: cell.storage,
+            store_dir: Some(dir.join("store").to_string_lossy().into_owned()),
+            block_bytes: 256,
+            buffer_blocks: 4,
+            load_balancers: addrs[..2].to_vec(),
+            suborams: addrs[2..].to_vec(),
         };
-        client.read(0).expect("warm-up read");
-    }
-    // Sessions closed before this point (the warm-up clients, the stats
-    // probes) are reaped asynchronously: the baseline is the count once it
-    // has held still for five readings.
-    let mut gauges: Vec<SessionGauge> = lb_addrs.iter().map(|a| SessionGauge::open(a)).collect();
-    let baseline: Vec<f64> = gauges
-        .iter_mut()
-        .map(|g| {
-            g.poll("never settled", |seen| {
-                seen.len() >= 5 && seen.ends_with(&[seen[seen.len() - 1]; 5])
+        let manifest_path = dir.join("cluster.manifest");
+        std::fs::write(&manifest_path, manifest.render()).unwrap();
+        let subs = [
+            Daemon::spawn(SNOOPYD, "suboram", 0, &manifest_path, None),
+            Daemon::spawn(SNOOPYD, "suboram", 1, &manifest_path, None),
+        ];
+        let lbs = [
+            Daemon::spawn(SNOOPYD, "loadbalancer", 0, &manifest_path, None),
+            Daemon::spawn(SNOOPYD, "loadbalancer", 1, &manifest_path, None),
+        ];
+        let lb_addrs = &manifest.load_balancers;
+        let deploy = proto::deployment_key(SEED);
+
+        // One served read per balancer proves its subORAM links are up, so the
+        // baseline below already counts them.
+        for (lb, addr) in lb_addrs.iter().enumerate() {
+            wait_for_health(addr, "loadbalancer");
+            let mut client = loop {
+                match SnoopyClient::builder(VLEN).connect_tcp(addr, lb, &deploy) {
+                    Ok(c) => break c,
+                    Err(_) => std::thread::sleep(Duration::from_millis(50)),
+                }
+            };
+            client.read(0).expect("warm-up read");
+        }
+        // Sessions closed before this point (the warm-up clients, the stats
+        // probes) are reaped asynchronously: the baseline is the count once it
+        // has held still for five readings.
+        let mut gauges: Vec<SessionGauge> =
+            lb_addrs.iter().map(|a| SessionGauge::open(a)).collect();
+        let baseline: Vec<f64> = gauges
+            .iter_mut()
+            .map(|g| {
+                g.poll("never settled", |seen| {
+                    seen.len() >= 5 && seen.ends_with(&[seen[seen.len() - 1]; 5])
+                })
             })
-        })
-        .collect();
+            .collect();
 
-    // Session i lives on balancer i % 2 and owns object i: it writes, then
-    // reads back. Each phase puts every session's request in flight before
-    // collecting any response, so all of them share a handful of epochs.
-    let mut sessions: Vec<RawSession> =
-        (0..SESSIONS).map(|i| RawSession::open(&lb_addrs[i % 2], i % 2, &deploy)).collect();
-    let initial = manifest.initial_objects();
-    let value = |i: usize| {
-        let mut v = format!("session {i}").into_bytes();
-        v.resize(VLEN, 0);
-        v
-    };
-    for (i, s) in sessions.iter_mut().enumerate() {
-        s.send(Request::write(i as u64, &value(i), VLEN, 0, 1));
-    }
-    for (i, s) in sessions.iter_mut().enumerate() {
-        assert_eq!(s.recv(), initial[i].value, "session {i}: write returns the pre-write value");
-    }
-    for (i, s) in sessions.iter_mut().enumerate() {
-        s.send(Request::read(i as u64, VLEN, 0, 2));
-    }
-    for (i, s) in sessions.iter_mut().enumerate() {
-        assert_eq!(s.recv(), value(i), "session {i}: read returns its own write");
-    }
-    drop(sessions);
+        // Session i lives on balancer i % 2 and owns object i: it writes, then
+        // reads back. Each phase puts every session's request in flight before
+        // collecting any response, so all of them share a handful of epochs.
+        let mut sessions: Vec<RawSession> =
+            (0..SESSIONS).map(|i| RawSession::open(&lb_addrs[i % 2], i % 2, &deploy)).collect();
+        let initial = manifest.initial_objects();
+        let value = |i: usize| {
+            let mut v = format!("session {i}").into_bytes();
+            v.resize(VLEN, 0);
+            v
+        };
+        for (i, s) in sessions.iter_mut().enumerate() {
+            s.send(Request::write(i as u64, &value(i), VLEN, 0, 1));
+        }
+        for (i, s) in sessions.iter_mut().enumerate() {
+            assert_eq!(
+                s.recv(),
+                initial[i].value,
+                "session {i}: write returns the pre-write value"
+            );
+        }
+        for (i, s) in sessions.iter_mut().enumerate() {
+            s.send(Request::read(i as u64, VLEN, 0, 2));
+        }
+        for (i, s) in sessions.iter_mut().enumerate() {
+            assert_eq!(s.recv(), value(i), "session {i}: read returns its own write");
+        }
+        drop(sessions);
 
-    for (g, &before) in gauges.iter_mut().zip(&baseline) {
-        g.poll(&format!("sessions not released (baseline {before})"), |seen| {
-            seen.last() == Some(&before)
-        });
-    }
-    drop(gauges);
-    for addr in &addrs {
-        shutdown_daemon(addr).expect("shutdown");
-    }
-    for d in lbs.into_iter().chain(subs) {
-        d.wait_graceful();
-    }
-    let _ = std::fs::remove_dir_all(&dir);
+        for (g, &before) in gauges.iter_mut().zip(&baseline) {
+            g.poll(&format!("sessions not released (baseline {before})"), |seen| {
+                seen.last() == Some(&before)
+            });
+        }
+        drop(gauges);
+        for addr in &addrs {
+            shutdown_daemon(addr).expect("shutdown");
+        }
+        for d in lbs.into_iter().chain(subs) {
+            d.wait_graceful();
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    });
 }
 
 /// A 1×2 cluster for the reply-plane tests, under its own directory.
@@ -435,9 +446,8 @@ struct SmallCluster {
 }
 
 impl SmallCluster {
-    fn boot(name: &str, epoch_ms: u64) -> SmallCluster {
-        let dir = std::env::temp_dir().join(format!("snoopy-{name}-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+    fn boot(cell: Cell, name: &str, epoch_ms: u64) -> SmallCluster {
+        let dir = scratch_dir(name, cell);
         let addrs = free_addrs(3);
         let manifest = Manifest {
             value_len: VLEN,
@@ -449,9 +459,9 @@ impl SmallCluster {
             max_replays: 3,
             retain_epochs: 8,
             active_suborams: 0,
-            lb_threads: env_threads() as u32,
-            sub_threads: env_threads() as u32,
-            storage: env_storage(),
+            lb_threads: cell.threads as u32,
+            sub_threads: cell.threads as u32,
+            storage: cell.storage,
             store_dir: Some(dir.join("store").to_string_lossy().into_owned()),
             block_bytes: 256,
             buffer_blocks: 4,
@@ -499,39 +509,41 @@ impl SmallCluster {
 /// responses, and the next epoch's frame opens as the link's next message.
 #[test]
 fn each_session_gets_one_response_frame_per_epoch() {
-    let cluster = SmallCluster::boot("one-box", 100);
-    let deploy = proto::deployment_key(SEED);
-    let initial = cluster.manifest.initial_objects();
-    let mut session = RawSession::open(cluster.lb(), 0, &deploy);
-    for (round, ids) in [vec![3u64, 9, 3, 40, 77], vec![5, 6, 7]].into_iter().enumerate() {
-        let reqs: Vec<Request> = ids
-            .iter()
-            .enumerate()
-            .map(|(i, &id)| Request::read(id, VLEN, 0, (round * 10 + i) as u64))
-            .collect();
-        session.send_all(&reqs);
-        // One frame per commit epoch; the requests of one frame almost
-        // always share an epoch, but a tick may land between them.
-        let mut got: Vec<Response> = Vec::new();
-        let mut epochs: Vec<u64> = Vec::new();
-        while got.len() < reqs.len() {
-            let (epoch, batch) = session.recv_frame();
-            assert!(!batch.is_empty(), "round {round}: an empty response box");
-            assert!(
-                epochs.last().is_none_or(|&e| e < epoch),
-                "round {round}: two frames for epoch {epoch}"
-            );
-            epochs.push(epoch);
-            got.extend(batch);
+    each_cell(&CELLS, |cell| {
+        let cluster = SmallCluster::boot(cell, "one-box", 100);
+        let deploy = proto::deployment_key(SEED);
+        let initial = cluster.manifest.initial_objects();
+        let mut session = RawSession::open(cluster.lb(), 0, &deploy);
+        for (round, ids) in [vec![3u64, 9, 3, 40, 77], vec![5, 6, 7]].into_iter().enumerate() {
+            let reqs: Vec<Request> = ids
+                .iter()
+                .enumerate()
+                .map(|(i, &id)| Request::read(id, VLEN, 0, (round * 10 + i) as u64))
+                .collect();
+            session.send_all(&reqs);
+            // One frame per commit epoch; the requests of one frame almost
+            // always share an epoch, but a tick may land between them.
+            let mut got: Vec<Response> = Vec::new();
+            let mut epochs: Vec<u64> = Vec::new();
+            while got.len() < reqs.len() {
+                let (epoch, batch) = session.recv_frame();
+                assert!(!batch.is_empty(), "round {round}: an empty response box");
+                assert!(
+                    epochs.last().is_none_or(|&e| e < epoch),
+                    "round {round}: two frames for epoch {epoch}"
+                );
+                epochs.push(epoch);
+                got.extend(batch);
+            }
+            assert_eq!(got.len(), reqs.len(), "round {round}: one response per request");
+            for req in &reqs {
+                let resp = got.iter().find(|r| r.seq == req.seq).expect("every request answered");
+                assert_eq!((resp.id, &resp.value), (req.id, &initial[req.id as usize].value));
+            }
         }
-        assert_eq!(got.len(), reqs.len(), "round {round}: one response per request");
-        for req in &reqs {
-            let resp = got.iter().find(|r| r.seq == req.seq).expect("every request answered");
-            assert_eq!((resp.id, &resp.value), (req.id, &initial[req.id as usize].value));
-        }
-    }
-    drop(session);
-    cluster.shutdown();
+        drop(session);
+        cluster.shutdown();
+    });
 }
 
 /// A request in the reserved id namespace would collide with a dummy slot
@@ -541,33 +553,35 @@ fn each_session_gets_one_response_frame_per_epoch() {
 /// without sending it.
 #[test]
 fn reserved_ids_close_the_session_and_spare_the_epoch() {
-    let cluster = SmallCluster::boot("reserved-id", 50);
-    let deploy = proto::deployment_key(SEED);
-    let initial = cluster.manifest.initial_objects();
-    let mut honest = RawSession::open(cluster.lb(), 0, &deploy);
-    let mut hostile = RawSession::open(cluster.lb(), 0, &deploy);
-    for round in 0..3u64 {
-        honest.send(Request::read(round, VLEN, 0, round));
-        if round == 0 {
-            // An id in the balancer's dummy namespace.
-            hostile.send(Request::read(LB_DUMMY_BASE + 1, VLEN, 0, 1));
+    each_cell(&CELLS, |cell| {
+        let cluster = SmallCluster::boot(cell, "reserved-id", 50);
+        let deploy = proto::deployment_key(SEED);
+        let initial = cluster.manifest.initial_objects();
+        let mut honest = RawSession::open(cluster.lb(), 0, &deploy);
+        let mut hostile = RawSession::open(cluster.lb(), 0, &deploy);
+        for round in 0..3u64 {
+            honest.send(Request::read(round, VLEN, 0, round));
+            if round == 0 {
+                // An id in the balancer's dummy namespace.
+                hostile.send(Request::read(LB_DUMMY_BASE + 1, VLEN, 0, 1));
+            }
+            assert_eq!(honest.recv(), initial[round as usize].value, "round {round}");
         }
-        assert_eq!(honest.recv(), initial[round as usize].value, "round {round}");
-    }
-    let closed = read_frame(&mut hostile.stream);
-    assert!(closed.is_err(), "the hostile session must be closed, got {closed:?}");
-    let metrics = fetch_metrics(cluster.lb()).expect("metrics");
-    assert_eq!(
-        prom_value(&metrics, "snoopy_refused_client_sessions_total").expect("refused series"),
-        1.0
-    );
+        let closed = read_frame(&mut hostile.stream);
+        assert!(closed.is_err(), "the hostile session must be closed, got {closed:?}");
+        let metrics = fetch_metrics(cluster.lb()).expect("metrics");
+        assert_eq!(
+            prom_value(&metrics, "snoopy_refused_client_sessions_total").expect("refused series"),
+            1.0
+        );
 
-    let mut client = SnoopyClient::builder(VLEN).connect_tcp(cluster.lb(), 0, &deploy).unwrap();
-    match client.read(LB_DUMMY_BASE + 5) {
-        Err(snoopy_net::NetError::ReservedId { id }) => assert_eq!(id, LB_DUMMY_BASE + 5),
-        other => panic!("expected a ReservedId refusal, got {other:?}"),
-    }
-    assert_eq!(client.read(7).expect("the client still works"), initial[7].value);
-    drop((honest, hostile, client));
-    cluster.shutdown();
+        let mut client = SnoopyClient::builder(VLEN).connect_tcp(cluster.lb(), 0, &deploy).unwrap();
+        match client.read(LB_DUMMY_BASE + 5) {
+            Err(snoopy_net::NetError::ReservedId { id }) => assert_eq!(id, LB_DUMMY_BASE + 5),
+            other => panic!("expected a ReservedId refusal, got {other:?}"),
+        }
+        assert_eq!(client.read(7).expect("the client still works"), initial[7].value);
+        drop((honest, hostile, client));
+        cluster.shutdown();
+    });
 }

@@ -1,5 +1,5 @@
-//! The disk storage tier on the real TCP plane, always-on (independent of
-//! `SNOOPY_STORAGE`): `snoopyd` subORAMs serve AEAD-sealed segment files
+//! The disk storage tier on the real TCP plane, pinned in the manifest
+//! (`storage = disk`): `snoopyd` subORAMs serve AEAD-sealed segment files
 //! through a streaming-sized buffer, every response is byte-compared against
 //! the in-enclave memory reference engine, and a `kill -9` mid-run must
 //! recover from the committed on-disk generation named by the sealed

@@ -54,7 +54,7 @@ fn boot_cluster(
         active_suborams: 0,
         lb_threads: 1,
         sub_threads: 1,
-        storage: snoopy_core::StorageKind::from_env(),
+        storage: snoopy_core::StorageKind::Memory,
         store_dir: Some(dir.join("store").to_string_lossy().into_owned()),
         block_bytes: 256,
         buffer_blocks: 4,

@@ -686,6 +686,7 @@ mod access_oracle {
             value_len in prop::sample::select(vec![1usize, 7, 8, 13, 160]),
             objects in 1u64..300,
             batch_len in 1usize..120,
+            m2 in prop::sample::select(vec![1usize, 2, 4]),
         ) {
             let mut x = seed;
             let mut partition: Vec<StoredObject> =
@@ -716,7 +717,16 @@ mod access_oracle {
                 })
                 .collect();
             let key = Key256(seed.to_le_bytes().repeat(4).try_into().unwrap());
-            let mut table = OHashTable::construct(batch, &key, 128).unwrap();
+            // `derive` gives a one-bucket tier 2 at every size drawn here. The
+            // other shapes overfill a small tier 1 so most ids spill into
+            // `m2` tier-2 buckets, each big enough to hold every spill.
+            let params = if m2 == 1 {
+                TableParams::derive(batch_len, batch_len, 128)
+            } else {
+                let (m1, z1) = (batch_len.div_ceil(4), 2);
+                TableParams { n: batch_len, m1, z1, n2_cap: batch_len, m2, z2: batch_len, lambda: 128 }
+            };
+            let mut table = OHashTable::construct_with_params(batch, &key, params).unwrap();
 
             let mut ref_slots: Vec<Request> = table.slots.iter().enumerate().map(|(i, s)| {
                 let mut req = s.req.clone();

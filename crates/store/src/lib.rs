@@ -70,7 +70,7 @@ pub enum StorageKind {
 }
 
 impl StorageKind {
-    /// Parses the manifest/env spelling.
+    /// Parses the manifest spelling.
     pub fn parse(s: &str) -> Option<StorageKind> {
         match s {
             "memory" => Some(StorageKind::Memory),
@@ -80,29 +80,13 @@ impl StorageKind {
         }
     }
 
-    /// The manifest/env spelling.
+    /// The manifest spelling.
     pub fn as_str(self) -> &'static str {
         match self {
             StorageKind::Memory => "memory",
             StorageKind::External => "external",
             StorageKind::Disk => "disk",
         }
-    }
-
-    /// Reads `SNOOPY_STORAGE` (memory|external|disk); unset means memory —
-    /// the storage analogue of `SNOOPY_THREADS`, so whole test suites can be
-    /// re-run against another tier.
-    ///
-    /// # Panics
-    ///
-    /// When the variable is set to anything else: a suite re-run under a
-    /// mistyped tier must fail, not quietly run the memory tier again.
-    pub fn from_env() -> StorageKind {
-        let Some(value) = std::env::var_os("SNOOPY_STORAGE") else { return StorageKind::Memory };
-        let value = value.to_string_lossy();
-        StorageKind::parse(value.trim()).unwrap_or_else(|| {
-            panic!("SNOOPY_STORAGE={value:?}: expected memory, external or disk")
-        })
     }
 }
 

@@ -15,8 +15,6 @@ use std::fs;
 /// Every environment variable the library code may read, with its reason.
 const LEDGER: &[(&str, &str)] = &[
     ("CHAOS_SEED", "pins the chaos suites' seed, so a failure replays under the seed it printed"),
-    ("SNOOPY_THREADS", "enclave kernel threads; the parallel suite re-runs the tests at 4"),
-    ("SNOOPY_STORAGE", "storage tier; the storage suite re-runs the tests on the disk tier"),
     ("SNOOPY_FLIGHT_DIR", "where the flight recorder writes its dumps (degraded epochs, shutdown)"),
 ];
 
