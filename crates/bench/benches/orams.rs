@@ -3,9 +3,10 @@
 //! cost at its configured batch size.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use snoopy_obladi::{ObladiProxy, ProxyRequest};
-use snoopy_pathoram::{Op as POp, PathOram, RecursivePathOram};
-use snoopy_ringoram::{Op as ROp, RingOram};
+use snoopy_baselines::obladi::{ObladiProxy, ProxyRequest};
+use snoopy_baselines::pathoram::{PathOram, RecursivePathOram};
+use snoopy_baselines::ringoram::RingOram;
+use snoopy_baselines::{Op as POp, Op as ROp};
 
 fn bench_pathoram(c: &mut Criterion) {
     let mut g = c.benchmark_group("pathoram_access");

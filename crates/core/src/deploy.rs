@@ -3,9 +3,9 @@
 //! Every load balancer and every subORAM runs on its own thread ("machine"),
 //! connected by channels standing in for the datacenter network. Batches and
 //! responses crossing a link are serialized and AEAD-sealed with a per-link
-//! key (established at deployment time via the attestation stub — §3.1's
-//! encrypted, replay-protected channels) with per-link sequence numbers as
-//! nonces. An epoch ticker drives the system; clients get blocking handles.
+//! key (drawn from the boot PRG at deployment time, where a real deployment
+//! would agree it by remote attestation — §3.1's encrypted, replay-protected
+//! channels) with per-link sequence numbers as nonces. An epoch ticker drives the system; clients get blocking handles.
 //!
 //! The epoch protocol itself lives in [`crate::transport`]: this module only
 //! supplies the channel-backed [`LbTransport`]/[`SubTransport`]

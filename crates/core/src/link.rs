@@ -54,8 +54,9 @@ pub struct Link {
 
 impl Link {
     /// Creates one endpoint of a channel. Peers must construct their ends
-    /// from the same key and channel id (established at deployment time via
-    /// the attestation stub, or derived per session by the TCP plane).
+    /// from the same key and channel id (the channel plane draws keys from
+    /// its boot PRG; the TCP plane derives them per session from the
+    /// deployment key).
     pub fn new(key: Key256, channel_id: u32) -> Link {
         Link { key: AeadKey::new(key), channel_id, send_seq: 0, recv_seq: 0 }
     }

@@ -8,12 +8,12 @@
 //! implements the same interface in software:
 //!
 //! * [`program`] — the `Load`/`Execute` model with captured [`snoopy_obliv::Trace`]s,
-//!   plus a remote-attestation stub establishing AEAD channel keys;
+//!   plus a remote-attestation stub that refuses impostor programs. No
+//!   deployment plane calls it: the channel plane draws link keys from its
+//!   boot PRG, and the TCP plane derives them from the deployment key;
 //! * [`wire`] — the request/object/response types exchanged between enclaves,
 //!   with branch-free [`snoopy_obliv::Cmov`] implementations so they can flow
-//!   through oblivious sorts and compactions;
-//! * [`epc`] — a cost model of SGX's limited Enclave Page Cache, reproducing
-//!   the paging cliffs visible in the paper's Figure 12.
+//!   through oblivious sorts and compactions.
 //!
 //! Integrity-protected external memory (§2, §7) — sealed blocks outside the
 //! enclave, their tags inside — is `snoopy_suboram::sealed`, shared by the
@@ -22,10 +22,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod epc;
 pub mod program;
 pub mod wire;
 
-pub use epc::{CostMeter, EpcModel};
 pub use program::{AttestationReport, Enclave, EnclaveProgram};
 pub use wire::{Request, RequestKind, Response, StoredObject, DUMMY_ID};

@@ -111,7 +111,8 @@ impl SnoopyClientBuilder {
         lb_index: usize,
         deploy: &Key256,
     ) -> Result<SnoopyClient, NetError> {
-        let transport = TcpTransport::dial(addr, lb_index, deploy, &self)?;
+        let endpoint = Endpoint { addr: addr.to_string(), lb_index };
+        let transport = TcpTransport::dial(vec![endpoint], deploy, &self)?;
         Ok(self.assemble(Box::new(transport)))
     }
 
@@ -132,7 +133,7 @@ impl SnoopyClientBuilder {
         addrs: &[String],
         deploy: &Key256,
     ) -> Result<SnoopyClient, NetError> {
-        let transport = MultiTcpTransport::dial(addrs, deploy, &self)?;
+        let transport = TcpTransport::dial(manifest_endpoints(addrs), deploy, &self)?;
         Ok(self.assemble(Box::new(transport)))
     }
 
@@ -265,46 +266,105 @@ impl SnoopyClient {
     }
 }
 
-/// The sealed framed-AEAD session transport to a `snoopyd` balancer.
+/// How long a balancer endpoint sits out after a failed dial before the
+/// client probes it again. Short enough that a restarted balancer rejoins
+/// the rotation within a few requests; long enough that a dead one is not
+/// re-dialed on every operation.
+const ENDPOINT_COOLDOWN: Duration = Duration::from_millis(500);
+
+/// A balancer a [`TcpTransport`] may hold its session with.
+struct Endpoint {
+    addr: String,
+    /// The balancer's position in the manifest, which keys its session links.
+    lb_index: usize,
+}
+
+/// The manifest's `loadbalancer` entries, in manifest order, as endpoints.
+fn manifest_endpoints(addrs: &[String]) -> Vec<Endpoint> {
+    addrs
+        .iter()
+        .enumerate()
+        .map(|(lb_index, addr)| Endpoint { addr: addr.clone(), lb_index })
+        .collect()
+}
+
+/// The sealed framed-AEAD session transport to one or more `snoopyd`
+/// balancers.
+///
+/// Holds one live session at a time (the *current* endpoint) plus the full
+/// endpoint list. Reconnects prefer the current endpoint (reply cache
+/// locality); if it cannot be re-dialed it is put on cooldown and the probe
+/// rotates to the next balancer. [`SessionTransport::fail_over`]
+/// deliberately skips the current endpoint first, because it is called when
+/// the current balancer is up but its epochs are failing.
 struct TcpTransport {
+    endpoints: Vec<Endpoint>,
+    cooldown_until: Vec<Option<std::time::Instant>>,
+    current: usize,
     stream: TcpStream,
     req_link: Link,
     resp_link: Link,
-    addr: String,
     deploy: Key256,
-    lb_index: usize,
     value_len: usize,
     read_timeout: Duration,
     last_epoch: Option<u64>,
 }
 
 impl TcpTransport {
+    /// Dials the first endpoint, in list order, that accepts a session,
+    /// under the builder's retry schedule.
     fn dial(
-        addr: &str,
-        lb_index: usize,
+        endpoints: Vec<Endpoint>,
         deploy: &Key256,
         builder: &SnoopyClientBuilder,
     ) -> Result<TcpTransport, NetError> {
-        let (stream, req_link, resp_link) = builder
+        if endpoints.is_empty() {
+            return Err(NetError::protocol("empty balancer endpoint set"));
+        }
+        let (current, stream, req_link, resp_link) = builder
             .retry
             .run(|attempt| {
                 if attempt > 0 {
                     count_retry();
                 }
-                dial_session(addr, lb_index, deploy, builder.read_timeout)
+                let mut cooldown_until = vec![None; endpoints.len()];
+                probe_endpoints(&endpoints, &mut cooldown_until, 0, deploy, builder.read_timeout)
             })
             .map_err(NetError::from_io)?;
         Ok(TcpTransport {
+            cooldown_until: vec![None; endpoints.len()],
+            endpoints,
+            current,
             stream,
             req_link,
             resp_link,
-            addr: addr.to_string(),
             deploy: deploy.clone(),
-            lb_index,
             value_len: builder.value_len,
             read_timeout: builder.read_timeout,
             last_epoch: None,
         })
+    }
+
+    /// Installs a probed session as the current one (new session id → new
+    /// link keys; the old session's sequence numbers die with it).
+    fn install(&mut self, (index, stream, req_link, resp_link): (usize, TcpStream, Link, Link)) {
+        let _ = self.stream.shutdown(std::net::Shutdown::Both);
+        self.stream = stream;
+        self.req_link = req_link;
+        self.resp_link = resp_link;
+        self.current = index;
+    }
+
+    /// Probes the endpoints from `start`, wrapping, for one that accepts a
+    /// session.
+    fn probe(&mut self, start: usize) -> io::Result<(usize, TcpStream, Link, Link)> {
+        probe_endpoints(
+            &self.endpoints,
+            &mut self.cooldown_until,
+            start,
+            &self.deploy,
+            self.read_timeout,
+        )
     }
 }
 
@@ -347,119 +407,14 @@ impl SessionTransport for TcpTransport {
         }
     }
 
-    /// Re-dials and installs a fresh session (new session id → new link
-    /// keys; the old session's sequence numbers die with it).
-    fn reconnect(&mut self) -> Result<(), NetError> {
-        let _ = self.stream.shutdown(std::net::Shutdown::Both);
-        let (stream, req_link, resp_link) =
-            dial_session(&self.addr, self.lb_index, &self.deploy, self.read_timeout)?;
-        self.stream = stream;
-        self.req_link = req_link;
-        self.resp_link = resp_link;
-        Ok(())
-    }
-
-    fn last_commit(&self) -> Option<u64> {
-        self.last_epoch
-    }
-}
-
-/// How long a balancer endpoint sits out after a failed dial before the
-/// client probes it again. Short enough that a restarted balancer rejoins
-/// the rotation within a few requests; long enough that a dead one is not
-/// re-dialed on every operation.
-const ENDPOINT_COOLDOWN: Duration = Duration::from_millis(500);
-
-/// A sticky multi-endpoint session transport over `k` balancers.
-///
-/// Holds one live [`TcpTransport`] at a time (the *current* endpoint) plus
-/// the full endpoint list. Reconnects prefer the current endpoint (reply
-/// cache locality); if it cannot be re-dialed it is put on cooldown and the
-/// probe rotates to the next balancer. [`SessionTransport::fail_over`]
-/// deliberately skips the current endpoint first, because it is called when
-/// the current balancer is up but its epochs are failing.
-struct MultiTcpTransport {
-    inner: TcpTransport,
-    addrs: Vec<String>,
-    cooldown_until: Vec<Option<std::time::Instant>>,
-    current: usize,
-}
-
-impl MultiTcpTransport {
-    fn dial(
-        addrs: &[String],
-        deploy: &Key256,
-        builder: &SnoopyClientBuilder,
-    ) -> Result<MultiTcpTransport, NetError> {
-        if addrs.is_empty() {
-            return Err(NetError::protocol("empty balancer endpoint set"));
-        }
-        let (index, stream, req_link, resp_link) = builder
-            .retry
-            .run(|attempt| {
-                if attempt > 0 {
-                    count_retry();
-                }
-                probe_endpoints(
-                    addrs,
-                    &mut vec![None; addrs.len()],
-                    0,
-                    deploy,
-                    builder.read_timeout,
-                )
-            })
-            .map_err(NetError::from_io)?;
-        let inner = TcpTransport {
-            stream,
-            req_link,
-            resp_link,
-            addr: addrs[index].clone(),
-            deploy: deploy.clone(),
-            lb_index: index,
-            value_len: builder.value_len,
-            read_timeout: builder.read_timeout,
-            last_epoch: None,
-        };
-        Ok(MultiTcpTransport {
-            inner,
-            addrs: addrs.to_vec(),
-            cooldown_until: vec![None; addrs.len()],
-            current: index,
-        })
-    }
-
-    /// Installs `index` as the current endpoint with a fresh session.
-    fn install(&mut self, index: usize, stream: TcpStream, req_link: Link, resp_link: Link) {
-        let _ = self.inner.stream.shutdown(std::net::Shutdown::Both);
-        self.inner.stream = stream;
-        self.inner.req_link = req_link;
-        self.inner.resp_link = resp_link;
-        self.inner.addr = self.addrs[index].clone();
-        self.inner.lb_index = index;
-        self.current = index;
-        self.cooldown_until[index] = None;
-    }
-}
-
-impl SessionTransport for MultiTcpTransport {
-    fn execute(&mut self, op: Op<'_>, seq: u64) -> Result<Response, NetError> {
-        self.inner.execute(op, seq)
-    }
-
     /// Re-dials starting from the *current* endpoint (stickiness), rotating
     /// through the remaining balancers if it is down. This is the failover
     /// path for timeouts and dead connections: a SIGKILLed balancer refuses
     /// the re-dial, goes on cooldown, and the session lands on a survivor.
     fn reconnect(&mut self) -> Result<(), NetError> {
-        let start = self.current;
-        let (index, stream, req_link, resp_link) = probe_endpoints(
-            &self.addrs,
-            &mut self.cooldown_until,
-            start,
-            &self.inner.deploy,
-            self.inner.read_timeout,
-        )?;
-        self.install(index, stream, req_link, resp_link);
+        let _ = self.stream.shutdown(std::net::Shutdown::Both);
+        let session = self.probe(self.current)?;
+        self.install(session);
         Ok(())
     }
 
@@ -468,21 +423,14 @@ impl SessionTransport for MultiTcpTransport {
     /// the probe starts at the *next* endpoint. Returns `false` — keeping
     /// the error fatal — when no other balancer accepts a session.
     fn fail_over(&mut self) -> bool {
-        if self.addrs.len() < 2 {
+        if self.endpoints.len() < 2 {
             return false;
         }
         let prev = self.current;
         self.cooldown_until[prev] = Some(std::time::Instant::now() + ENDPOINT_COOLDOWN);
-        let start = (prev + 1) % self.addrs.len();
-        match probe_endpoints(
-            &self.addrs,
-            &mut self.cooldown_until,
-            start,
-            &self.inner.deploy,
-            self.inner.read_timeout,
-        ) {
-            Ok((index, stream, req_link, resp_link)) if index != prev => {
-                self.install(index, stream, req_link, resp_link);
+        match self.probe((prev + 1) % self.endpoints.len()) {
+            Ok(session) if session.0 != prev => {
+                self.install(session);
                 true
             }
             _ => false,
@@ -490,19 +438,20 @@ impl SessionTransport for MultiTcpTransport {
     }
 
     fn last_commit(&self) -> Option<u64> {
-        self.inner.last_epoch
+        self.last_epoch
     }
 }
 
-/// Probes `addrs[start], addrs[start+1], …` (wrapping) for a balancer that
-/// accepts a client session. Endpoints on cooldown are skipped on the first
-/// pass; if *every* endpoint was cooling, a fallback pass dials them anyway
-/// in least-recently-cooled order (ascending cooldown expiry), so the
-/// all-cooling window neither busy-spins nor hard-fails without a dial
-/// attempt, and the endpoint most likely to have recovered is tried first.
+/// Probes `endpoints[start], endpoints[start+1], …` (wrapping) for a
+/// balancer that accepts a client session. Endpoints on cooldown are
+/// skipped on the first pass; if *every* endpoint was cooling, a fallback
+/// pass dials them anyway in least-recently-cooled order (ascending
+/// cooldown expiry), so the all-cooling window neither busy-spins nor
+/// hard-fails without a dial attempt, and the endpoint most likely to have
+/// recovered is tried first.
 /// A failed dial puts the endpoint on cooldown; a success clears it.
 fn probe_endpoints(
-    addrs: &[String],
+    endpoints: &[Endpoint],
     cooldown_until: &mut [Option<std::time::Instant>],
     start: usize,
     deploy: &Key256,
@@ -511,13 +460,13 @@ fn probe_endpoints(
     let now = std::time::Instant::now();
     let mut last_err: Option<io::Error> = None;
     let mut attempted = false;
-    for offset in 0..addrs.len() {
-        let index = (start + offset) % addrs.len();
+    for offset in 0..endpoints.len() {
+        let index = (start + offset) % endpoints.len();
         if cooldown_until[index].is_some_and(|until| until > now) {
             continue;
         }
         attempted = true;
-        match dial_session(&addrs[index], index, deploy, read_timeout) {
+        match dial_session(&endpoints[index], deploy, read_timeout) {
             Ok((stream, req_link, resp_link)) => {
                 cooldown_until[index] = None;
                 return Ok((index, stream, req_link, resp_link));
@@ -534,7 +483,7 @@ fn probe_endpoints(
         // least-recently-cooled endpoint first (the one whose cooldown
         // expires soonest) rather than blind rotation order.
         for index in cooling_order(cooldown_until, start) {
-            match dial_session(&addrs[index], index, deploy, read_timeout) {
+            match dial_session(&endpoints[index], deploy, read_timeout) {
                 Ok((stream, req_link, resp_link)) => {
                     cooldown_until[index] = None;
                     return Ok((index, stream, req_link, resp_link));
@@ -577,19 +526,19 @@ impl SessionTransport for ClusterTransport {
     }
 }
 
-/// Dials `addr`, runs the client hello, and derives the session links.
-pub(crate) fn dial_session(
-    addr: &str,
-    lb_index: usize,
+/// Dials `endpoint`, runs the client hello, and derives the session links.
+fn dial_session(
+    endpoint: &Endpoint,
     deploy: &Key256,
     read_timeout: Duration,
 ) -> io::Result<(TcpStream, Link, Link)> {
-    let mut stream = TcpStream::connect(addr)?;
+    let mut stream = TcpStream::connect(&endpoint.addr)?;
     stream.set_nodelay(true)?;
     stream.set_read_timeout(Some(read_timeout))?;
     let hello = Hello::new(Role::Client, 0);
     write_frame(&mut stream, tag::HELLO, &hello.encode())?;
-    let (req_link, resp_link) = proto::client_session_links(deploy, lb_index, hello.session);
+    let (req_link, resp_link) =
+        proto::client_session_links(deploy, endpoint.lb_index, hello.session);
     Ok((stream, req_link, resp_link))
 }
 
@@ -783,9 +732,14 @@ mod tests {
         let mut cools =
             vec![Some(now + Duration::from_millis(400)), Some(now + Duration::from_millis(100))];
         let deploy = proto::deployment_key(3);
-        let (index, _stream, _rl, _wl) =
-            probe_endpoints(&addrs, &mut cools, 0, &deploy, Duration::from_millis(200))
-                .expect("all-cooling fallback must still dial");
+        let (index, _stream, _rl, _wl) = probe_endpoints(
+            &manifest_endpoints(&addrs),
+            &mut cools,
+            0,
+            &deploy,
+            Duration::from_millis(200),
+        )
+        .expect("all-cooling fallback must still dial");
         assert_eq!(index, 1, "must dial the endpoint whose cooldown expires soonest");
         assert_eq!(cools[1], None, "a successful dial clears the endpoint's cooldown");
     }
@@ -805,8 +759,13 @@ mod tests {
         let now = std::time::Instant::now();
         let mut cools = vec![Some(now + Duration::from_millis(50)); 2];
         let deploy = proto::deployment_key(3);
-        let err = match probe_endpoints(&addrs, &mut cools, 0, &deploy, Duration::from_millis(200))
-        {
+        let err = match probe_endpoints(
+            &manifest_endpoints(&addrs),
+            &mut cools,
+            0,
+            &deploy,
+            Duration::from_millis(200),
+        ) {
             Err(err) => err,
             Ok(_) => panic!("dead endpoints must fail"),
         };

@@ -9,7 +9,6 @@
 //! snoopyd health   --addr 127.0.0.1:7000
 //! snoopyd shutdown --addr 127.0.0.1:7000
 //! snoopyd reshard  --manifest cluster.toml --new-s 8
-//! snoopyd reshard  --manifest cluster.toml --auto --max-latency-ms 500
 //! ```
 //!
 //! Every daemon in a cluster reads the same manifest; `--role`/`--index`
@@ -21,10 +20,7 @@
 //!
 //! `reshard` drives a live epoch-boundary fleet reconfiguration (see
 //! [`snoopy_net::reshard`]): `--new-s N` moves the cluster to `N` active
-//! subORAMs (any value up to the manifest's provisioned list), and `--auto`
-//! instead scrapes the balancers' public request counters, asks the §6
-//! planner for the smallest fleet sustaining the observed load, and
-//! reshards only if that differs from the live fleet.
+//! subORAMs (any value up to the manifest's provisioned list).
 
 use snoopy_net::manifest::Manifest;
 use snoopy_net::stats::StatsRegistry;
@@ -40,8 +36,7 @@ fn usage() -> ! {
          snoopyd metrics --addr HOST:PORT\n  \
          snoopyd health --addr HOST:PORT\n  \
          snoopyd shutdown --addr HOST:PORT\n  \
-         snoopyd reshard --manifest PATH (--new-s N | --auto)\n          \
-         [--ttl-ms N] [--max-latency-ms F] [--headroom F]"
+         snoopyd reshard --manifest PATH --new-s N [--ttl-ms N]"
     );
     exit(2);
 }
@@ -106,21 +101,11 @@ fn run_reshard(args: &[String]) {
             exit(1);
         }
     };
-    let auto = args.iter().any(|a| a == "--auto");
-    let explicit: Option<usize> = flag_value(args, "--new-s").map(|v| {
-        v.parse().unwrap_or_else(|_| {
-            eprintln!("snoopyd reshard: bad value for --new-s: {v}");
-            exit(2)
-        })
+    let new_s = flag_value(args, "--new-s").unwrap_or_else(|| usage());
+    let new_s: usize = new_s.parse().unwrap_or_else(|_| {
+        eprintln!("snoopyd reshard: bad value for --new-s: {new_s}");
+        exit(2)
     });
-    let new_s = match (explicit, auto) {
-        (Some(n), false) => n,
-        (None, true) => match auto_target(args, &manifest) {
-            Some(n) => n,
-            None => return, // already right-sized; auto_target printed why
-        },
-        _ => usage(),
-    };
     let mut opts = snoopy_net::ReshardOptions::default();
     if let Some(ms) = flag_value(args, "--ttl-ms") {
         let ms: u64 = ms.parse().unwrap_or_else(|_| {
@@ -146,85 +131,6 @@ fn run_reshard(args: &[String]) {
             exit(1);
         }
     }
-}
-
-/// `--auto`: observe the cluster's public request rate, ask the §6 planner
-/// for the smallest sustaining fleet, and return it — or `None` (after
-/// printing why) when the live fleet is already the answer.
-fn auto_target(args: &[String], manifest: &Manifest) -> Option<usize> {
-    let flag_f64 = |flag: &str, default: f64| -> f64 {
-        match flag_value(args, flag) {
-            Some(v) => v.parse().unwrap_or_else(|_| {
-                eprintln!("snoopyd reshard: bad value for {flag}: {v}");
-                exit(2)
-            }),
-            None => default,
-        }
-    };
-    let max_latency_ms = flag_f64("--max-latency-ms", 1000.0);
-    // Provision for a multiple of the observed rate so the reshard completes
-    // before the load catches up with the new fleet.
-    let headroom = flag_f64("--headroom", 1.25);
-
-    // The request counter and uptime are public by construction (request
-    // volume is wire-observable; see the telemetry leakage gates).
-    let mut total_requests = 0.0f64;
-    let mut max_uptime = 0.0f64;
-    for (i, addr) in manifest.load_balancers.iter().enumerate() {
-        let text = match fetch_metrics(addr) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("snoopyd reshard: balancer {i} ({addr}) unreachable: {e}");
-                exit(1);
-            }
-        };
-        let scrape = match snoopy_telemetry::slo::parse_prometheus(&text) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("snoopyd reshard: balancer {i} ({addr}) bad exposition: {e}");
-                exit(1);
-            }
-        };
-        total_requests += scrape.sum("snoopy_requests_total");
-        max_uptime = max_uptime.max(scrape.sum("snoopy_uptime_seconds"));
-    }
-    let observed_rps = if max_uptime > 0.0 { total_requests / max_uptime } else { 0.0 };
-    let req = snoopy_planner::Requirements {
-        min_throughput_rps: (observed_rps * headroom).max(1.0),
-        max_latency_ms,
-        num_objects: manifest.num_objects,
-    };
-    let model = snoopy_netsim::costmodel::CostModel::paper_calibrated();
-    let epoch_ns = manifest.epoch_ms.max(1) * 1_000_000;
-    let target = snoopy_planner::recommend_suborams(
-        &req,
-        &model,
-        manifest.load_balancers.len(),
-        manifest.suborams.len(),
-        epoch_ns,
-    );
-    let Some(target) = target else {
-        eprintln!(
-            "snoopyd reshard: observed {observed_rps:.0} rps needs more than the {} \
-             provisioned subORAMs — provision machines, then reshard",
-            manifest.suborams.len()
-        );
-        exit(1);
-    };
-    let live = snoopy_net::probe_layout(manifest, std::time::Duration::from_secs(5))
-        .map(|(_, s)| s)
-        .unwrap_or_else(|| manifest.initial_active());
-    if target == live {
-        println!(
-            "already right-sized: {live} active subORAMs sustain {observed_rps:.0} rps \
-             (headroom x{headroom})"
-        );
-        return None;
-    }
-    println!(
-        "observed {observed_rps:.0} rps -> planner recommends {target} subORAMs (live: {live})"
-    );
-    Some(target)
 }
 
 fn run_daemon(args: &[String]) {

@@ -429,10 +429,8 @@ mod tests {
 
     #[test]
     fn save_load_roundtrip_preserves_state_and_reply_cache() {
-        let dir = std::env::temp_dir().join(format!("snoopy-ckpt-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("sub0.ckpt");
-        let _ = std::fs::remove_file(&path);
+        let dir = snoopy_store::TempDir::new("snoopy-ckpt").unwrap();
+        let path = dir.path().join("sub0.ckpt");
         let key = checkpoint_key(&Key256([1u8; 32]), 0);
 
         let mut n = node();
@@ -452,7 +450,6 @@ mod tests {
             BatchOutcome::Replayed { lb: 0, batch: replay } => assert_eq!(replay, out),
             _ => panic!("expected replay from cache"),
         }
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
@@ -460,10 +457,8 @@ mod tests {
         // Two balancers' epoch streams interleave at one subORAM; the reply
         // cache keys on the composite id, so a restart replays each
         // balancer's own batches — never the other's.
-        let dir = std::env::temp_dir().join(format!("snoopy-ckpt5-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("sub4.ckpt");
-        let _ = std::fs::remove_file(&path);
+        let dir = snoopy_store::TempDir::new("snoopy-ckpt5").unwrap();
+        let path = dir.path().join("sub4.ckpt");
         let key = checkpoint_key(&Key256([4u8; 32]), 4);
 
         let objects: Vec<StoredObject> =
@@ -505,16 +500,13 @@ mod tests {
             restored.handle_batch(0, 3, b1e3),
             BatchOutcome::Rejected { lb: 0, epoch: 3 }
         ));
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn disk_tier_checkpoint_is_small_and_reopens_committed_generation() {
-        let root = std::env::temp_dir().join(format!("snoopy-ckpt-disk-{}", std::process::id()));
-        let store = root.join("sub0");
-        let _ = std::fs::remove_dir_all(&root);
-        std::fs::create_dir_all(&root).unwrap();
-        let path = root.join("sub0.ckpt");
+        let root = snoopy_store::TempDir::new("snoopy-ckpt-disk").unwrap();
+        let store = root.path().join("sub0");
+        let path = root.path().join("sub0.ckpt");
         let key = checkpoint_key(&Key256([5u8; 32]), 0);
         // Small geometry so a 64-object partition streams (not resident).
         let cfg = DiskConfig { block_bytes: 128, buffer_blocks: 2 };
@@ -555,15 +547,12 @@ mod tests {
         let e =
             load(&key, &path, Key256([9u8; 32]), 80, &StorageSpec::Memory).map(|_| ()).unwrap_err();
         assert!(e.to_string().contains("disk"), "{e}");
-        std::fs::remove_dir_all(&root).unwrap();
     }
 
     #[test]
     fn refused_epoch_survives_restart_as_a_refusal() {
-        let dir = std::env::temp_dir().join(format!("snoopy-ckpt4-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("sub3.ckpt");
-        let _ = std::fs::remove_file(&path);
+        let dir = snoopy_store::TempDir::new("snoopy-ckpt4").unwrap();
+        let path = dir.path().join("sub3.ckpt");
         let key = checkpoint_key(&Key256([3u8; 32]), 3);
 
         let mut n = node();
@@ -582,15 +571,12 @@ mod tests {
             BatchOutcome::Replayed { lb: 0, batch: None } => {}
             _ => panic!("expected replayed refusal"),
         }
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn eviction_watermark_survives_restart_and_stale_tmp_is_cleaned() {
-        let dir = std::env::temp_dir().join(format!("snoopy-ckpt3-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("sub2.ckpt");
-        let _ = std::fs::remove_file(&path);
+        let dir = snoopy_store::TempDir::new("snoopy-ckpt3").unwrap();
+        let path = dir.path().join("sub2.ckpt");
         let key = checkpoint_key(&Key256([2u8; 32]), 2);
 
         // Bound the reply cache to 2 epochs and run 4: epochs 0 and 1 evict.
@@ -619,7 +605,6 @@ mod tests {
             restored.handle_batch(0, 0, replay),
             BatchOutcome::Evicted { lb: 0, epoch: 0 }
         ));
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
@@ -661,10 +646,8 @@ mod tests {
         // single max-based watermark would wrongly evict balancer 1's
         // still-replayable epochs after a restart. The per-residue-class
         // vector keeps them independent across save/load.
-        let dir = std::env::temp_dir().join(format!("snoopy-ckpt6-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("sub5.ckpt");
-        let _ = std::fs::remove_file(&path);
+        let dir = snoopy_store::TempDir::new("snoopy-ckpt6").unwrap();
+        let path = dir.path().join("sub5.ckpt");
         let key = checkpoint_key(&Key256([6u8; 32]), 5);
 
         let objects: Vec<StoredObject> =
@@ -699,15 +682,12 @@ mod tests {
             BatchOutcome::Replayed { lb: 1, batch: replay } => assert_eq!(replay, out_b1),
             _ => panic!("balancer 1 epoch 1 must replay from its own class"),
         }
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn missing_file_is_fresh_start_and_tampering_is_detected() {
-        let dir = std::env::temp_dir().join(format!("snoopy-ckpt2-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("sub1.ckpt");
-        let _ = std::fs::remove_file(&path);
+        let dir = snoopy_store::TempDir::new("snoopy-ckpt2").unwrap();
+        let path = dir.path().join("sub1.ckpt");
         let key = checkpoint_key(&Key256([1u8; 32]), 1);
         assert!(load(&key, &path, Key256([9u8; 32]), 80, &StorageSpec::Memory).unwrap().is_none());
 
@@ -717,14 +697,12 @@ mod tests {
         file[mid] ^= 0x80;
         std::fs::write(&path, &file).unwrap();
         assert!(load(&key, &path, Key256([9u8; 32]), 80, &StorageSpec::Memory).is_err());
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn older_format_version_is_refused_not_upgraded() {
-        let dir = std::env::temp_dir().join(format!("snoopy-ckpt7-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("sub6.ckpt");
+        let dir = snoopy_store::TempDir::new("snoopy-ckpt7").unwrap();
+        let path = dir.path().join("sub6.ckpt");
         let key = checkpoint_key(&Key256([7u8; 32]), 6);
         // A correctly sealed file whose payload carries the previous
         // format's magic: authentic, but not a layout this build reads.
@@ -735,6 +713,5 @@ mod tests {
             load(&key, &path, Key256([9u8; 32]), 80, &StorageSpec::Memory).map(|_| ()).unwrap_err();
         assert_eq!(e.kind(), io::ErrorKind::InvalidData);
         assert!(e.to_string().contains("unsupported format version"), "{e}");
-        std::fs::remove_file(&path).unwrap();
     }
 }

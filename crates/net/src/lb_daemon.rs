@@ -572,15 +572,20 @@ fn dialer(ctx: DialerCtx) {
         stats,
         reactor,
     } = ctx;
+    let policy = RetryPolicy::dialer_default().jitter_seed(sub as u64);
     let mut established_before = false;
+    // Consecutive sessions that closed before any inbound frame: a peer that
+    // accepts and hangs up (a subORAM down behind a proxy) is redialed under
+    // the same capped backoff as a refused connect, not at once.
+    let mut quiet_closes = 0u32;
     loop {
+        std::thread::sleep(policy.backoff(quiet_closes));
         // Dial under the dialer policy: capped exponential backoff with
         // deterministic jitter, retrying forever (the balancer cannot make
         // progress without this link). The dial span covers
         // connect-through-hello: connection establishment against a public
         // address is wire-observable timing.
         let dial_span = trace::span("dial");
-        let policy = RetryPolicy::dialer_default().jitter_seed(sub as u64);
         let Ok(mut stream) = policy.run(|attempt| {
             if attempt > 0 {
                 stats.retried();
@@ -594,6 +599,7 @@ fn dialer(ctx: DialerCtx) {
         // The hello goes out while the stream is still blocking; the reactor
         // flips it nonblocking at registration.
         if write_frame(&mut stream, tag::HELLO, &hello.encode()).is_err() {
+            quiet_closes += 1;
             continue;
         }
         metrics::stage_histogram("dial").observe(Public::timing(dial_span.finish()));
@@ -607,6 +613,7 @@ fn dialer(ctx: DialerCtx) {
             value_len,
             events_tx: events_tx.clone(),
             stats: stats.clone(),
+            heard: false,
             closed_tx,
         };
         // A session the peer already closed still goes on: its `on_close`
@@ -625,10 +632,9 @@ fn dialer(ctx: DialerCtx) {
 
         // Park until the reactor reports the session closed, then clear the
         // slot (if a send path has not already) and redial.
-        if closed_rx.recv().is_err() {
-            return;
-        }
+        let Ok(heard) = closed_rx.recv() else { return };
         *subs[sub].lock().unwrap() = None;
+        quiet_closes = if heard { 0 } else { quiet_closes + 1 };
     }
 }
 
@@ -640,12 +646,16 @@ struct SubDialHandler {
     value_len: usize,
     events_tx: Sender<LbEvent>,
     stats: Arc<LinkStats>,
-    closed_tx: Sender<()>,
+    /// Whether any frame arrived on this session.
+    heard: bool,
+    /// Reports the close, and `heard`, to the dialer.
+    closed_tx: Sender<bool>,
 }
 
 impl SessionHandler for SubDialHandler {
     fn on_frame(&mut self, t: u8, body: Vec<u8>, _handle: &SessionHandle) -> Control {
         self.stats.received(body.len());
+        self.heard = true;
         if t == tag::RESP_ERR {
             // Typed refusal: plaintext epoch id. Forward it so the epoch
             // loop can degrade immediately instead of replaying a batch the
@@ -673,7 +683,7 @@ impl SessionHandler for SubDialHandler {
     }
 
     fn on_close(&mut self) {
-        let _ = self.closed_tx.send(());
+        let _ = self.closed_tx.send(self.heard);
     }
 }
 

@@ -18,7 +18,7 @@ use snoopy_chaos::{chaos_seed, DirectionFaults, FaultPlan, FaultPlanConfig, Faul
 use snoopy_core::{RetryPolicy, Snoopy, SnoopyConfig};
 use snoopy_enclave::wire::Request;
 use snoopy_net::manifest::Manifest;
-use snoopy_net::{fetch_health, fetch_stats, proto, shutdown_daemon, SnoopyClient};
+use snoopy_net::{fetch_health, fetch_stats, parse_stats, proto, shutdown_daemon, SnoopyClient};
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
@@ -228,6 +228,11 @@ fn suboram_booted_late_behind_a_proxy_is_dialed() {
     wait_for_health(&addrs[0], "loadbalancer");
     // SubORAM 1 stays down while the balancer dials it through the proxy.
     std::thread::sleep(Duration::from_millis(1500));
+    // The proxy accepts each dial and hangs up: the balancer must back off
+    // between those redials, not spin on them.
+    let stats = parse_stats(&fetch_stats(&addrs[0]).unwrap());
+    let redials = stats.iter().find(|l| l.link == "suboram/1").map_or(0, |l| l.reconnects);
+    assert!(redials <= 20, "{redials} redials of the down subORAM in 1.5 s");
     let sub1 = Daemon::spawn(SNOOPYD, "suboram", 1, &daemon_path, None);
     wait_for_health(&addrs[2], "suboram");
 

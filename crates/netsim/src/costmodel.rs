@@ -3,7 +3,7 @@
 //! The *structure* of each cost comes from the real implementation: batch
 //! sizes from Theorem 3 (`snoopy-binning`), per-lookup bucket scan costs from
 //! the actual two-tier table parameters (`snoopy-ohash`), paging penalties
-//! from the EPC model (`snoopy-enclave`). Only the leading-constant
+//! from the EPC model ([`crate::epc`]). Only the leading-constant
 //! nanosecond coefficients are calibrated, against:
 //!
 //! * Fig. 12 — load-balancer make-batch/match times of tens of ms at `2^10`
@@ -16,8 +16,8 @@
 use std::cell::RefCell;
 use std::collections::HashMap;
 
+use crate::epc::EpcModel;
 use snoopy_binning::batch_size;
-use snoopy_enclave::epc::EpcModel;
 use snoopy_ohash::TableParams;
 
 /// Calibrated service-time model. All times in nanoseconds (f64).

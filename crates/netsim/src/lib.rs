@@ -10,8 +10,10 @@
 //!   numbers the paper reports (Obladi 6,716 reqs/s; Oblix 1,153 reqs/s at
 //!   1.1 ms/access; Snoopy's 847 ms single-subORAM scan of 2M objects;
 //!   Fig. 12/13 component times). Structural inputs (batch size `f(R,S)`,
-//!   hash-table lookup costs, EPC paging) come from the *real* implementation
-//!   crates, so the model shape tracks the code, not a curve fit.
+//!   hash-table lookup costs) come from the *real* implementation crates, so
+//!   the model shape tracks the code, not a curve fit.
+//! * [`epc`] — SGX's limited Enclave Page Cache, the paging cliff of Fig. 12
+//!   that the cost model adds to the subORAM scan.
 //! * [`cluster`] — the event-driven epoch pipeline: Poisson arrivals spread
 //!   over `L` balancers, epoch boundaries every `T`, balancer compute →
 //!   network → FIFO subORAM queues → network → response matching, with
@@ -27,6 +29,7 @@
 
 pub mod cluster;
 pub mod costmodel;
+pub mod epc;
 pub mod workload;
 
 pub use cluster::{ClusterParams, ClusterSim, SimFaults, SimReport, SimReshard, SubOutage};

@@ -51,7 +51,6 @@
 #![warn(missing_docs)]
 
 use snoopy_crypto::Key256;
-use snoopy_enclave::epc::{CostMeter, EpcModel};
 use snoopy_enclave::wire::{Request, StoredObject, REAL_ID_LIMIT};
 use snoopy_obliv::trace::{self, TraceEvent};
 use snoopy_ohash::{OHashError, OHashTable, TableParams};
@@ -425,10 +424,6 @@ pub struct SubOram {
     table_params: HashMap<(usize, usize), TableParams>,
     poisoned: Option<SubOramError>,
     last_commit: Option<StorageGeneration>,
-    /// EPC model used for cost accounting.
-    pub epc: EpcModel,
-    /// Accumulated modeled costs.
-    pub meter: CostMeter,
 }
 
 impl SubOram {
@@ -469,8 +464,6 @@ impl SubOram {
             table_params: HashMap::new(),
             poisoned: None,
             last_commit: None,
-            epc: EpcModel::default(),
-            meter: CostMeter::default(),
         }
     }
 
@@ -522,7 +515,6 @@ impl SubOram {
             self.poisoned = Some(e);
             return Err(e);
         }
-        self.record_scan(&table);
         Ok(table.into_batch_requests())
     }
 
@@ -578,7 +570,6 @@ impl SubOram {
                 tables.push(local);
             }
         });
-        self.record_scan(&table);
 
         // Merge: each request slot was mutated in at most one copy; fold the
         // changed versions (relative to the pristine table) back obliviously.
@@ -612,14 +603,6 @@ impl SubOram {
             .entry((n, objects))
             .or_insert_with(|| TableParams::derive(n, objects, lambda));
         Ok(OHashTable::construct_with_params(batch, &batch_key, params)?)
-    }
-
-    /// Charges one full scan against `table`: two compare-and-sets per
-    /// probed slot, and the partition's bytes.
-    fn record_scan(&mut self, table: &OHashTable) {
-        let objects = self.storage.len();
-        self.meter.oblivious_ops += (2 * table.params().lookup_cost() * objects) as u64;
-        self.meter.record_scan(&self.epc, (objects * (8 + self.value_len)) as u64, 0);
     }
 
     /// Durably commits storage state mutated since the last commit (file-
@@ -944,10 +927,9 @@ mod tests {
             let mut s = SubOram::new_in_enclave(objects, VLEN, Key256([8u8; 32]), 128);
             let (res, tr) = snoopy_obliv::trace::capture(|| s.batch_access(batch));
             res.unwrap();
-            // The meter charges two compare-and-sets per probed slot: the
-            // table was sized for this partition, not for the batch alone.
-            let lookup = TableParams::derive(N as usize, count as usize, 128).lookup_cost();
-            assert_eq!(s.meter.oblivious_ops, 2 * lookup as u64 * count);
+            // The table was sized for this partition, not for the batch alone.
+            let (n, count) = (N as usize, count as usize);
+            assert_eq!(s.table_params[&(n, count)], TableParams::derive(n, count, 128));
             tr
         };
         let reads = || (0..N).map(|i| Request::read(i, VLEN, 1, i)).collect::<Vec<_>>();
@@ -991,14 +973,6 @@ mod tests {
         assert_eq!(s.peek(4).unwrap(), val(0xA4));
         assert_eq!(s.peek(250).unwrap(), val(0x5A));
         assert_eq!((tr.len(), tr.fingerprint()), (653, 15_754_192_445_845_025_286));
-    }
-
-    #[test]
-    fn meter_accumulates_costs() {
-        let mut s = suboram(100);
-        s.batch_access(vec![Request::read(1, VLEN, 0, 0)]).unwrap();
-        assert!(s.meter.oblivious_ops > 0);
-        assert!(s.meter.bytes_scanned >= 100 * (8 + VLEN as u64));
     }
 
     #[test]

@@ -5,6 +5,7 @@
 //! for the system inventory, and `EXPERIMENTS.md` for the reproduction of
 //! the paper's evaluation.
 
+pub use snoopy_baselines;
 pub use snoopy_binning;
 pub use snoopy_core;
 pub use snoopy_core as core;
@@ -14,14 +15,11 @@ pub use snoopy_enclave;
 pub use snoopy_enclave as enclave;
 pub use snoopy_lb;
 pub use snoopy_netsim;
-pub use snoopy_obladi;
 pub use snoopy_obliv;
 pub use snoopy_obliv as obliv;
 pub use snoopy_ohash;
-pub use snoopy_pathoram;
 pub use snoopy_plaintext;
 pub use snoopy_planner;
-pub use snoopy_ringoram;
 pub use snoopy_store;
 pub use snoopy_store as store;
 pub use snoopy_suboram;

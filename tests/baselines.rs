@@ -5,10 +5,11 @@
 use snoopy_crypto::rng::Rng;
 use snoopy_repro::core::{Snoopy, SnoopyConfig};
 use snoopy_repro::enclave::wire::{Request, StoredObject};
-use snoopy_repro::snoopy_obladi::{ObladiProxy, ProxyRequest};
-use snoopy_repro::snoopy_pathoram::{Op as POp, PathOram};
+use snoopy_repro::snoopy_baselines::obladi::{ObladiProxy, ProxyRequest};
+use snoopy_repro::snoopy_baselines::pathoram::PathOram;
+use snoopy_repro::snoopy_baselines::ringoram::RingOram;
+use snoopy_repro::snoopy_baselines::{Op as POp, Op as ROp};
 use snoopy_repro::snoopy_plaintext::PlaintextStore;
-use snoopy_repro::snoopy_ringoram::{Op as ROp, RingOram};
 
 const VLEN: usize = 32;
 const N: u64 = 128;
